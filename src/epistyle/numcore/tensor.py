@@ -75,9 +75,12 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
+        # A closure gets its output as the argument rather than capturing it,
+        # so no op output references itself and a finished graph is freed by
+        # reference counting, without waiting for the cyclic collector.
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
@@ -122,7 +125,7 @@ def add(a, b) -> Tensor:
     _check_same_shape(a, b, "add")
     data = a.data + b.data
 
-    def backward():
+    def backward(out):
         g = out.grad
         if a.requires_grad or a._parents:
             a._accumulate(_unbroadcast(g, a.shape))
@@ -138,7 +141,7 @@ def sub(a, b) -> Tensor:
     _check_same_shape(a, b, "sub")
     data = a.data - b.data
 
-    def backward():
+    def backward(out):
         g = out.grad
         if a.requires_grad or a._parents:
             a._accumulate(_unbroadcast(g, a.shape))
@@ -154,7 +157,7 @@ def mul(a, b) -> Tensor:
     _check_same_shape(a, b, "mul")
     data = a.data * b.data
 
-    def backward():
+    def backward(out):
         g = out.grad
         if a.requires_grad or a._parents:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
@@ -169,7 +172,7 @@ def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     data = a.data * a.data.dtype.type(c)
 
-    def backward():
+    def backward(out):
         a._accumulate(out.grad * c)
 
     out = _result(data, (a,), backward)
@@ -180,7 +183,7 @@ def exp(a) -> Tensor:
     a = _as_tensor(a)
     data = np.exp(a.data)
 
-    def backward():
+    def backward(out):
         a._accumulate(out.grad * data)
 
     out = _result(data, (a,), backward)
@@ -191,7 +194,7 @@ def log(a) -> Tensor:
     a = _as_tensor(a)
     data = np.log(a.data)
 
-    def backward():
+    def backward(out):
         a._accumulate(out.grad / a.data)
 
     out = _result(data, (a,), backward)
@@ -202,7 +205,7 @@ def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     data = np.sqrt(a.data)
 
-    def backward():
+    def backward(out):
         a._accumulate(out.grad * (0.5 / data))
 
     out = _result(data, (a,), backward)
@@ -213,7 +216,7 @@ def relu(a) -> Tensor:
     a = _as_tensor(a)
     data = np.maximum(a.data, 0)
 
-    def backward():
+    def backward(out):
         a._accumulate(out.grad * (a.data > 0))
 
     out = _result(data, (a,), backward)
@@ -230,7 +233,7 @@ def matmul(a, b) -> Tensor:
     dt = np.result_type(a.dtype, b.dtype)
     data = np.matmul(a.data.astype(np.float64), b.data.astype(np.float64)).astype(dt)
 
-    def backward():
+    def backward(out):
         g = out.grad.astype(np.float64)
         if a.requires_grad or a._parents:
             ga = np.matmul(g, np.swapaxes(b.data.astype(np.float64), -1, -2))
@@ -249,7 +252,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
-    def backward():
+    def backward(out):
         pieces = np.split(out.grad, splits, axis=axis)
         for t, g in zip(tensors, pieces):
             if t.requires_grad or t._parents:
@@ -263,7 +266,7 @@ def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     data = a.data.reshape(shape)
 
-    def backward():
+    def backward(out):
         a._accumulate(out.grad.reshape(a.shape))
 
     out = _result(data, (a,), backward)
@@ -275,7 +278,7 @@ def transpose(a, axes) -> Tensor:
     data = a.data.transpose(axes)
     inverse = np.argsort(axes)
 
-    def backward():
+    def backward(out):
         a._accumulate(out.grad.transpose(inverse))
 
     out = _result(data, (a,), backward)
@@ -293,7 +296,7 @@ def embedding_lookup(table, ids) -> Tensor:
         )
     data = table.data[idx]
 
-    def backward():
+    def backward(out):
         g = out.grad.reshape(-1, table.shape[1])
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
@@ -318,7 +321,7 @@ def scatter_rows(pieces, n_rows: int, dim: int) -> Tensor:
     if not covered.all():
         raise ShapeError("scatter_rows: some output rows were not assigned")
 
-    def backward():
+    def backward(out):
         for idx, t in pieces:
             if t.requires_grad or t._parents:
                 t._accumulate(out.grad[idx])
@@ -334,7 +337,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(a.dtype)
 
-    def backward():
+    def backward(out):
         g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
@@ -352,7 +355,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         count = a.shape[axis]
 
-    def backward():
+    def backward(out):
         g = out.grad / count
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
@@ -368,7 +371,7 @@ def max_over_time(a, axis: int = 0) -> Tensor:
     idx = np.argmax(a.data, axis=axis)
     data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
 
-    def backward():
+    def backward(out):
         g = np.zeros_like(a.data)
         np.put_along_axis(
             g, np.expand_dims(idx, axis), np.expand_dims(out.grad, axis), axis=axis
@@ -386,7 +389,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     e = np.exp(x)
     data = (e / e.sum(axis=axis, keepdims=True)).astype(a.dtype)
 
-    def backward():
+    def backward(out):
         g = out.grad
         y = data
         dot = (g * y).sum(axis=axis, keepdims=True, dtype=np.float64).astype(a.dtype)
@@ -402,7 +405,7 @@ def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
     norm = np.maximum(norm, eps)
     data = (a.data / norm).astype(a.dtype)
 
-    def backward():
+    def backward(out):
         g = out.grad
         y = data
         dot = (g * y).sum(axis=axis, keepdims=True, dtype=np.float64)
@@ -432,7 +435,7 @@ def cross_entropy(logits, labels) -> Tensor:
     logp = x - logz
     data = np.asarray(-logp[np.arange(n), y].mean(), dtype=logits.dtype)
 
-    def backward():
+    def backward(out):
         p = np.exp(logp)
         p[np.arange(n), y] -= 1.0
         logits._accumulate((out.grad * p / n).astype(logits.dtype))
@@ -462,7 +465,7 @@ def dropout(x, p: float, train: bool, rng: np.random.Generator | None = None) ->
         raise ValueError("dropout: training mode requires an rng")
     keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
 
-    def backward():
+    def backward(out):
         x._accumulate(out.grad * keep)
 
     out = _result(x.data * keep, (x,), backward)
@@ -479,7 +482,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat = xc * inv
     data = (xhat * gain.data + bias.data).astype(x.dtype)
 
-    def backward():
+    def backward(out):
         g = out.grad.astype(np.float64)
         if gain.requires_grad or gain._parents:
             axes = tuple(range(g.ndim - 1))
@@ -524,7 +527,7 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
     if squeeze:
         data = data[0]
 
-    def backward():
+    def backward(out):
         g = out.grad[None] if squeeze else out.grad  # (B,T,f)
         g64 = g.astype(np.float64)
         if bias is not None and (bias.requires_grad or bias._parents):

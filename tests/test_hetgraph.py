@@ -1,22 +1,29 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from epistyle.cli import _graph_to_json
 from epistyle.corpus import Post
 from epistyle.hetgraph import (
     DEFAULT_SCHEMES,
+    HetGraph,
+    _TypedNegativeSampler,
+    _walk_pairs,
     build_graph,
     export_context_init,
     read_embeddings_tsv,
     read_walks,
     sample_walks,
+    sgns_batch_loss_and_grads,
     sgns_pair_loss_and_grads,
     train_skipgram,
     write_embeddings_tsv,
     write_walks,
 )
+from epistyle.synth import SynthConfig, generate_corpus
 
 
 def make_post(pid, author, thread, subforum="s1", start=False, ts=100.0, market="m1"):
@@ -73,6 +80,51 @@ def test_utstu_instance_exists():
         nxt = [o for o in options if o not in path] or options
         path.append(nxt[0])
     assert path[-1] == g.key_labels[("U", "u2")]
+
+
+def _quadratic_build_graph(posts):
+    """The former insert logic: counts a type's nodes on every new node and
+    scans neighbour lists for edge membership."""
+    g = HetGraph()
+
+    def add_node(node_type, key):
+        label = g.key_labels.get((node_type, key))
+        if label is None:
+            label = f"{node_type}{sum(1 for lab in g.node_keys if lab[0] == node_type)}"
+            g.key_labels[(node_type, key)] = label
+            g.node_keys[label] = key
+            g.neighbors[label] = {}
+        return label
+
+    def add_edge(a, b):
+        g.neighbors[a].setdefault(b[0], [])
+        if b not in g.neighbors[a][b[0]]:
+            g.neighbors[a][b[0]].append(b)
+        g.neighbors[b].setdefault(a[0], [])
+        if a not in g.neighbors[b][a[0]]:
+            g.neighbors[b][a[0]].append(a)
+
+    for p in sorted(posts, key=lambda p: (p.author, p.subforum, p.thread_id, p.post_id)):
+        u, s = add_node("U", p.author), add_node("S", p.subforum)
+        t, pn = add_node("T", p.thread_id), add_node("P", p.post_id)
+        add_edge(s, t)
+        add_edge(t, pn)
+        add_edge(u, pn)
+        if p.is_thread_start:
+            add_edge(u, t)
+    for nbrs in g.neighbors.values():
+        for lst in nbrs.values():
+            lst.sort(key=lambda lab: (lab[0], int(lab[1:])))
+    return g
+
+
+def test_build_graph_serializes_like_quadratic_reference():
+    corpus = generate_corpus(SynthConfig(authors_per_market=8, posts_per_author=40,
+                                         migrant_count=2, distinct_pair_count=2, seed=5))
+    posts = corpus.posts["alpha"]
+    fast, slow = build_graph(posts), _quadratic_build_graph(posts)
+    assert fast.key_labels == slow.key_labels
+    assert json.dumps(_graph_to_json(fast)) == json.dumps(_graph_to_json(slow))
 
 
 # ------------------------------------------------------------------- walks
@@ -204,6 +256,58 @@ def test_pair_loss_gradients_match_finite_differences():
         numeric = num_grad(arr, None)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
+
+
+def test_batch_loss_and_grads_equal_summed_pair_reference():
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(9, 6))
+    uc = rng.normal(size=(9, 6))
+    un = rng.normal(size=(9, 4, 6))
+    loss, gv, guc, gun = sgns_batch_loss_and_grads(v, uc, un)
+    ref_loss = 0.0
+    for i in range(9):
+        pl, pgv, pguc, pgun = sgns_pair_loss_and_grads(v[i], uc[i], un[i])
+        ref_loss += pl
+        assert np.max(np.abs(gv[i] - pgv)) < 1e-12
+        assert np.max(np.abs(guc[i] - pguc)) < 1e-12
+        assert np.max(np.abs(gun[i] - pgun)) < 1e-12
+    assert abs(loss - ref_loss) < 1e-12
+
+
+def test_typed_negatives_match_context_type_and_differ_from_it():
+    labels = ["P0", "P1", "S0", "S1", "S2", "T0", "T1", "U0"]
+    groups = np.unique([lab[0] for lab in labels], return_inverse=True)[1]
+    counts = np.array([5, 1, 9, 2, 1, 3, 7, 4], dtype=np.float64)
+    sampler = _TypedNegativeSampler(counts, groups)
+    context = np.array([0, 1, 2, 3, 4, 5, 6] * 50)
+    negs = sampler.draw(context, 6, np.random.default_rng(0))
+    assert negs.shape == (len(context), 6)
+    assert np.all(groups[negs] == groups[context][:, None])
+    assert not np.any(negs == context[:, None])
+
+
+def test_single_member_type_returns_that_member():
+    labels = ["S0", "U0", "U1"]
+    groups = np.unique([lab[0] for lab in labels], return_inverse=True)[1]
+    sampler = _TypedNegativeSampler(np.array([3.0, 1.0, 1.0]), groups)
+    negs = sampler.draw(np.array([0, 0, 1]), 4, np.random.default_rng(1))
+    assert np.array_equal(negs[:2], np.zeros((2, 4), dtype=np.int64))
+    assert np.array_equal(negs[2], np.full(4, 2))
+
+
+def test_pair_count_matches_window_formula():
+    rng = np.random.default_rng(2)
+    walks = [list(rng.integers(0, 10, size=n)) for n in (1, 2, 5, 9, 13)]
+    for window in (1, 3, 7):
+        centers, contexts = _walk_pairs(walks, window)
+        expected = []
+        for walk in walks:
+            for t in range(len(walk)):
+                for j in range(max(0, t - window), min(len(walk), t + window + 1)):
+                    if j != t:
+                        expected.append((walk[t], walk[j]))
+        assert len(centers) == len(expected)
+        assert list(zip(centers.tolist(), contexts.tolist())) == expected
 
 
 def test_skipgram_loss_decreases():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -237,7 +240,7 @@ def test_grad_check_detects_corrupted_backward():
     def bad_square(a):
         out = nc.mul(a, a)
 
-        def backward():
+        def backward(out):
             a._accumulate(out.grad * 3.0 * a.data)  # deliberately wrong factor
 
         out._backward = backward
@@ -245,6 +248,28 @@ def test_grad_check_detects_corrupted_backward():
 
     x = np.random.default_rng(1).normal(size=(4,)) + 2.0
     assert grad_check(bad_square, [x]) > 1e-1
+
+
+def test_backward_frees_graph_without_cyclic_gc():
+    # backward closures receive their output as an argument instead of
+    # capturing it, so a forward graph is freed by reference counting alone
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
+    filt = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = nc.sliding_window_conv(x, filt)
+        ref = weakref.ref(out.data)
+        loss = nc.sum_(out)
+        del out
+        loss.backward()
+        del loss
+        assert ref() is None
+        assert filt.grad is not None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ------------------------------------------------------------------ adam
