@@ -34,6 +34,7 @@ from .corpus import (
     preprocess_text,
     read_split_manifest,
     write_labels_csv,
+    write_posts,
     write_split_manifest,
     DEFAULT_IMAGE_PATTERNS,
     DEFAULT_QUOTE_PATTERNS,
@@ -53,20 +54,21 @@ from .evaluation import (
     wmw_paired,
 )
 from .hetgraph import (
-    HetGraph,
     NodeEmbeddings,
     build_graph,
     export_context_init,
     read_embeddings_tsv,
+    read_graph,
     read_walks,
     rescale_context_init,
     sample_walks,
     train_skipgram,
     write_embeddings_tsv,
+    write_graph,
     write_walks,
 )
 from .model import EpisodeModel, MetricHead, ModelConfig, PostEncoder
-from .numcore import load_checkpoint, save_checkpoint
+from .numcore import Tensor, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_corpus, write_corpus
 from .tokenization import load_vocab, save_vocab, train_bpe, train_char_vocab
 from .train import TrainConfig, build_registry, load_best, train_multitask, train_single
@@ -91,7 +93,7 @@ MODEL_DEFAULTS = dict(
     tf_ff=128, tf_model_dim=128, tf_out_dim=32, max_tokens=512,
 )
 TRAIN_DEFAULTS = dict(
-    batch_size=256, epochs=30, runs=5, lr=1e-3, plateau_factor=0.5,
+    batch_size=256, epochs=30, lr=1e-3, plateau_factor=0.5,
     plateau_patience=5, val_fraction=0.10, episode_len=5, p_cross=0.01,
     grad_clip=5.0, loss="sm",
 )
@@ -116,12 +118,16 @@ def _market_files(directory) -> dict[str, Path]:
     return files
 
 
-def _load_markets(directory) -> dict[str, list[Post]]:
+def _load_markets(directory, markets=None) -> dict[str, list[Post]]:
+    """Posts of every market file in `directory`, or of `markets` only."""
+    files = _market_files(directory)
     out = {}
-    for market, path in _market_files(directory).items():
-        posts, malformed = load_posts(path, market)
+    for market in files if markets is None else markets:
+        if market not in files:
+            raise ValidationError(f"market {market!r} not among {sorted(files)}")
+        posts, malformed = load_posts(files[market], market)
         if malformed:
-            log.warning("%s: %d malformed lines skipped", path, malformed)
+            log.warning("%s: %d malformed lines skipped", files[market], malformed)
         out[market] = posts
     return out
 
@@ -145,6 +151,25 @@ def _json_dump(path, obj) -> None:
         fh.write("\n")
 
 
+def _run_stage(args, stage: str, out_dir, inputs: list, effective: dict, body) -> int:
+    """Run one manifest-writing stage.
+
+    Under --skip-if-fresh a stage whose manifest in `out_dir` still matches
+    its inputs, config, seed and output hashes does nothing. Otherwise
+    `body()` writes the outputs and returns (outputs, extra, message); the
+    manifest is written only after the body returns.
+    """
+    out_dir = Path(out_dir)
+    if args.skip_if_fresh and is_fresh(out_dir, stage, inputs, effective, args.seed):
+        print(f"{stage}: fresh, skipping ({out_dir})")
+        return 0
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs, extra, message = body()
+    write_manifest(out_dir, stage, inputs, effective, args.seed, outputs, extra=extra)
+    print(message)
+    return 0
+
+
 # ------------------------------------------------------------------- stages
 
 
@@ -160,40 +185,29 @@ def cmd_synth(args, cfg) -> int:
         archetypes=values["archetypes"], late_author_fraction=values["late_author_fraction"],
         seed=args.seed,
     )
-    out_dir = Path(args.out)
-    effective = {**values, "seed": args.seed}
-    if args.skip_if_fresh and is_fresh(out_dir, "synth", [], effective, args.seed):
-        print(f"synth: fresh, skipping ({out_dir})")
-        return 0
-    corpus = generate_corpus(scfg)
-    written = write_corpus(corpus, out_dir)
-    write_manifest(out_dir, "synth", [], effective, args.seed, sorted(written.values()),
-                   extra={"total_posts": corpus.total_posts(), "labels": len(corpus.labels)})
-    print(f"synth: wrote {corpus.total_posts()} posts across {len(scfg.markets)} markets to {out_dir}")
-    return 0
+
+    def body():
+        corpus = generate_corpus(scfg)
+        written = write_corpus(corpus, args.out)
+        return (sorted(written.values()),
+                {"total_posts": corpus.total_posts(), "labels": len(corpus.labels)},
+                f"synth: wrote {corpus.total_posts()} posts across {len(scfg.markets)} "
+                f"markets to {args.out}")
+
+    return _run_stage(args, "synth", args.out, [], {**values, "seed": args.seed}, body)
 
 
 def cmd_ingest(args, cfg) -> int:
     src = _require(args.input, "input posts file")
-    out_dir = Path(args.out)
-    effective = {"market": args.market}
-    if args.skip_if_fresh and is_fresh(out_dir, "ingest", [src], effective, args.seed):
-        print("ingest: fresh, skipping")
-        return 0
-    posts, malformed = load_posts(src, args.market)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"{args.market}.jsonl"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for p in posts:
-            fh.write(json.dumps({
-                "market": p.market, "subforum": p.subforum, "thread_id": p.thread_id,
-                "post_id": p.post_id, "author": p.author, "timestamp": p.timestamp,
-                "is_thread_start": p.is_thread_start, "body": p.body,
-            }, sort_keys=True) + "\n")
-    write_manifest(out_dir, "ingest", [src], effective, args.seed, [out_path],
-                   extra={"posts": len(posts), "malformed": malformed})
-    print(f"ingest: {len(posts)} posts ({malformed} malformed lines skipped) -> {out_path}")
-    return 0
+    out_path = Path(args.out) / f"{args.market}.jsonl"
+
+    def body():
+        posts, malformed = load_posts(src, args.market)
+        write_posts(out_path, posts)
+        return ([out_path], {"posts": len(posts), "malformed": malformed},
+                f"ingest: {len(posts)} posts ({malformed} malformed lines skipped) -> {out_path}")
+
+    return _run_stage(args, "ingest", args.out, [src], {"market": args.market}, body)
 
 
 def cmd_preprocess(args, cfg) -> int:
@@ -202,112 +216,56 @@ def cmd_preprocess(args, cfg) -> int:
     image = _patterns(values["image_patterns"], DEFAULT_IMAGE_PATTERNS)
     files = _market_files(args.input)
     out_dir = Path(args.out)
+
+    def body():
+        outputs = []
+        for market, path in files.items():
+            posts, _ = load_posts(path, market)
+            out_path = out_dir / f"{market}.jsonl"
+            write_posts(out_path, [replace(p, body=preprocess_text(p.body, quote, image))
+                                   for p in posts])
+            outputs.append(out_path)
+        return outputs, None, f"preprocess: {len(outputs)} market files -> {out_dir}"
+
     effective = {"quote_patterns": quote, "image_patterns": image}
-    if args.skip_if_fresh and is_fresh(out_dir, "preprocess", list(files.values()), effective, args.seed):
-        print("preprocess: fresh, skipping")
-        return 0
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for market, path in files.items():
-        posts, _ = load_posts(path, market)
-        out_path = out_dir / f"{market}.jsonl"
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for p in posts:
-                fh.write(json.dumps({
-                    "market": p.market, "subforum": p.subforum, "thread_id": p.thread_id,
-                    "post_id": p.post_id, "author": p.author, "timestamp": p.timestamp,
-                    "is_thread_start": p.is_thread_start,
-                    "body": preprocess_text(p.body, quote, image),
-                }, sort_keys=True) + "\n")
-        outputs.append(out_path)
-    write_manifest(out_dir, "preprocess", list(files.values()), effective, args.seed, outputs)
-    print(f"preprocess: {len(outputs)} market files -> {out_dir}")
-    return 0
+    return _run_stage(args, "preprocess", out_dir, list(files.values()), effective, body)
 
 
 def cmd_split(args, cfg) -> int:
     files = _market_files(args.input)
     out_path = Path(args.out)
+
+    def body():
+        merged = SplitSpec(split_timestamp=0.0, train_ids={}, test_ids={})
+        cuts = {}
+        for market, path in files.items():
+            posts, _ = load_posts(path, market)
+            spec = chronological_split(posts)
+            cuts[market] = spec.split_timestamp
+            merged.train_ids.update(spec.train_ids)
+            merged.test_ids.update(spec.test_ids)
+        write_split_manifest(out_path, merged)
+        counts = {m: (len(merged.train_ids.get(m, ())), len(merged.test_ids.get(m, ())))
+                  for m in files}
+        return [out_path], {"split_timestamps": cuts}, f"split: {counts} -> {out_path}"
+
     effective = {"rule": "median-per-market, ties to train"}
-    if args.skip_if_fresh and is_fresh(out_path.parent, "split", list(files.values()), effective, args.seed):
-        print("split: fresh, skipping")
-        return 0
-    merged = SplitSpec(split_timestamp=0.0, train_ids={}, test_ids={})
-    cuts = {}
-    for market, path in files.items():
-        posts, _ = load_posts(path, market)
-        spec = chronological_split(posts)
-        cuts[market] = spec.split_timestamp
-        merged.train_ids.update(spec.train_ids)
-        merged.test_ids.update(spec.test_ids)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_split_manifest(out_path, merged)
-    write_manifest(out_path.parent, "split", list(files.values()), effective, args.seed,
-                   [out_path], extra={"split_timestamps": cuts})
-    counts = {m: (len(merged.train_ids.get(m, ())), len(merged.test_ids.get(m, ()))) for m in files}
-    print(f"split: {counts} -> {out_path}")
-    return 0
-
-
-def cmd_episodes(args, cfg) -> int:
-    tvals = section_values(cfg, "train", TRAIN_DEFAULTS, {"episode_len": args.episode_len})
-    cvals = section_values(cfg, "corpus", CORPUS_DEFAULTS, {"min_episodes": args.min_episodes})
-    files = _market_files(args.input)
-    split_path = _require(args.split, "split manifest")
-    out_path = Path(args.out)
-    effective = {"episode_len": tvals["episode_len"], "min_episodes": cvals["min_episodes"]}
-    inputs = list(files.values()) + [split_path]
-    if args.skip_if_fresh and is_fresh(out_path.parent, "episodes", inputs, effective, args.seed):
-        print("episodes: fresh, skipping")
-        return 0
-    spec = read_split_manifest(split_path)
-    posts = _load_markets(args.input)
-    train, test = _split_posts(posts, spec)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    n = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for side, group in (("train", train), ("test", test)):
-            for market in sorted(group):
-                for ep in assemble_episodes(group[market], tvals["episode_len"],
-                                            cvals["min_episodes"]):
-                    fh.write(json.dumps({
-                        "market": ep.market, "author": ep.author, "split": side,
-                        "post_ids": [p.post_id for p in ep.posts],
-                    }, sort_keys=True) + "\n")
-                    n += 1
-    write_manifest(out_path.parent, "episodes", inputs, effective, args.seed, [out_path],
-                   extra={"episodes": n})
-    print(f"episodes: {n} fixed windows -> {out_path}")
-    return 0
+    return _run_stage(args, "split", out_path.parent, list(files.values()), effective, body)
 
 
 def cmd_pgp_pairs(args, cfg) -> int:
     files = _market_files(args.input)
     out_path = Path(args.out)
+
+    def body():
+        posts = [p for plist in _load_markets(args.input).values() for p in plist]
+        candidates = extract_pgp_candidate_pairs(posts)
+        write_labels_csv(out_path, candidates)
+        return ([out_path], {"candidates": len(candidates)},
+                f"pgp-pairs: {len(candidates)} cross-market candidates -> {out_path}")
+
     effective = {"fingerprint": "sha256 of normalized base64 payload"}
-    if args.skip_if_fresh and is_fresh(out_path.parent, "pgp-pairs", list(files.values()), effective, args.seed):
-        print("pgp-pairs: fresh, skipping")
-        return 0
-    posts = [p for plist in _load_markets(args.input).values() for p in plist]
-    candidates = extract_pgp_candidate_pairs(posts)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_labels_csv(out_path, candidates)
-    write_manifest(out_path.parent, "pgp-pairs", list(files.values()), effective, args.seed,
-                   [out_path], extra={"candidates": len(candidates)})
-    print(f"pgp-pairs: {len(candidates)} cross-market candidates -> {out_path}")
-    return 0
-
-
-def _graph_to_json(graph: HetGraph) -> dict:
-    return {"node_keys": graph.node_keys, "neighbors": graph.neighbors}
-
-
-def _graph_from_json(obj) -> HetGraph:
-    g = HetGraph()
-    g.node_keys = dict(obj["node_keys"])
-    g.key_labels = {(lab[0], key): lab for lab, key in g.node_keys.items()}
-    g.neighbors = {lab: {t: list(v) for t, v in nbrs.items()} for lab, nbrs in obj["neighbors"].items()}
-    return g
+    return _run_stage(args, "pgp-pairs", out_path.parent, list(files.values()), effective, body)
 
 
 def cmd_build_graph(args, cfg) -> int:
@@ -316,21 +274,18 @@ def cmd_build_graph(args, cfg) -> int:
         raise ValidationError(f"market {args.market!r} not among {sorted(files)}")
     split_path = _require(args.split, "split manifest")
     out_path = Path(args.out)
+
+    def body():
+        posts, _ = load_posts(files[args.market], args.market)
+        spec = read_split_manifest(split_path)
+        graph = build_graph([p for p in posts if p.post_id in spec.train_ids.get(args.market, ())])
+        write_graph(out_path, graph)
+        return ([out_path], {"nodes": graph.num_nodes()},
+                f"build-graph: {graph.num_nodes()} nodes -> {out_path}")
+
     inputs = [files[args.market], split_path]
     effective = {"market": args.market, "split": "train-only"}
-    if args.skip_if_fresh and is_fresh(out_path.parent, "build-graph", inputs, effective, args.seed):
-        print("build-graph: fresh, skipping")
-        return 0
-    posts, _ = load_posts(files[args.market], args.market)
-    spec = read_split_manifest(split_path)
-    train = [p for p in posts if p.post_id in spec.train_ids.get(args.market, ())]
-    graph = build_graph(train)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _json_dump(out_path, _graph_to_json(graph))
-    write_manifest(out_path.parent, "build-graph", inputs, effective, args.seed, [out_path],
-                   extra={"nodes": graph.num_nodes()})
-    print(f"build-graph: {graph.num_nodes()} nodes -> {out_path}")
-    return 0
+    return _run_stage(args, "build-graph", out_path.parent, inputs, effective, body)
 
 
 def cmd_walk(args, cfg) -> int:
@@ -339,18 +294,14 @@ def cmd_walk(args, cfg) -> int:
     graph_path = _require(args.graph, "graph file")
     out_path = Path(args.out)
     effective = {"walks_per_user": gvals["walks_per_user"], "walk_length": gvals["walk_length"]}
-    if args.skip_if_fresh and is_fresh(out_path.parent, "walk", [graph_path], effective, args.seed):
-        print("walk: fresh, skipping")
-        return 0
-    graph = _graph_from_json(json.loads(graph_path.read_text()))
-    walks = sample_walks(graph, walks_per_user=gvals["walks_per_user"],
-                         walk_length=gvals["walk_length"], rng_seed=args.seed)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_walks(out_path, walks)
-    write_manifest(out_path.parent, "walk", [graph_path], effective, args.seed, [out_path],
-                   extra={"walks": len(walks)})
-    print(f"walk: {len(walks)} walks -> {out_path}")
-    return 0
+
+    def body():
+        walks = sample_walks(read_graph(graph_path), walks_per_user=gvals["walks_per_user"],
+                             walk_length=gvals["walk_length"], rng_seed=args.seed)
+        write_walks(out_path, walks)
+        return [out_path], {"walks": len(walks)}, f"walk: {len(walks)} walks -> {out_path}"
+
+    return _run_stage(args, "walk", out_path.parent, [graph_path], effective, body)
 
 
 def cmd_graph_embed(args, cfg) -> int:
@@ -358,59 +309,46 @@ def cmd_graph_embed(args, cfg) -> int:
     walks_path = _require(args.walks, "walks file")
     graph_path = _require(args.graph, "graph file")
     out_dir = Path(args.out)
-    inputs = [walks_path, graph_path]
-    effective = dict(gvals)
-    if args.skip_if_fresh and is_fresh(out_dir, "graph-embed", inputs, effective, args.seed):
-        print("graph-embed: fresh, skipping")
-        return 0
-    walks = read_walks(walks_path)
-    emb = train_skipgram(
-        walks, dim=gvals["dim"], window=gvals["window"], negatives=gvals["negatives"],
-        epochs=gvals["epochs"], lr=gvals["lr"], rng_seed=args.seed,
-        typed_negatives=gvals["typed_negatives"],
-    )
-    graph = _graph_from_json(json.loads(graph_path.read_text()))
-    subforums = sorted(key for (t, key) in graph.key_labels if t == "S")
-    ctx = export_context_init(emb, graph, subforums)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    nodes_path = out_dir / "nodes.tsv"
-    write_embeddings_tsv(nodes_path, emb)
-    ctx_path = out_dir / "context.tsv"
-    write_embeddings_tsv(ctx_path, NodeEmbeddings(ctx, emb.dim), key="subforum")
-    write_manifest(out_dir, "graph-embed", inputs, effective, args.seed,
-                   [nodes_path, ctx_path],
-                   extra={"epoch_losses": emb.meta["epoch_losses"]})
-    print(f"graph-embed: {len(emb.vectors)} nodes, {len(ctx)} subforums -> {out_dir}")
-    return 0
+
+    def body():
+        emb = train_skipgram(
+            read_walks(walks_path), dim=gvals["dim"], window=gvals["window"],
+            negatives=gvals["negatives"], epochs=gvals["epochs"], lr=gvals["lr"],
+            rng_seed=args.seed, typed_negatives=gvals["typed_negatives"],
+        )
+        graph = read_graph(graph_path)
+        subforums = sorted(key for (t, key) in graph.key_labels if t == "S")
+        ctx = export_context_init(emb, graph, subforums)
+        nodes_path, ctx_path = out_dir / "nodes.tsv", out_dir / "context.tsv"
+        write_embeddings_tsv(nodes_path, emb)
+        write_embeddings_tsv(ctx_path, NodeEmbeddings(ctx, emb.dim), key="subforum")
+        return ([nodes_path, ctx_path], {"epoch_losses": emb.meta["epoch_losses"]},
+                f"graph-embed: {len(emb.vectors)} nodes, {len(ctx)} subforums -> {out_dir}")
+
+    return _run_stage(args, "graph-embed", out_dir, [walks_path, graph_path], gvals, body)
 
 
 def cmd_train_tokenizer(args, cfg) -> int:
     tvals = section_values(cfg, "tokenizer", TOKENIZER_DEFAULTS,
                            {"kind": args.kind, "size": args.size})
+    if tvals["kind"] not in ("char", "bpe"):
+        raise ValidationError(f"unknown tokenizer kind {tvals['kind']!r}")
     files = _market_files(args.input)
     split_path = _require(args.split, "split manifest")
     out_path = Path(args.out)
+
+    def body():
+        spec = read_split_manifest(split_path)
+        train, _ = _split_posts(_load_markets(args.input), spec)
+        texts = [p.body for market in sorted(train) for p in train[market]]
+        trainer = train_char_vocab if tvals["kind"] == "char" else train_bpe
+        vocab = trainer(texts, size=tvals["size"])
+        save_vocab(out_path, vocab)
+        return ([out_path], {"vocab_size": len(vocab)},
+                f"train-tokenizer: {tvals['kind']} vocab of {len(vocab)} -> {out_path}")
+
     inputs = list(files.values()) + [split_path]
-    effective = dict(tvals)
-    if args.skip_if_fresh and is_fresh(out_path.parent, "train-tokenizer", inputs, effective, args.seed):
-        print("train-tokenizer: fresh, skipping")
-        return 0
-    spec = read_split_manifest(split_path)
-    posts = _load_markets(args.input)
-    train, _ = _split_posts(posts, spec)
-    texts = [p.body for market in sorted(train) for p in train[market]]
-    if tvals["kind"] == "char":
-        vocab = train_char_vocab(texts, size=tvals["size"])
-    elif tvals["kind"] == "bpe":
-        vocab = train_bpe(texts, size=tvals["size"])
-    else:
-        raise ValidationError(f"unknown tokenizer kind {tvals['kind']!r}")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    save_vocab(out_path, vocab)
-    write_manifest(out_path.parent, "train-tokenizer", inputs, effective, args.seed, [out_path],
-                   extra={"vocab_size": len(vocab)})
-    print(f"train-tokenizer: {tvals['kind']} vocab of {len(vocab)} -> {out_path}")
-    return 0
+    return _run_stage(args, "train-tokenizer", out_path.parent, inputs, tvals, body)
 
 
 def _parse_context_init(pairs: list[str]) -> dict[str, Path]:
@@ -420,16 +358,6 @@ def _parse_context_init(pairs: list[str]) -> dict[str, Path]:
             raise ValidationError(f"--context-init expects market=path, got {pair!r}")
         market, path = pair.split("=", 1)
         out[market] = _require(path, f"context init for {market}")
-    return out
-
-
-def _read_context_tsv(path) -> dict[str, np.ndarray]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            out[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float32)
     return out
 
 
@@ -466,6 +394,11 @@ def cmd_train(args, cfg) -> int:
         missing = [m for m in markets if m not in ctx_paths]
         if missing:
             raise ValidationError(f"--graph-init pretrained needs --context-init for {missing}")
+    vocab = load_vocab(vocab_path)
+    if args.tokenizer is not None and vocab.kind != args.tokenizer:
+        raise ValidationError(
+            f"--tokenizer {args.tokenizer} but {vocab_path} holds a {vocab.kind} vocabulary"
+        )
 
     inputs = [files[m] for m in markets] + [split_path, vocab_path]
     if labels_path:
@@ -477,92 +410,86 @@ def cmd_train(args, cfg) -> int:
         "rescale_init": gvals["rescale_init"],
     }
     out_dir = Path(args.out)
-    if args.skip_if_fresh and is_fresh(out_dir, "train", inputs, effective, args.seed):
-        print("train: fresh, skipping")
-        return 0
 
-    vocab = load_vocab(vocab_path)
-    if args.tokenizer is not None and vocab.kind != args.tokenizer:
-        raise ValidationError(
-            f"--tokenizer {args.tokenizer} but {vocab_path} holds a {vocab.kind} vocabulary"
+    def body():
+        spec = read_split_manifest(split_path)
+        train_posts, _ = _split_posts(_load_markets(args.processed, markets), spec)
+        subforums = {m: sorted({p.subforum for p in train_posts[m]}) for m in markets}
+
+        context_init = None
+        if args.graph_init == "pretrained":
+            context_init = {}
+            target_std = 0.1 / np.sqrt(3.0)  # matches the random uniform(-0.1, 0.1) table
+            for m in markets:
+                raw = read_embeddings_tsv(ctx_paths[m]).vectors
+                context_init[m] = (
+                    rescale_context_init(raw, target_std) if gvals["rescale_init"] else raw
+                )
+
+        model_cfg = ModelConfig(
+            vocab_size=len(vocab), d_token=mvals["d_token"], d_text=mvals["d_text"],
+            d_time=mvals["d_time"], d_context=mvals["d_context"],
+            filter_sizes=tuple(mvals["filter_sizes"]), filters_per_size=mvals["filters_per_size"],
+            dropout=mvals["dropout"], pooling=mvals["pooling"], tf_layers=mvals["tf_layers"],
+            tf_heads=mvals["tf_heads"], tf_ff=mvals["tf_ff"], tf_model_dim=mvals["tf_model_dim"],
+            tf_out_dim=mvals["tf_out_dim"], tokenizer_kind=vocab.kind,
+            max_tokens=mvals["max_tokens"],
         )
-    all_posts = _load_markets(args.processed)
-    posts = {m: all_posts[m] for m in markets}
-    spec = read_split_manifest(split_path)
-    train_posts, _ = _split_posts(posts, spec)
-    subforums = {m: sorted({p.subforum for p in train_posts[m]}) for m in markets}
+        train_cfg = TrainConfig(
+            batch_size=tvals["batch_size"], epochs=tvals["epochs"], lr=tvals["lr"],
+            plateau_factor=tvals["plateau_factor"],
+            plateau_patience=tvals["plateau_patience"], val_fraction=tvals["val_fraction"],
+            episode_len=tvals["episode_len"], p_cross=tvals["p_cross"], seed=args.seed,
+            grad_clip=tvals["grad_clip"], min_episodes=cvals["min_episodes"], loss=tvals["loss"],
+        )
 
-    context_init = None
-    if args.graph_init == "pretrained":
-        context_init = {}
-        target_std = 0.1 / np.sqrt(3.0)  # matches the random uniform(-0.1, 0.1) table
-        for m in markets:
-            raw = _read_context_tsv(ctx_paths[m])
-            context_init[m] = (
-                rescale_context_init(raw, target_std) if gvals["rescale_init"] else raw
-            )
+        model = EpisodeModel.build(model_cfg, subforums, seed=args.seed, context_init=context_init)
+        encoder = PostEncoder(vocab, model_cfg.max_tokens)
+        migration = load_migration_labels(labels_path) if (labels_path and args.multitask) else None
+        registry = build_registry(model, encoder, train_posts, train_cfg, migration)
+        result = (
+            train_multitask(registry, train_cfg) if args.multitask
+            else train_single(registry, train_cfg)
+        )
+        load_best(registry, result)
 
-    model_cfg = ModelConfig(
-        vocab_size=len(vocab), d_token=mvals["d_token"], d_text=mvals["d_text"],
-        d_time=mvals["d_time"], d_context=mvals["d_context"],
-        filter_sizes=tuple(mvals["filter_sizes"]), filters_per_size=mvals["filters_per_size"],
-        dropout=mvals["dropout"], pooling=mvals["pooling"], tf_layers=mvals["tf_layers"],
-        tf_heads=mvals["tf_heads"], tf_ff=mvals["tf_ff"], tf_model_dim=mvals["tf_model_dim"],
-        tf_out_dim=mvals["tf_out_dim"], tokenizer_kind=vocab.kind,
-        max_tokens=mvals["max_tokens"],
-    )
-    train_cfg = TrainConfig(
-        batch_size=tvals["batch_size"], epochs=tvals["epochs"], runs=tvals["runs"],
-        lr=tvals["lr"], plateau_factor=tvals["plateau_factor"],
-        plateau_patience=tvals["plateau_patience"], val_fraction=tvals["val_fraction"],
-        episode_len=tvals["episode_len"], p_cross=tvals["p_cross"], seed=args.seed,
-        grad_clip=tvals["grad_clip"], min_episodes=cvals["min_episodes"], loss=tvals["loss"],
-    )
+        ckpt_path = out_dir / "checkpoint.bin"
+        save_checkpoint(ckpt_path, {n: t.data for n, t in registry.all_params().items()})
+        runlog_path = out_dir / "runlog.jsonl"
+        with open(runlog_path, "w", encoding="utf-8") as fh:
+            for record in result.log:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        meta = {
+            "model": {**asdict(model_cfg), "filter_sizes": list(model_cfg.filter_sizes)},
+            "subforum_maps": model.subforum_maps,
+            "markets": markets,
+            "multitask": args.multitask,
+            "graph_init": args.graph_init,
+            "episode_len": train_cfg.episode_len,
+            "min_episodes": train_cfg.min_episodes,
+            "loss": train_cfg.loss,
+            "seed": args.seed,
+            "vocab_sha256": file_sha256(vocab_path),
+            "heads": [
+                {"name": t.name, "kind": t.head.kind, "n_labels": t.head.n_labels,
+                 "dim": t.head.dim}
+                for t in registry.all_tasks()
+            ],
+            "best_epoch": result.best_epoch,
+            "best_val_loss": result.best_val_loss,
+        }
+        meta_path = out_dir / "model_meta.json"
+        _json_dump(meta_path, meta)
+        return ([ckpt_path, runlog_path, meta_path],
+                {"best_epoch": result.best_epoch, "best_val_loss": result.best_val_loss},
+                f"train: best val loss {result.best_val_loss:.4f} at epoch {result.best_epoch} "
+                f"-> {out_dir}")
 
-    model = EpisodeModel.build(model_cfg, subforums, seed=args.seed, context_init=context_init)
-    encoder = PostEncoder(vocab, model_cfg.max_tokens)
-    migration = load_migration_labels(labels_path) if (labels_path and args.multitask) else None
-    registry = build_registry(model, encoder, train_posts, train_cfg, migration)
-    result = (
-        train_multitask(registry, train_cfg) if args.multitask else train_single(registry, train_cfg)
-    )
-    load_best(registry, result)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / "checkpoint.bin"
-    save_checkpoint(ckpt_path, {n: t.data for n, t in registry.all_params().items()})
-    runlog_path = out_dir / "runlog.jsonl"
-    with open(runlog_path, "w", encoding="utf-8") as fh:
-        for record in result.log:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    meta = {
-        "model": {**asdict(model_cfg), "filter_sizes": list(model_cfg.filter_sizes)},
-        "subforum_maps": model.subforum_maps,
-        "markets": markets,
-        "multitask": args.multitask,
-        "graph_init": args.graph_init,
-        "episode_len": train_cfg.episode_len,
-        "min_episodes": train_cfg.min_episodes,
-        "loss": train_cfg.loss,
-        "seed": args.seed,
-        "vocab_sha256": file_sha256(vocab_path),
-        "heads": [
-            {"name": t.name, "kind": t.head.kind, "n_labels": t.head.n_labels, "dim": t.head.dim}
-            for t in registry.all_tasks()
-        ],
-        "best_epoch": result.best_epoch,
-        "best_val_loss": result.best_val_loss,
-    }
-    meta_path = out_dir / "model_meta.json"
-    _json_dump(meta_path, meta)
-    write_manifest(out_dir, "train", inputs, effective, args.seed,
-                   [ckpt_path, runlog_path, meta_path],
-                   extra={"best_epoch": result.best_epoch, "best_val_loss": result.best_val_loss})
-    print(f"train: best val loss {result.best_val_loss:.4f} at epoch {result.best_epoch} -> {out_dir}")
-    return 0
+    return _run_stage(args, "train", out_dir, inputs, effective, body)
 
 
 def _load_run(run_dir, vocab_path):
+    """A trained run for forward passes only: its parameters track no gradient."""
     run_dir = _require(run_dir, "run directory")
     meta_path = _require(run_dir / "model_meta.json", "model metadata")
     ckpt_path = _require(run_dir / "checkpoint.bin", "checkpoint")
@@ -574,27 +501,21 @@ def _load_run(run_dir, vocab_path):
     m["filter_sizes"] = tuple(m["filter_sizes"])
     model_cfg = ModelConfig(**m)
     params = load_checkpoint(ckpt_path)
-    model_params = {k: v for k, v in params.items() if not k.startswith("head.")}
-    from .numcore import Tensor
-
-    tensors = {k: Tensor(v, requires_grad=True, name=k) for k, v in model_params.items()}
+    tensors = {k: Tensor(v, name=k) for k, v in params.items() if not k.startswith("head.")}
     model = EpisodeModel(model_cfg, {m_: dict(v) for m_, v in meta["subforum_maps"].items()}, tensors)
     encoder = PostEncoder(vocab, model_cfg.max_tokens)
     return meta, model, encoder
 
 
 def _test_episodes(meta, args):
-    posts = _load_markets(args.processed)
+    """Test-split episodes and train-split authors of the run's markets."""
+    posts = _load_markets(args.processed, meta["markets"])
     spec = read_split_manifest(_require(args.split, "split manifest"))
-    _, test = _split_posts(posts, spec)
-    out = {}
-    for market in meta["markets"]:
-        if market not in test:
-            raise ValidationError(f"market {market!r} missing from {args.processed}")
-        out[market] = assemble_episodes(test[market], meta["episode_len"], meta["min_episodes"])
-    train_posts, _ = _split_posts(posts, spec)
-    seen = {m: {(m, p.author) for p in train_posts[m]} for m in meta["markets"]}
-    return out, seen
+    train, test = _split_posts(posts, spec)
+    episodes = {m: assemble_episodes(test[m], meta["episode_len"], meta["min_episodes"])
+                for m in posts}
+    seen = {m: {(m, p.author) for p in train[m]} for m in posts}
+    return episodes, seen
 
 
 def cmd_eval(args, cfg) -> int:
@@ -606,44 +527,42 @@ def cmd_eval(args, cfg) -> int:
     inputs = [files[m] for m in meta["markets"]] + [split_path,
                                                     Path(args.run) / "checkpoint.bin"]
     effective = {"kappa": evals["kappa"], "ks": list(evals["ks"]), "seed": args.seed}
-    if args.skip_if_fresh and is_fresh(out_dir, "eval", inputs, effective, args.seed):
-        print("eval: fresh, skipping")
-        return 0
-    episodes, seen = _test_episodes(meta, args)
-    report: dict = {
-        "config": {
-            "markets": meta["markets"], "multitask": meta["multitask"],
-            "graph_init": meta["graph_init"], "episode_len": meta["episode_len"],
-            "tokenizer": meta["model"]["tokenizer_kind"], "pooling": meta["model"]["pooling"],
-            "loss": meta["loss"], "train_seed": meta["seed"], "eval_seed": args.seed,
-        },
-        "markets": {},
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for market in meta["markets"]:
-        index = RetrievalIndex.from_episodes(model, encoder, episodes[market],
-                                             seen_authors=seen[market])
-        queries = sample_queries(index, evals["kappa"], np.random.default_rng(args.seed))
-        block = {"all": metrics_report(index, kappa=evals["kappa"], seed=args.seed,
-                                       ks=tuple(evals["ks"])).to_dict()}
-        block["all"]["random_baseline_mrr"] = random_baseline_mrr(index, queries)
-        for group, rep in seen_novel_report(index, kappa=evals["kappa"], seed=args.seed,
-                                            ks=tuple(evals["ks"])).items():
-            block[group] = rep.to_dict()
-        report["markets"][market] = block
-        emb_path = out_dir / f"embeddings-{market}.tsv"
-        export_embeddings_tsv(emb_path, index)
-        outputs.append(emb_path)
-    metrics_path = out_dir / "metrics.json"
-    _json_dump(metrics_path, report)
-    outputs.append(metrics_path)
-    write_manifest(out_dir, "eval", inputs, effective, args.seed, outputs)
-    for market, block in report["markets"].items():
-        print(f"eval {market}: MRR={block['all']['mrr']:.4f} "
-              f"R@10={block['all']['recall'].get('10', float('nan')):.4f} "
-              f"baseline={block['all']['random_baseline_mrr']:.4f}")
-    return 0
+
+    def body():
+        episodes, seen = _test_episodes(meta, args)
+        report: dict = {
+            "config": {
+                "markets": meta["markets"], "multitask": meta["multitask"],
+                "graph_init": meta["graph_init"], "episode_len": meta["episode_len"],
+                "tokenizer": meta["model"]["tokenizer_kind"], "pooling": meta["model"]["pooling"],
+                "loss": meta["loss"], "train_seed": meta["seed"], "eval_seed": args.seed,
+            },
+            "markets": {},
+        }
+        outputs = []
+        for market in meta["markets"]:
+            index = RetrievalIndex.from_episodes(model, encoder, episodes[market],
+                                                 seen_authors=seen[market])
+            queries = sample_queries(index, evals["kappa"], np.random.default_rng(args.seed))
+            block = {"all": metrics_report(index, kappa=evals["kappa"], seed=args.seed,
+                                           ks=tuple(evals["ks"])).to_dict()}
+            block["all"]["random_baseline_mrr"] = random_baseline_mrr(index, queries)
+            for group, rep in seen_novel_report(index, kappa=evals["kappa"], seed=args.seed,
+                                                ks=tuple(evals["ks"])).items():
+                block[group] = rep.to_dict()
+            report["markets"][market] = block
+            emb_path = out_dir / f"embeddings-{market}.tsv"
+            export_embeddings_tsv(emb_path, index)
+            outputs.append(emb_path)
+        metrics_path = out_dir / "metrics.json"
+        _json_dump(metrics_path, report)
+        lines = [f"eval {market}: MRR={block['all']['mrr']:.4f} "
+                 f"R@10={block['all']['recall'].get('10', float('nan')):.4f} "
+                 f"baseline={block['all']['random_baseline_mrr']:.4f}"
+                 for market, block in report["markets"].items()]
+        return outputs + [metrics_path], None, "\n".join(lines)
+
+    return _run_stage(args, "eval", out_dir, inputs, effective, body)
 
 
 def cmd_sybil(args, cfg) -> int:
@@ -765,13 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("split", cmd_split, help="chronological per-market train/test split")
     p.add_argument("--input", required=True, help="directory of processed market files")
     p.add_argument("--out", required=True, help="split manifest CSV path")
-
-    p = add("episodes", cmd_episodes, help="assemble fixed episode windows")
-    p.add_argument("--input", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--episode-len", type=int, default=None)
-    p.add_argument("--min-episodes", type=int, default=None)
-    p.add_argument("--out", required=True)
 
     p = add("pgp-pairs", cmd_pgp_pairs, help="cross-market same-key candidate pairs (raw bodies)")
     p.add_argument("--input", required=True, help="directory of RAW market files")

@@ -1,7 +1,7 @@
 """Key-value config files (INI sections) and per-stage run manifests.
 
-Every pipeline stage writes a manifest.json recording its input hashes,
-effective config hash, seed, and package version; a stage re-run with
+Every pipeline stage writes a manifest.json recording its input and output
+hashes, effective config hash, seed, and package version; a stage re-run with
 --skip-if-fresh compares those and becomes a no-op when nothing changed.
 Manifests carry no timestamps so identical runs stay byte-identical.
 """
@@ -101,7 +101,7 @@ def write_manifest(out_dir, stage: str, inputs: list, effective_config: dict,
         "config": effective_config,
         "seed": seed,
         "version": __version__,
-        "outputs": sorted(str(o) for o in outputs),
+        "outputs": {str(p): file_sha256(p) for p in sorted(str(x) for x in outputs)},
     }
     if extra:
         manifest["extra"] = extra
@@ -116,7 +116,7 @@ def write_manifest(out_dir, stage: str, inputs: list, effective_config: dict,
 
 def is_fresh(out_dir, stage: str, inputs: list, effective_config: dict, seed: int | None) -> bool:
     """True when an existing manifest matches the would-be inputs and config
-    and every recorded output still exists."""
+    and every recorded output still exists with its recorded hash."""
     path = Path(out_dir) / "manifest.json"
     if not path.exists():
         return False
@@ -131,4 +131,7 @@ def is_fresh(out_dir, stage: str, inputs: list, effective_config: dict, seed: in
     want = {str(p): file_sha256(p) for p in sorted(str(x) for x in inputs) if Path(p).exists()}
     if manifest.get("inputs") != want:
         return False
-    return all(Path(o).exists() for o in manifest.get("outputs", []))
+    outputs = manifest.get("outputs")
+    if not isinstance(outputs, dict):  # older manifests list outputs without hashes
+        return False
+    return all(Path(o).exists() and file_sha256(o) == h for o, h in outputs.items())

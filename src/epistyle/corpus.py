@@ -173,6 +173,13 @@ def load_posts(path, market: str) -> tuple[list[Post], int]:
     return posts, malformed
 
 
+def write_posts(path, posts: list[Post]) -> None:
+    """One JSON object per line with sorted keys: the format `load_posts` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for p in posts:
+            fh.write(json.dumps(vars(p), sort_keys=True) + "\n")
+
+
 # --------------------------------------------------------------- preprocess
 
 

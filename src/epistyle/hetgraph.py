@@ -9,6 +9,7 @@ deterministic for a fixed post list.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import math
 import random
@@ -162,6 +163,23 @@ def sample_walks(
                     isolated_warned = True
                 walks.append(walk)
     return walks
+
+
+def write_graph(path, graph: HetGraph) -> None:
+    """JSON with the label -> key map and the typed neighbour lists."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"node_keys": graph.node_keys, "neighbors": graph.neighbors}, fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_graph(path) -> HetGraph:
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    node_keys = obj["node_keys"]
+    return HetGraph(node_keys=node_keys,
+                    key_labels={(label[0], key): label for label, key in node_keys.items()},
+                    neighbors=obj["neighbors"])
 
 
 def write_walks(path, walks: list[list[str]]) -> None:
@@ -419,11 +437,15 @@ def write_embeddings_tsv(path, embeddings: NodeEmbeddings, key: str = "node") ->
 
 
 def read_embeddings_tsv(path) -> NodeEmbeddings:
+    """Read `write_embeddings_tsv` output; a row whose width differs from the
+    header's raises ValueError naming the path and line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        dim = len(header) - 1
         vectors: dict[str, np.ndarray] = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split("\t")
+            if len(parts) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(parts)} fields, "
+                                 f"header has {len(header)}")
             vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float32)
-    return NodeEmbeddings(vectors=vectors, dim=dim)
+    return NodeEmbeddings(vectors=vectors, dim=len(header) - 1)

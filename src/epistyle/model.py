@@ -4,7 +4,7 @@ mean or transformer pooling) and the per-task metric learning heads."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -226,11 +226,7 @@ class EpisodeModel:
         x = nc.dropout(x, cfg.dropout, train, rng)
         return nc.linear(x, self.params["text_fc.w"], self.params["text_fc.b"])
 
-    def _embed_text_batch(self, token_ids, pad_lengths, train, rng) -> Tensor:
-        emb = nc.embedding_lookup(self.params["token_emb"], token_ids)
-        return self._text_from_token_embeddings(emb, pad_lengths, train, rng)
-
-    def _embed_context_batch(self, batch: EpisodeBatch) -> Tensor:
+    def _context_rows(self, batch: EpisodeBatch) -> Tensor:
         pieces = []
         for market, idx in batch.market_groups:
             rows = nc.embedding_lookup(self.params[f"context.{market}"], batch.ctx_rows[idx])
@@ -240,7 +236,7 @@ class EpisodeModel:
             return pieces[0][1]
         return nc.scatter_rows(pieces, n, self.cfg.d_context)
 
-    def _pool_transformer(self, posts: Tensor, train: bool, rng) -> Tensor:
+    def _transformer(self, posts: Tensor, train: bool, rng) -> Tensor:
         cfg = self.cfg
         p = self.params
         x = nc.linear(posts, p["pool.in.w"], p["pool.in.b"])
@@ -269,70 +265,15 @@ class EpisodeModel:
         """Embed a batch of episodes; (B, E). Pass `token_embeddings` to
         bypass the token lookup (attribution path integrals need this)."""
         if token_embeddings is None:
-            text = self._embed_text_batch(batch.token_ids, batch.pad_lengths, train, rng)
-        else:
-            text = self._text_from_token_embeddings(token_embeddings, batch.pad_lengths, train, rng)
+            token_embeddings = nc.embedding_lookup(self.params["token_emb"], batch.token_ids)
+        text = self._text_from_token_embeddings(token_embeddings, batch.pad_lengths, train, rng)
         time = nc.embedding_lookup(self.params["time_emb"], batch.dow)
-        ctx = self._embed_context_batch(batch)
+        ctx = self._context_rows(batch)
         post = nc.concat([text, time, ctx], axis=-1)
         post = nc.reshape(post, (batch.size, batch.episode_len, self.cfg.post_dim))
         if self.cfg.pooling == "mean":
             return nc.mean(post, axis=1)
-        return self._pool_transformer(post, train, rng)
-
-    # ------------------------------------------- single-input conveniences
-
-    def embed_text(self, token_ids, train: bool = False, rng=None) -> Tensor:
-        ids = np.asarray(token_ids, dtype=np.int64)
-        pad_len = max(len(ids), self.cfg.max_filter)
-        padded = np.zeros((1, pad_len), dtype=np.int64)
-        padded[0, : len(ids)] = ids
-        out = self._embed_text_batch(padded, np.array([pad_len]), train, rng)
-        return nc.reshape(out, (self.cfg.d_text,))
-
-    def embed_time(self, timestamp: float) -> Tensor:
-        row = nc.embedding_lookup(self.params["time_emb"], np.array([day_of_week(timestamp)]))
-        return nc.reshape(row, (self.cfg.d_time,))
-
-    def embed_context(self, market: str, subforum: str) -> Tensor:
-        row_idx = self.subforum_maps[market].get(subforum, UNK_SUBFORUM_ROW)
-        row = nc.embedding_lookup(self.params[f"context.{market}"], np.array([row_idx]))
-        return nc.reshape(row, (self.cfg.d_context,))
-
-    def embed_post(self, post: Post, encoder: PostEncoder) -> Tensor:
-        return nc.concat(
-            [
-                self.embed_text(encoder.ids(post)),
-                self.embed_time(post.timestamp),
-                self.embed_context(post.market, post.subforum),
-            ],
-            axis=-1,
-        )
-
-    def pool_mean(self, post_embeddings: Tensor) -> Tensor:
-        return nc.mean(post_embeddings, axis=0)
-
-    def pool_transformer(self, post_embeddings: Tensor, train: bool = False, rng=None) -> Tensor:
-        length, d = post_embeddings.shape
-        out = self._pool_transformer(nc.reshape(post_embeddings, (1, length, d)), train, rng)
-        return nc.reshape(out, (self.cfg.tf_out_dim,))
-
-    # ------------------------------------------------------------- weights
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {k: t.data for k, t in self.params.items()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, t in self.params.items():
-            if k not in arrays:
-                raise KeyError(f"checkpoint missing parameter {k!r}")
-            if arrays[k].shape != t.data.shape:
-                raise ValueError(f"parameter {k!r}: shape {arrays[k].shape} != {t.data.shape}")
-            t.data = arrays[k].astype(np.float32).copy()
-
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None
+        return self._transformer(post, train, rng)
 
 
 # ------------------------------------------------------------- metric heads
@@ -465,20 +406,3 @@ class MetricHead:
         keep = contributes.astype(np.float32)
         total = nc.sum_(nc.mul(per_anchor, Tensor(keep)))
         return nc.scale(total, 1.0 / float(contributes.sum()))
-
-
-def loss_softmax(embedding: Tensor, label: int, head: MetricHead) -> Tensor:
-    emb = nc.reshape(embedding, (1, head.dim)) if embedding.data.ndim == 1 else embedding
-    return head.loss(emb, np.array([label]) if np.isscalar(label) else label)
-
-
-def loss_cosface(embedding: Tensor, label: int, head: MetricHead) -> Tensor:
-    return loss_softmax(embedding, label, head)
-
-
-def loss_arcface(embedding: Tensor, label: int, head: MetricHead) -> Tensor:
-    return loss_softmax(embedding, label, head)
-
-
-def loss_multisimilarity(embeddings: Tensor, labels, head: MetricHead) -> Tensor:
-    return head.multisimilarity_loss(embeddings, labels)

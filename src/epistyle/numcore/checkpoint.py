@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -27,25 +28,33 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; a truncated file or trailing bytes raise ValueError."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:5] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic {raw[:5]!r})")
     pos = 5
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
+
+    def take(nbytes: int) -> int:
+        """Offset of the next `nbytes` bytes, checked against the file size."""
+        nonlocal pos
+        if pos + nbytes > len(raw):
+            raise ValueError(f"{path}: truncated checkpoint ({len(raw)} bytes, "
+                             f"needs {pos + nbytes})")
+        start, pos = pos, pos + nbytes
+        return start
+
+    (count,) = struct.unpack_from("<I", raw, take(4))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, pos)
-        pos += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=pos).reshape(shape)
-        pos += 4 * n
+        (name_len,) = struct.unpack_from("<H", raw, take(2))
+        start = take(name_len)
+        name = raw[start:pos].decode("utf-8")
+        (ndim,) = struct.unpack_from("<B", raw, take(1))
+        shape = struct.unpack_from(f"<{ndim}I", raw, take(4 * ndim))
+        n = math.prod(shape)
+        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=take(4 * n)).reshape(shape)
         params[name] = np.array(arr, dtype=np.float32)
+    if pos != len(raw):
+        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last block")
     return params

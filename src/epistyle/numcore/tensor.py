@@ -47,9 +47,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray):
         g = g.astype(self.data.dtype, copy=False)
         if self.grad is None:

@@ -9,12 +9,11 @@ bitwise reproducible.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import MigrationLabel, Post, write_labels_csv
+from .corpus import MigrationLabel, Post, write_labels_csv, write_posts
 
 # 2013-01-07 00:00 UTC, a Monday, so week/day arithmetic lands on the
 # intended day of the week.
@@ -363,20 +362,7 @@ def write_corpus(corpus: SynthCorpus, out_dir, labels_name: str = "labels.csv") 
     written: dict[str, str] = {}
     for market, plist in sorted(corpus.posts.items()):
         path = out / f"{market}.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for p in plist:
-                fh.write(
-                    json.dumps(
-                        {
-                            "market": p.market, "subforum": p.subforum,
-                            "thread_id": p.thread_id, "post_id": p.post_id,
-                            "author": p.author, "timestamp": p.timestamp,
-                            "is_thread_start": p.is_thread_start, "body": p.body,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        write_posts(path, plist)
         written[market] = str(path)
     labels_path = out / labels_name
     write_labels_csv(labels_path, corpus.labels)

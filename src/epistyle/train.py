@@ -26,7 +26,6 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     batch_size: int = 256
     epochs: int = 30
-    runs: int = 5
     lr: float = 1e-3
     plateau_factor: float = 0.5
     plateau_patience: int = 5

@@ -1,9 +1,11 @@
 import json
-from pathlib import Path
+import shutil
+from types import SimpleNamespace
 
 import pytest
 
-from epistyle.cli import main
+from epistyle.cli import _load_run, _test_episodes, main
+from epistyle.model import make_episode_batch
 
 CONFIG = """\
 [corpus]
@@ -107,6 +109,20 @@ def test_skip_if_fresh_no_op(workspace, capsys):
     assert "skipping" not in out
 
 
+def test_skip_if_fresh_reruns_when_an_output_changed(workspace, tmp_path, capsys):
+    root, c = workspace
+    split = tmp_path / "split.csv"
+    argv = ["split", *c, "--input", str(root / "processed"), "--out", str(split), "--skip-if-fresh"]
+    assert main(argv) == 0
+    written = split.read_bytes()
+    assert main(argv) == 0
+    assert "skipping" in capsys.readouterr().out
+    split.write_text("")
+    assert main(argv) == 0
+    assert "skipping" not in capsys.readouterr().out
+    assert split.read_bytes() == written
+
+
 def test_missing_artifact_exits_2(tmp_path, capsys):
     code = main(["eval", "--run", str(tmp_path / "nope"), "--processed", str(tmp_path),
                  "--split", str(tmp_path / "s.csv"), "--vocab", str(tmp_path / "v.txt")])
@@ -142,7 +158,31 @@ def test_eval_and_downstream(workspace):
     assert set(rec) == {"post_id", "token", "score"}
 
 
-def test_graph_stages_and_multitask(workspace):
+def test_loaded_run_builds_no_autodiff_graph(workspace):
+    root, _ = workspace
+    meta, model, encoder = _load_run(root / "run", root / "vocab" / "vocab.txt")
+    data = SimpleNamespace(processed=str(root / "processed"),
+                           split=str(root / "split" / "split.csv"))
+    episodes, _ = _test_episodes(meta, data)
+    out = model.embed_episodes(make_episode_batch(episodes["alpha"][:4], encoder, model))
+    assert out._parents == ()
+
+
+def test_truncated_checkpoint_exits_1_with_one_line(workspace, tmp_path, capsys):
+    root, c = workspace
+    run = tmp_path / "run"
+    shutil.copytree(root / "run", run)
+    ckpt = run / "checkpoint.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:20])  # cut inside the first block's header
+    code = main(["eval", *c, "--run", str(run), "--processed", str(root / "processed"),
+                 "--split", str(root / "split" / "split.csv"),
+                 "--vocab", str(root / "vocab" / "vocab.txt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "checkpoint.bin" in err
+
+
+def test_graph_stages_and_multitask(workspace, capsys):
     root, c = workspace
     for market in ("alpha", "beta"):
         assert main(["build-graph", *c, "--input", str(root / "processed"),
@@ -176,17 +216,22 @@ def test_graph_stages_and_multitask(workspace):
     sybil = json.loads((root / "run-multi" / "sybil.json").read_text())
     assert sybil["candidate_market"] == "beta"
 
+    short = root / "short-context.tsv"
+    lines = (root / "emb" / "alpha" / "context.tsv").read_text().splitlines()
+    short.write_text("\n".join([lines[0], lines[1].rsplit("\t", 1)[0], *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert main(["train", *c, "--seed", "3", "--processed", str(root / "processed"),
+                 "--split", str(root / "split" / "split.csv"),
+                 "--vocab", str(root / "vocab" / "vocab.txt"),
+                 "--market", "alpha", "--graph-init", "pretrained",
+                 "--context-init", f"alpha={short}", "--out", str(root / "run-short")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{short}:2:" in err
 
-def test_pgp_pairs_and_episodes_stages(workspace):
+
+def test_pgp_pairs_stage(workspace):
     root, c = workspace
     assert main(["pgp-pairs", *c, "--input", str(root / "raw"),
                  "--out", str(root / "pgp" / "candidates.csv")]) == 0
     text = (root / "pgp" / "candidates.csv").read_text()
     assert text.splitlines()[0] == "market_a,user_a,market_b,user_b,same_author"
-    assert main(["episodes", *c, "--input", str(root / "processed"),
-                 "--split", str(root / "split" / "split.csv"),
-                 "--out", str(root / "episodes" / "episodes.jsonl")]) == 0
-    lines = (root / "episodes" / "episodes.jsonl").read_text().splitlines()
-    rec = json.loads(lines[0])
-    assert set(rec) == {"market", "author", "split", "post_ids"}
-    assert len(rec["post_ids"]) == 2

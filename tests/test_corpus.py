@@ -17,6 +17,7 @@ from epistyle.corpus import (
     load_migration_labels,
     load_posts,
     preprocess_text,
+    write_posts,
 )
 
 PUBKEY_BLOCK = (
@@ -60,6 +61,8 @@ def test_load_posts_three_valid_lines(tmp_path):
     posts, malformed = load_posts(path, "m1")
     assert len(posts) == 3 and malformed == 0
     assert all(p.market == "m1" for p in posts)
+    write_posts(tmp_path / "copy.jsonl", posts)
+    assert load_posts(tmp_path / "copy.jsonl", "m1") == (posts, 0)
 
 
 def test_load_posts_empty_file(tmp_path):

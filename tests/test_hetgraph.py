@@ -1,11 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from epistyle.cli import _graph_to_json
 from epistyle.corpus import Post
 from epistyle.hetgraph import (
     DEFAULT_SCHEMES,
@@ -15,12 +13,14 @@ from epistyle.hetgraph import (
     build_graph,
     export_context_init,
     read_embeddings_tsv,
+    read_graph,
     read_walks,
     sample_walks,
     sgns_batch_loss_and_grads,
     sgns_pair_loss_and_grads,
     train_skipgram,
     write_embeddings_tsv,
+    write_graph,
     write_walks,
 )
 from epistyle.synth import SynthConfig, generate_corpus
@@ -118,13 +118,19 @@ def _quadratic_build_graph(posts):
     return g
 
 
-def test_build_graph_serializes_like_quadratic_reference():
+def test_build_graph_serializes_like_quadratic_reference(tmp_path):
     corpus = generate_corpus(SynthConfig(authors_per_market=8, posts_per_author=40,
                                          migrant_count=2, distinct_pair_count=2, seed=5))
     posts = corpus.posts["alpha"]
     fast, slow = build_graph(posts), _quadratic_build_graph(posts)
     assert fast.key_labels == slow.key_labels
-    assert json.dumps(_graph_to_json(fast)) == json.dumps(_graph_to_json(slow))
+    write_graph(tmp_path / "fast.json", fast)
+    write_graph(tmp_path / "slow.json", slow)
+    assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "slow.json").read_bytes()
+    loaded = read_graph(tmp_path / "fast.json")
+    assert loaded.node_keys == fast.node_keys
+    assert loaded.key_labels == fast.key_labels
+    assert loaded.neighbors == fast.neighbors
 
 
 # ------------------------------------------------------------------- walks
@@ -390,3 +396,7 @@ def test_embeddings_tsv_round_trip(tmp_path):
     for k in vecs:
         assert np.array_equal(loaded.vectors[k], vecs[k])
     assert path.read_text().splitlines()[0].startswith("node\tdim0")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("T0\t0.5\n")
+    with pytest.raises(ValueError, match=r"nodes\.tsv:4: 2 fields, header has 3"):
+        read_embeddings_tsv(path)

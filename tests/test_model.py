@@ -11,10 +11,6 @@ from epistyle.model import (
     ModelConfig,
     PostEncoder,
     day_of_week,
-    loss_arcface,
-    loss_cosface,
-    loss_multisimilarity,
-    loss_softmax,
     make_episode_batch,
 )
 from epistyle.numcore import Tensor, grad_check
@@ -64,36 +60,50 @@ def test_config_rejects_bad_values():
         ModelConfig(vocab_size=10, pooling="attention")
 
 
+def episode(*posts):
+    return Episode(market=posts[0].market, author=posts[0].author, posts=posts)
+
+
+def embed(model, encoder, *episodes):
+    """Eval-mode episode embeddings as an array, (len(episodes), E)."""
+    return model.embed_episodes(make_episode_batch(list(episodes), encoder, model)).data
+
+
 # ------------------------------------------------------------------- text
+# A one-post episode under mean pooling is its post embedding:
+# [text (d_text) | time (d_time) | context (d_context)].
 
 
 def test_embed_text_short_sequence_padded_finite(setup):
     vocab, cfg, model, encoder = setup
-    out = model.embed_text(encoder.ids(make_post("hi")))
-    assert out.shape == (cfg.d_text,)
-    assert np.all(np.isfinite(out.data))
+    ep = episode(make_post("hi"))
+    batch = make_episode_batch([ep], encoder, model)
+    assert batch.pad_lengths.tolist() == [cfg.max_filter]
+    text = model.embed_episodes(batch).data[0, : cfg.d_text]
+    assert text.shape == (cfg.d_text,)
+    assert np.all(np.isfinite(text))
 
 
 def test_embed_text_deterministic_eval(setup):
     vocab, cfg, model, encoder = setup
-    ids = encoder.ids(make_post("hello world"))
-    a = model.embed_text(ids)
-    b = model.embed_text(ids)
-    assert np.array_equal(a.data, b.data)
+    ep = episode(make_post("hello world", subforum="s2"))
+    assert np.array_equal(embed(model, encoder, ep), embed(model, encoder, ep))
 
 
 def test_embed_text_order_sensitivity(setup):
     # reversal shares no bigrams/trigrams, so the window maxima must differ
     vocab, cfg, model, encoder = setup
-    a = model.embed_text(encoder.ids(make_post("abcdef", pid="fwd")))
-    b = model.embed_text(encoder.ids(make_post("fedcba", pid="rev")))
-    assert not np.array_equal(a.data, b.data)
+    out = embed(model, encoder, episode(make_post("abcdef", pid="fwd")),
+                episode(make_post("fedcba", pid="rev")))
+    assert not np.array_equal(out[0, : cfg.d_text], out[1, : cfg.d_text])
 
 
 def test_embed_text_out_of_range_id(setup):
     vocab, cfg, model, encoder = setup
+    batch = make_episode_batch([episode(make_post("hello"))], encoder, model)
+    batch.token_ids[0, 1] = len(vocab) + 5
     with pytest.raises(nc.ShapeError):
-        model.embed_text(np.array([0, len(vocab) + 5]))
+        model.embed_episodes(batch)
 
 
 def test_batch_padding_matches_single_post(setup):
@@ -114,20 +124,24 @@ def test_batch_padding_matches_single_post(setup):
 # ------------------------------------------------------------------- time
 
 
+def time_slice(cfg, out):
+    return out[:, cfg.d_text : cfg.d_text + cfg.d_time]
+
+
 def test_embed_time_calendar_oracle(setup):
     vocab, cfg, model, encoder = setup
     jan1_2013 = 1356998400.0  # a Tuesday
     assert day_of_week(jan1_2013) == 1
-    row = model.embed_time(jan1_2013)
-    assert np.array_equal(row.data, model.params["time_emb"].data[1])
+    out = embed(model, encoder, episode(make_post("hello", ts=jan1_2013)))
+    assert np.array_equal(time_slice(cfg, out)[0], model.params["time_emb"].data[1])
 
 
 def test_embed_time_weekly_periodicity(setup):
     vocab, cfg, model, encoder = setup
     t = 1356998400.0
-    a = model.embed_time(t)
-    b = model.embed_time(t + 7 * 86400)
-    assert np.array_equal(a.data, b.data)
+    out = embed(model, encoder, episode(make_post("hello", ts=t, pid="a")),
+                episode(make_post("hello", ts=t + 7 * 86400, pid="b")))
+    assert np.array_equal(time_slice(cfg, out)[0], time_slice(cfg, out)[1])
 
 
 def test_time_rows_distinct_after_init(setup):
@@ -146,19 +160,22 @@ def test_context_pretrained_init_identity():
     cfg = tiny_config(vocab_size=len(vocab))
     init = {"m1": {"s1": np.arange(cfg.d_context, dtype=np.float32)}}
     model = EpisodeModel.build(cfg, markets={"m1": ["s1", "s2"]}, seed=1, context_init=init)
-    out = model.embed_context("m1", "s1")
-    assert np.array_equal(out.data, init["m1"]["s1"])
+    encoder = PostEncoder(vocab, cfg.max_tokens)
+    out = embed(model, encoder, episode(make_post("abc", subforum="s1")))
+    assert np.array_equal(out[0, -cfg.d_context :], init["m1"]["s1"])
 
 
 def test_context_unknown_subforum_uses_unk_row(setup):
     vocab, cfg, model, encoder = setup
-    unk = model.embed_context("m1", "never-seen")
-    assert np.array_equal(unk.data, model.params["context.m1"].data[0])
+    out = embed(model, encoder, episode(make_post("hello", subforum="never-seen")))
+    assert np.array_equal(out[0, -cfg.d_context :], model.params["context.m1"].data[0])
 
 
 def test_context_same_subforum_equal(setup):
     vocab, cfg, model, encoder = setup
-    assert np.array_equal(model.embed_context("m1", "s2").data, model.embed_context("m1", "s2").data)
+    out = embed(model, encoder, episode(make_post("hello", subforum="s2", pid="a")),
+                episode(make_post("other text", subforum="s2", pid="b")))
+    assert np.array_equal(out[0, -cfg.d_context :], out[1, -cfg.d_context :])
 
 
 # ------------------------------------------------------------------- post
@@ -166,13 +183,12 @@ def test_context_same_subforum_equal(setup):
 
 def test_embed_post_dimension_and_locality(setup):
     vocab, cfg, model, encoder = setup
-    post = make_post("hello")
-    out = model.embed_post(post, encoder)
-    assert out.shape == (cfg.post_dim,)
-    before = out.data.copy()
+    ep = episode(make_post("hello"))
+    before = embed(model, encoder, ep)[0]
+    assert before.shape == (cfg.post_dim,)
     model.params["token_emb"].data = np.zeros_like(model.params["token_emb"].data)
     model.params["text_fc.w"].data = np.zeros_like(model.params["text_fc.w"].data)
-    after = model.embed_post(post, encoder).data
+    after = embed(model, encoder, ep)[0]
     tail = cfg.d_time + cfg.d_context
     assert np.array_equal(before[-tail:], after[-tail:])
     assert not np.array_equal(before[: cfg.d_text], after[: cfg.d_text])
@@ -180,52 +196,54 @@ def test_embed_post_dimension_and_locality(setup):
 
 def test_equal_posts_equal_rows(setup):
     vocab, cfg, model, encoder = setup
-    p = make_post("same text")
-    a = model.embed_post(p, encoder)
-    b = model.embed_post(p, encoder)
-    assert np.array_equal(a.data, b.data)
+    ep = episode(make_post("same text"))
+    out = embed(model, encoder, ep, ep)
+    assert np.array_equal(out[0], out[1])
 
 
 # ---------------------------------------------------------------- pooling
 
 
+def _same_time_posts(n):
+    # one timestamp, so every order of the posts is a valid episode
+    subforums = ["s1", "s2", "never-seen"]
+    return [make_post(f"post {i} " + "abcdef"[: i + 1], subforum=subforums[i % 3], pid=f"p{i}")
+            for i in range(n)]
+
+
 def test_pool_mean_identity_and_cancellation(setup):
     vocab, cfg, model, encoder = setup
-    v = np.random.default_rng(0).normal(size=(1, 6)).astype(np.float32)
-    assert np.allclose(model.pool_mean(Tensor(v)).data, v[0])
-    pair = Tensor(np.vstack([v, -v]))
-    assert np.allclose(model.pool_mean(pair).data, 0.0, atol=1e-7)
+    posts = _same_time_posts(2)
+    rows = embed(model, encoder, *(episode(p) for p in posts))
+    pooled = embed(model, encoder, episode(*posts))[0]
+    assert np.allclose(pooled, rows.mean(axis=0), atol=1e-7)
 
 
 def test_pool_mean_permutation_invariant(setup):
     vocab, cfg, model, encoder = setup
-    rows = np.random.default_rng(1).normal(size=(5, 6)).astype(np.float32)
-    a = model.pool_mean(Tensor(rows)).data
-    b = model.pool_mean(Tensor(rows[::-1].copy())).data
-    assert np.array_equal(a, b)
+    posts = _same_time_posts(5)
+    out = embed(model, encoder, episode(*posts), episode(*posts[::-1]))
+    assert np.array_equal(out[0], out[1])
 
 
 def test_pool_transformer_shape_and_single_post():
     vocab = train_char_vocab(["abc"], size=20)
     cfg = tiny_config(pooling="transformer", vocab_size=len(vocab))
     model = EpisodeModel.build(cfg, markets={"m1": ["s1"]}, seed=2)
-    rng = np.random.default_rng(3)
-    one = Tensor(rng.normal(size=(1, cfg.post_dim)).astype(np.float32))
-    out = model.pool_transformer(one)
-    assert out.shape == (cfg.tf_out_dim,)
-    assert np.all(np.isfinite(out.data))
+    out = embed(model, PostEncoder(vocab, cfg.max_tokens), episode(make_post("abc")))
+    assert out.shape == (1, cfg.tf_out_dim)
+    assert np.all(np.isfinite(out))
 
 
 def test_pool_transformer_permutation_invariant_eval():
-    vocab = train_char_vocab(["abc"], size=20)
+    vocab = train_char_vocab(["post abcdef"], size=20)
     cfg = tiny_config(pooling="transformer", vocab_size=len(vocab), tf_layers=2)
-    model = EpisodeModel.build(cfg, markets={"m1": ["s1"]}, seed=4)
-    rng = np.random.default_rng(5)
-    rows = rng.normal(size=(5, cfg.post_dim)).astype(np.float32)
-    perm = rng.permutation(5)
-    a = model.pool_transformer(Tensor(rows)).data
-    b = model.pool_transformer(Tensor(rows[perm].copy())).data
-    assert np.array_equal(a, b)
+    model = EpisodeModel.build(cfg, markets={"m1": ["s1", "s2"]}, seed=4)
+    posts = _same_time_posts(5)
+    perm = np.random.default_rng(5).permutation(5)
+    out = embed(model, PostEncoder(vocab, cfg.max_tokens), episode(*posts),
+                episode(*(posts[i] for i in perm)))
+    assert np.array_equal(out[0], out[1])
 
 
 def test_episode_dim_reported_matches_config(setup):
@@ -246,7 +264,7 @@ def test_loss_softmax_uniform_when_w_zero():
     head = _head("sm", n=5)
     head.weight.data = np.zeros_like(head.weight.data)
     emb = Tensor(np.random.default_rng(0).normal(size=(1, 4)).astype(np.float32))
-    loss = loss_softmax(emb, 0, head)
+    loss = head.loss(emb, np.array([0]))
     assert math.isclose(loss.item(), math.log(5), rel_tol=1e-6)
 
 
@@ -254,7 +272,7 @@ def test_loss_softmax_closed_form():
     head = _head("sm", n=2, dim=2)
     head.weight.data = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32)
     emb = Tensor(np.array([[1.0, 0.0]], dtype=np.float32))
-    loss = loss_softmax(emb, 0, head)
+    loss = head.loss(emb, np.array([0]))
     assert math.isclose(loss.item(), -math.log(math.e / (math.e + 1)), rel_tol=1e-6)
 
 
@@ -262,7 +280,7 @@ def test_loss_softmax_label_out_of_range():
     head = _head("sm", n=2)
     emb = Tensor(np.ones((1, 4), dtype=np.float32))
     with pytest.raises(ValueError):
-        loss_softmax(emb, 3, head)
+        head.loss(emb, np.array([3]))
 
 
 def test_cosface_margin_free_reduces_to_softmax_on_cosines():

@@ -337,6 +337,20 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded[k], params[k])
 
 
+def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
+    path = tmp_path / "model.bin"
+    nc.save_checkpoint(path, {"emb.tok": np.ones((7, 4), dtype=np.float32)})
+    raw = path.read_bytes()
+    # magic 0-4, count 5-8, name length 9-10, name 11-17, ndim 18, shape 19-26, data 27-138
+    for cut in (3, 7, 10, 14, 18, 22, 60, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="model.bin"):
+            nc.load_checkpoint(path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(ValueError, match="trailing"):
+        nc.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE!" + b"\x00" * 16)
