@@ -1,6 +1,7 @@
 """Pipeline CLI: every stage reads prior artifacts by path, writes its outputs
-plus a manifest.json, and is a no-op under --skip-if-fresh when inputs and
-config are unchanged. Exit codes: 0 ok, 2 validation problem, 1 runtime error.
+plus a manifest (eval-manifest.json for eval, manifest.json otherwise), and is
+a no-op under --skip-if-fresh when inputs and config are unchanged.
+Exit codes: 0 ok, 2 validation problem, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def _json_dump(path, obj) -> None:
         fh.write("\n")
 
 
-def _run_stage(args, stage: str, out_dir, inputs: list, effective: dict, body) -> int:
+def _run_stage(args, stage: str, out_dir, inputs: list, effective: dict, body,
+               manifest: str = "manifest.json") -> int:
     """Run one manifest-writing stage.
 
     Under --skip-if-fresh a stage whose manifest in `out_dir` still matches
@@ -160,12 +162,13 @@ def _run_stage(args, stage: str, out_dir, inputs: list, effective: dict, body) -
     manifest is written only after the body returns.
     """
     out_dir = Path(out_dir)
-    if args.skip_if_fresh and is_fresh(out_dir, stage, inputs, effective, args.seed):
+    if args.skip_if_fresh and is_fresh(out_dir, stage, inputs, effective, args.seed, manifest):
         print(f"{stage}: fresh, skipping ({out_dir})")
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs, extra, message = body()
-    write_manifest(out_dir, stage, inputs, effective, args.seed, outputs, extra=extra)
+    write_manifest(out_dir, stage, inputs, effective, args.seed, outputs, extra=extra,
+                   name=manifest)
     print(message)
     return 0
 
@@ -562,7 +565,9 @@ def cmd_eval(args, cfg) -> int:
                  for market, block in report["markets"].items()]
         return outputs + [metrics_path], None, "\n".join(lines)
 
-    return _run_stage(args, "eval", out_dir, inputs, effective, body)
+    # eval writes into the run directory by default, next to train's manifest
+    return _run_stage(args, "eval", out_dir, inputs, effective, body,
+                      manifest="eval-manifest.json")
 
 
 def cmd_sybil(args, cfg) -> int:

@@ -93,7 +93,8 @@ def config_hash(effective: dict) -> str:
 
 
 def write_manifest(out_dir, stage: str, inputs: list, effective_config: dict,
-                   seed: int | None, outputs: list, extra: dict | None = None) -> Path:
+                   seed: int | None, outputs: list, extra: dict | None = None,
+                   name: str = "manifest.json") -> Path:
     manifest = {
         "stage": stage,
         "inputs": {str(p): file_sha256(p) for p in sorted(str(x) for x in inputs)},
@@ -107,17 +108,18 @@ def write_manifest(out_dir, stage: str, inputs: list, effective_config: dict,
         manifest["extra"] = extra
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "manifest.json"
+    path = out_dir / name
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     return path
 
 
-def is_fresh(out_dir, stage: str, inputs: list, effective_config: dict, seed: int | None) -> bool:
-    """True when an existing manifest matches the would-be inputs and config
-    and every recorded output still exists with its recorded hash."""
-    path = Path(out_dir) / "manifest.json"
+def is_fresh(out_dir, stage: str, inputs: list, effective_config: dict, seed: int | None,
+             name: str = "manifest.json") -> bool:
+    """True when the manifest `name` in `out_dir` matches the would-be inputs
+    and config and every recorded output still exists with its recorded hash."""
+    path = Path(out_dir) / name
     if not path.exists():
         return False
     try:

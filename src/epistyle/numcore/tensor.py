@@ -1,9 +1,17 @@
 """Dense-tensor reverse-mode autodiff over numpy arrays.
 
 Only the operations the episode model actually needs are implemented.
-Values are float32 by default; every reduction (matmul contractions, sums,
-means, norms, softmax denominators) accumulates in float64 before casting
-back, so results do not depend on summation order at float32 precision.
+Values are float32 by default. Precision contract:
+
+- `sliding_window_conv`, the model's hottest kernel, contracts in its
+  operands' dtype: float32 BLAS for the model, float64 when gradcheck feeds
+  float64. Its bias gradient sums in float64.
+- `matmul`, sums, means, norms, softmax, cross-entropy and layer norm
+  accumulate in float64 and cast back to the input dtype. `matmul` stays
+  there because attention's `attn @ v` sums over keys in the order of an
+  episode's posts: in float64 that order does not reach the float32 result,
+  so transformer pooling is exactly invariant to permuting posts. It is a
+  small share of training time.
 """
 
 from __future__ import annotations
@@ -498,26 +506,28 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def sliding_window_conv(x, filt, bias=None) -> Tensor:
-    """Width-w convolution over the time axis.
+    """Width-w convolution over the time axis, as w shifted GEMMs.
 
     x: (B, n, d_in) or (n, d_in); filt: (w, d_in, f); output (B, n-w+1, f).
-    No padding; the caller guarantees n >= w.
+    No padding; the caller guarantees n >= w. Tap j contributes
+    x[:, j:j+t] @ filt[j], so no im2col copy is built; every GEMM runs in
+    the operands' dtype.
     """
     x, filt = _as_tensor(x), _as_tensor(filt)
     squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    b_, n, d_in = xd.shape
+    b_, n, d_in = (1, *x.shape) if squeeze else x.shape
     w, d_f, f = filt.shape
     if d_f != d_in:
         raise ShapeError(f"conv: input dim {d_in} != filter dim {d_f}")
     if n < w:
         raise ShapeError(f"conv: sequence length {n} < filter width {w}")
     t = n - w + 1
-    # im2col: windows laid out as (B, T, w*d_in)
-    win = np.lib.stride_tricks.sliding_window_view(xd, w, axis=1)  # (B,T,d,w)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(b_, t, w * d_in)
-    flat = filt.data.reshape(w * d_in, f)
-    data = np.matmul(cols.astype(np.float64), flat.astype(np.float64)).astype(x.dtype)
+    dt = np.result_type(x.dtype, filt.dtype)
+    xd = x.data.reshape(b_, n, d_in).astype(dt, copy=False)
+    fd = filt.data.astype(dt, copy=False)
+    data = xd[:, :t] @ fd[0]
+    for j in range(1, w):
+        data += xd[:, j : j + t] @ fd[j]
     if bias is not None:
         bias = _as_tensor(bias)
         data = data + bias.data
@@ -525,19 +535,19 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
         data = data[0]
 
     def backward(out):
-        g = out.grad[None] if squeeze else out.grad  # (B,T,f)
-        g64 = g.astype(np.float64)
+        g = out.grad.reshape(b_, t, f)
         if bias is not None and (bias.requires_grad or bias._parents):
-            bias._accumulate(g64.sum(axis=(0, 1)))
+            bias._accumulate(g.sum(axis=(0, 1), dtype=np.float64))
         if filt.requires_grad or filt._parents:
-            gf = np.einsum("btc,btf->cf", cols.astype(np.float64), g64)
-            filt._accumulate(gf.reshape(w, d_in, f))
+            g2 = g.reshape(-1, f)
+            filt._accumulate(
+                np.stack([xd[:, j : j + t].reshape(-1, d_in).T @ g2 for j in range(w)])
+            )
         if x.requires_grad or x._parents:
-            gcols = np.matmul(g64, flat.astype(np.float64).T).reshape(b_, t, w, d_in)
-            gx = np.zeros((b_, n, d_in), dtype=np.float64)
+            gx = np.zeros((b_, n, d_in), dtype=dt)
             for j in range(w):
-                gx[:, j : j + t] += gcols[:, :, j]
-            x._accumulate(gx[0] if squeeze else gx)
+                gx[:, j : j + t] += g @ fd[j].T
+            x._accumulate(gx.reshape(x.shape))
 
     parents = (x, filt) if bias is None else (x, filt, bias)
     out = _result(data, parents, backward)

@@ -329,6 +329,7 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
     for epoch in range(cfg.epochs):
         lr = scheduler.lr
         epoch_losses: dict[str, list[float]] = {}
+        grad_norms = []
         for step in range(steps_per_epoch):
             task = sample_task(registry, p_cross, task_rng)
             episodes, labels = sample_batch(task, cfg.batch_size, task_rng)
@@ -345,7 +346,7 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
             loss.backward()
             allowed = registry.allowed_params(task)
             grads = {n: params[n].grad for n in allowed if params[n].grad is not None}
-            clip_global_norm(grads, cfg.grad_clip)
+            grad_norms.append(clip_global_norm(grads, cfg.grad_clip))
             adam_step({n: params[n].data for n in grads}, grads, state, lr)
             epoch_losses.setdefault(task.name, []).append(value)
 
@@ -362,6 +363,8 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
             },
             "val_loss": val_loss,
             "lr": lr,
+            # each step's global gradient norm, before clipping
+            "grad_norm": {"mean": float(np.mean(grad_norms)), "max": max(grad_norms)},
         }
         result.log.append(record)
         if np.isfinite(val_loss) and val_loss < best_val:

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from types import SimpleNamespace
 
@@ -96,7 +97,11 @@ def test_runlog_schema(workspace):
     assert len(lines) == 2
     for line in lines:
         record = json.loads(line)
-        assert set(record) == {"epoch", "task_losses", "val_loss", "lr"}
+        assert set(record) == {"epoch", "task_losses", "val_loss", "lr", "grad_norm"}
+        norm = record["grad_norm"]
+        assert set(norm) == {"mean", "max"}
+        assert all(math.isfinite(v) and v > 0 for v in norm.values())
+        assert norm["mean"] <= norm["max"]
 
 
 def test_skip_if_fresh_no_op(workspace, capsys):
@@ -156,6 +161,27 @@ def test_eval_and_downstream(workspace):
     lines = (root / "run" / "attribution.jsonl").read_text().splitlines()
     rec = json.loads(lines[0])
     assert set(rec) == {"post_id", "token", "score"}
+
+
+def test_eval_keeps_the_train_manifest(workspace, tmp_path, capsys):
+    # eval writes into the run directory; its manifest must not replace
+    # train's, or train --skip-if-fresh would retrain a finished run
+    root, c = workspace
+    run = tmp_path / "run"
+    data = ["--seed", "3", "--processed", str(root / "processed"),
+            "--split", str(root / "split" / "split.csv"),
+            "--vocab", str(root / "vocab" / "vocab.txt"), "--skip-if-fresh"]
+    train = ["train", *c, *data, "--market", "alpha", "--out", str(run)]
+    evaluate = ["eval", *c, *data, "--run", str(run)]
+    assert main(train) == 0
+    assert main(evaluate) == 0
+    capsys.readouterr()
+    assert main(train) == 0
+    assert main(evaluate) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"train: fresh, skipping ({run})", f"eval: fresh, skipping ({run})"]
+    assert json.loads((run / "manifest.json").read_text())["stage"] == "train"
+    assert json.loads((run / "eval-manifest.json").read_text())["stage"] == "eval"
 
 
 def test_loaded_run_builds_no_autodiff_graph(workspace):

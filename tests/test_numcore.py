@@ -272,6 +272,48 @@ def test_backward_frees_graph_without_cyclic_gc():
             gc.enable()
 
 
+def _im2col_conv_reference(x, filt, bias, g):
+    """The float64 im2col/einsum conv kernel: output and input, filter and
+    bias gradients for output gradient g."""
+    squeeze = x.ndim == 2
+    xd = (x[None] if squeeze else x).astype(np.float64)
+    b_, n, d_in = xd.shape
+    w, _, f = filt.shape
+    t = n - w + 1
+    win = np.lib.stride_tricks.sliding_window_view(xd, w, axis=1)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(b_, t, w * d_in)
+    flat = filt.reshape(w * d_in, f).astype(np.float64)
+    out = cols @ flat + bias
+    g64 = (g[None] if squeeze else g).astype(np.float64)
+    gf = np.einsum("btc,btf->cf", cols, g64).reshape(w, d_in, f)
+    gcols = (g64 @ flat.T).reshape(b_, t, w, d_in)
+    gx = np.zeros_like(xd)
+    for j in range(w):
+        gx[:, j : j + t] += gcols[:, :, j]
+    gb = g64.sum(axis=(0, 1))
+    if squeeze:
+        out, gx = out[0], gx[0]
+    return out, gx, gf, gb
+
+
+@pytest.mark.parametrize("shape", [(4, 30, 16), (30, 16)], ids=["batched", "2d"])
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)],
+                         ids=["float32", "float64"])
+def test_conv_matches_im2col_reference(shape, dtype, tol):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=shape).astype(dtype)
+    filt = rng.normal(size=(5, 16, 8)).astype(dtype)
+    bias = rng.normal(size=8).astype(dtype)
+    xt, ft, bt = (Tensor(a, requires_grad=True) for a in (x, filt, bias))
+    out = nc.sliding_window_conv(xt, ft, bt)
+    g = rng.normal(size=out.shape).astype(dtype)
+    nc.sum_(nc.mul(out, Tensor(g))).backward()
+    want = _im2col_conv_reference(x, filt, bias, g)
+    for got, ref in zip((out.data, xt.grad, ft.grad, bt.grad), want):
+        assert got.dtype == dtype and got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+
 # ------------------------------------------------------------------ adam
 
 

@@ -142,7 +142,7 @@ def test_train_single_runs_and_selects_best():
     assert result.best_val_loss == min(vals)
     assert result.best_epoch == vals.index(min(vals))
     for record in result.log:
-        assert set(record) == {"epoch", "task_losses", "val_loss", "lr"}
+        assert set(record) == {"epoch", "task_losses", "val_loss", "lr", "grad_norm"}
 
 
 def test_two_runs_same_seed_identical_logs():
