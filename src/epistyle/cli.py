@@ -20,8 +20,10 @@ from . import __version__
 from .config import (
     ValidationError,
     file_sha256,
+    hashes_match,
     is_fresh,
     load_config,
+    read_manifest,
     section_values,
     write_manifest,
 )
@@ -49,6 +51,7 @@ from .evaluation import (
     integrated_gradients,
     metrics_report,
     random_baseline_mrr,
+    read_embeddings_index,
     sample_queries,
     seen_novel_report,
     topk_sybil,
@@ -111,24 +114,28 @@ def _require(path, what: str) -> Path:
     return path
 
 
-def _market_files(directory) -> dict[str, Path]:
+def _market_files(directory, markets=None) -> dict[str, Path]:
+    """Every {market}.jsonl file in `directory`, or those of `markets` only,
+    each of which must exist."""
     directory = _require(directory, "input directory")
     files = {p.stem: p for p in sorted(directory.glob("*.jsonl"))}
     if not files:
         raise ValidationError(f"no .jsonl files in {directory}")
-    return files
+    if markets is None:
+        return files
+    for market in markets:
+        if market not in files:
+            raise ValidationError(f"market {market!r} not among {sorted(files)}")
+    return {m: files[m] for m in markets}
 
 
 def _load_markets(directory, markets=None) -> dict[str, list[Post]]:
     """Posts of every market file in `directory`, or of `markets` only."""
-    files = _market_files(directory)
     out = {}
-    for market in files if markets is None else markets:
-        if market not in files:
-            raise ValidationError(f"market {market!r} not among {sorted(files)}")
-        posts, malformed = load_posts(files[market], market)
+    for market, path in _market_files(directory, markets).items():
+        posts, malformed = load_posts(path, market)
         if malformed:
-            log.warning("%s: %d malformed lines skipped", files[market], malformed)
+            log.warning("%s: %d malformed lines skipped", path, malformed)
         out[market] = posts
     return out
 
@@ -272,21 +279,19 @@ def cmd_pgp_pairs(args, cfg) -> int:
 
 
 def cmd_build_graph(args, cfg) -> int:
-    files = _market_files(args.input)
-    if args.market not in files:
-        raise ValidationError(f"market {args.market!r} not among {sorted(files)}")
+    market_path = _market_files(args.input, [args.market])[args.market]
     split_path = _require(args.split, "split manifest")
     out_path = Path(args.out)
 
     def body():
-        posts, _ = load_posts(files[args.market], args.market)
+        posts, _ = load_posts(market_path, args.market)
         spec = read_split_manifest(split_path)
         graph = build_graph([p for p in posts if p.post_id in spec.train_ids.get(args.market, ())])
         write_graph(out_path, graph)
         return ([out_path], {"nodes": graph.num_nodes()},
                 f"build-graph: {graph.num_nodes()} nodes -> {out_path}")
 
-    inputs = [files[args.market], split_path]
+    inputs = [market_path, split_path]
     effective = {"market": args.market, "split": "train-only"}
     return _run_stage(args, "build-graph", out_path.parent, inputs, effective, body)
 
@@ -510,9 +515,10 @@ def _load_run(run_dir, vocab_path):
     return meta, model, encoder
 
 
-def _test_episodes(meta, args):
-    """Test-split episodes and train-split authors of the run's markets."""
-    posts = _load_markets(args.processed, meta["markets"])
+def _test_episodes(meta, args, markets=None):
+    """Test-split episodes and train-split authors of the run's markets, or
+    of `markets` only."""
+    posts = _load_markets(args.processed, markets or meta["markets"])
     spec = read_split_manifest(_require(args.split, "split manifest"))
     train, test = _split_posts(posts, spec)
     episodes = {m: assemble_episodes(test[m], meta["episode_len"], meta["min_episodes"])
@@ -521,14 +527,36 @@ def _test_episodes(meta, args):
     return episodes, seen
 
 
+def _embedding_inputs(meta, args) -> list[Path]:
+    """Everything a run's test-episode embeddings depend on. The vocabulary
+    enters through model_meta.json, which records its hash."""
+    run = Path(args.run)
+    return [*_market_files(args.processed, meta["markets"]).values(),
+            _require(args.split, "split manifest"), run / "checkpoint.bin", run / "model_meta.json"]
+
+
+def _eval_indexes(meta, args, markets) -> dict[str, RetrievalIndex] | None:
+    """The test-episode indexes of `markets` as eval exported them, or None
+    unless the run's eval-manifest.json records the current embedding inputs
+    and still-matching outputs that include those embeddings files."""
+    inputs = _embedding_inputs(meta, args)
+    run = Path(args.run)
+    paths = {m: run / f"embeddings-{m}.tsv" for m in markets}
+    manifest = read_manifest(run / "eval-manifest.json")
+    if (manifest is None or not hashes_match(manifest, inputs)
+            or not all(str(p) in manifest["outputs"] for p in paths.values())):
+        return None
+    try:
+        return {m: read_embeddings_index(p) for m, p in paths.items()}
+    except ValueError:  # eval writes names unescaped; a tab or line break in one splits its row
+        return None
+
+
 def cmd_eval(args, cfg) -> int:
     evals = section_values(cfg, "eval", EVAL_DEFAULTS, {"kappa": args.kappa})
     meta, model, encoder = _load_run(Path(args.run), Path(args.vocab))
-    files = _market_files(args.processed)
-    split_path = _require(args.split, "split manifest")
     out_dir = Path(args.out) if args.out else Path(args.run)
-    inputs = [files[m] for m in meta["markets"]] + [split_path,
-                                                    Path(args.run) / "checkpoint.bin"]
+    inputs = _embedding_inputs(meta, args)
     effective = {"kappa": evals["kappa"], "ks": list(evals["ks"]), "seed": args.seed}
 
     def body():
@@ -575,9 +603,12 @@ def cmd_sybil(args, cfg) -> int:
     if ":" not in args.user:
         raise ValidationError("--user expects market:username")
     market, username = args.user.split(":", 1)
-    episodes, _ = _test_episodes(meta, args)
-    all_eps = [e for m in sorted(episodes) for e in episodes[m]]
-    index = RetrievalIndex.from_episodes(model, encoder, all_eps)
+    markets = sorted(meta["markets"])
+    indexes = _eval_indexes(meta, args, markets)
+    if indexes is None:
+        episodes, _ = _test_episodes(meta, args)
+        indexes = {m: RetrievalIndex.from_episodes(model, encoder, episodes[m]) for m in markets}
+    index = RetrievalIndex.concat([indexes[m] for m in markets])
     cand_author, cand_market, support = topk_sybil(index, market, username, k=args.k)
     result = {
         "query_market": market, "query_user": username, "k": args.k,
@@ -592,16 +623,18 @@ def cmd_sybil(args, cfg) -> int:
 
 def cmd_attribute(args, cfg) -> int:
     meta, model, encoder = _load_run(Path(args.run), Path(args.vocab))
-    episodes, _ = _test_episodes(meta, args)
-    if args.market not in episodes:
+    if args.market not in meta["markets"]:
         raise ValidationError(f"market {args.market!r} not in run")
+    indexes = _eval_indexes(meta, args, [args.market])
+    episodes, _ = _test_episodes(meta, args, [args.market])
     own = [e for e in episodes[args.market] if e.author == args.author]
     if not own:
         raise ValidationError(f"no test episodes for {args.author!r} in {args.market!r}")
     if not 0 <= args.episode_index < len(own):
         raise ValidationError(f"--episode-index out of range 0..{len(own) - 1}")
     episode = own[args.episode_index]
-    index = RetrievalIndex.from_episodes(model, encoder, episodes[args.market])
+    index = (indexes[args.market] if indexes is not None
+             else RetrievalIndex.from_episodes(model, encoder, episodes[args.market]))
     target = cosine_target(author_centroid(index, args.market, args.author))
     records, completeness = integrated_gradients(model, encoder, episode, target, steps=args.steps)
     out_path = Path(args.out) if args.out else Path(args.run) / "attribution.jsonl"

@@ -115,21 +115,21 @@ def write_manifest(out_dir, stage: str, inputs: list, effective_config: dict,
     return path
 
 
-def is_fresh(out_dir, stage: str, inputs: list, effective_config: dict, seed: int | None,
-             name: str = "manifest.json") -> bool:
-    """True when the manifest `name` in `out_dir` matches the would-be inputs
-    and config and every recorded output still exists with its recorded hash."""
-    path = Path(out_dir) / name
+def read_manifest(path) -> dict | None:
+    """The manifest at `path`, or None when it is missing or not a JSON object."""
+    path = Path(path)
     if not path.exists():
-        return False
+        return None
     try:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError:
-        return False
-    if manifest.get("stage") != stage or manifest.get("seed") != seed:
-        return False
-    if manifest.get("config_hash") != config_hash(effective_config):
-        return False
+        return None
+    return manifest if isinstance(manifest, dict) else None
+
+
+def hashes_match(manifest: dict, inputs: list) -> bool:
+    """True when `manifest` records exactly `inputs` with their current sha256
+    and every output it records still exists with its recorded hash."""
     want = {str(p): file_sha256(p) for p in sorted(str(x) for x in inputs) if Path(p).exists()}
     if manifest.get("inputs") != want:
         return False
@@ -137,3 +137,17 @@ def is_fresh(out_dir, stage: str, inputs: list, effective_config: dict, seed: in
     if not isinstance(outputs, dict):  # older manifests list outputs without hashes
         return False
     return all(Path(o).exists() and file_sha256(o) == h for o, h in outputs.items())
+
+
+def is_fresh(out_dir, stage: str, inputs: list, effective_config: dict, seed: int | None,
+             name: str = "manifest.json") -> bool:
+    """True when the manifest `name` in `out_dir` matches the would-be inputs
+    and config and every recorded output still exists with its recorded hash."""
+    manifest = read_manifest(Path(out_dir) / name)
+    if manifest is None:
+        return False
+    if manifest.get("stage") != stage or manifest.get("seed") != seed:
+        return False
+    if manifest.get("config_hash") != config_hash(effective_config):
+        return False
+    return hashes_match(manifest, inputs)

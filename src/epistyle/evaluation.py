@@ -66,6 +66,14 @@ class RetrievalIndex:
         ids = [f"{e.market}/{e.author}/{e.posts[0].post_id}" for e in episodes]
         return cls(ids, [e.market for e in episodes], [e.author for e in episodes], emb, seen)
 
+    @classmethod
+    def concat(cls, parts: list["RetrievalIndex"]) -> "RetrievalIndex":
+        """One index holding `parts` back to back; seen flags are not kept."""
+        return cls([eid for part in parts for eid in part.episode_ids],
+                   np.concatenate([part.markets for part in parts]),
+                   np.concatenate([part.authors for part in parts]),
+                   np.vstack([part.raw for part in parts]))
+
     # ----------------------------------------------------------- rankings
 
     def eligible_queries(self) -> np.ndarray:
@@ -442,3 +450,29 @@ def export_embeddings_tsv(path, index: RetrievalIndex) -> None:
         for i, eid in enumerate(index.episode_ids):
             vals = "\t".join(repr(float(v)) for v in index.raw[i])
             fh.write(f"{eid}\t{index.markets[i]}\t{index.authors[i]}\t{vals}\n")
+
+
+def read_embeddings_index(path) -> RetrievalIndex:
+    """Read `export_embeddings_tsv` output back into an index (seen flags are
+    not stored). Values round-trip bit-exactly; a wrong header or a row of
+    the wrong width raises ValueError naming the path and line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        dim = len(header) - 3
+        columns = ["episode_id", "market", "author"] + [f"dim{i}" for i in range(dim)]
+        if dim < 1 or header != columns:
+            raise ValueError(f"{path}:1: not an episode embeddings header")
+        ids, markets, authors, rows = [], [], [], []
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(parts)} fields, "
+                                 f"header has {len(header)}")
+            try:
+                rows.append([float(x) for x in parts[3:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            ids.append(parts[0])
+            markets.append(parts[1])
+            authors.append(parts[2])
+    return RetrievalIndex(ids, markets, authors, np.array(rows, dtype=np.float64).reshape(-1, dim))

@@ -49,9 +49,14 @@ def adam_step(params: dict, grads: dict, state: dict[str, AdamState], lr: float)
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    """Scale all gradients so their joint L2 norm is at most max_norm.
+
+    The squares are summed in sorted-name order, so the norm does not depend
+    on the order in which `grads` was built.
+    """
     total = 0.0
-    for g in grads.values():
+    for name in sorted(grads):
+        g = grads[name]
         if g is not None:
             total += float((g.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(total))

@@ -345,7 +345,7 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
                 )
             loss.backward()
             allowed = registry.allowed_params(task)
-            grads = {n: params[n].grad for n in allowed if params[n].grad is not None}
+            grads = {n: t.grad for n, t in params.items() if n in allowed and t.grad is not None}
             grad_norms.append(clip_global_norm(grads, cfg.grad_clip))
             adam_step({n: params[n].data for n in grads}, grads, state, lr)
             epoch_losses.setdefault(task.name, []).append(value)

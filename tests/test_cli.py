@@ -1,12 +1,21 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import epistyle
+from epistyle import cli
 from epistyle.cli import _load_run, _test_episodes, main
+from epistyle.evaluation import RetrievalIndex, read_embeddings_index
 from epistyle.model import make_episode_batch
+from epistyle.numcore import load_checkpoint, save_checkpoint
 
 CONFIG = """\
 [corpus]
@@ -69,6 +78,22 @@ def workspace(tmp_path_factory):
                  "--vocab", str(root / "vocab" / "vocab.txt"),
                  "--market", "alpha", "--out", str(root / "run")]) == 0
     return root, c
+
+
+def _data(root, *extra, processed=None):
+    return ["--processed", str(processed or root / "processed"),
+            "--split", str(root / "split" / "split.csv"),
+            "--vocab", str(root / "vocab" / "vocab.txt"), *map(str, extra)]
+
+
+@pytest.fixture(scope="module")
+def multitask_run(workspace):
+    """A multitask run with random graph init that no test evaluates in place."""
+    root, c = workspace
+    run = root / "run-mt"
+    assert main(["train", *c, "--seed", "3", *_data(root), "--multitask",
+                 "--labels", str(root / "raw" / "labels.csv"), "--out", str(run)]) == 0
+    return run
 
 
 def test_help_exits_zero(capsys):
@@ -261,3 +286,129 @@ def test_pgp_pairs_stage(workspace):
                  "--out", str(root / "pgp" / "candidates.csv")]) == 0
     text = (root / "pgp" / "candidates.csv").read_text()
     assert text.splitlines()[0] == "market_a,user_a,market_b,user_b,same_author"
+
+
+def _sybil(c, data, out):
+    assert main(["sybil", *c, *data, "--user", "alpha:alpha_u00",
+                 "-k", "3", "--out", str(out / "sybil.json")]) == 0
+    return (out / "sybil.json").read_bytes()
+
+
+def _link(c, data, out):
+    """sybil and attribute on the run in `data`, writing into `out`; the
+    bytes they wrote."""
+    out.mkdir()
+    sybil = _sybil(c, data, out)
+    assert main(["attribute", *c, *data, "--market", "alpha",
+                 "--author", "alpha_u00", "--steps", "4",
+                 "--out", str(out / "attribution.jsonl")]) == 0
+    return sybil, (out / "attribution.jsonl").read_bytes()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on a run whose embeddings eval has exported")
+
+
+def test_sybil_and_attribute_reuse_eval_embeddings(workspace, multitask_run, tmp_path,
+                                                   monkeypatch):
+    root, c = workspace
+    run = tmp_path / "run"
+    shutil.copytree(multitask_run, run)
+    fresh = _link(c, _data(root, "--run", run), tmp_path / "fresh")
+    assert main(["eval", *c, "--seed", "3", *_data(root, "--run", run)]) == 0
+    manifest = json.loads((run / "eval-manifest.json").read_text())
+    assert str(run / "model_meta.json") in manifest["inputs"]
+
+    monkeypatch.setattr(RetrievalIndex, "from_episodes", classmethod(_refuse))
+    assert _link(c, _data(root, "--run", run), tmp_path / "reused") == fresh
+    monkeypatch.setattr(cli, "load_posts", _refuse)
+    assert _sybil(c, _data(root, "--run", run), tmp_path) == fresh[0]
+
+
+def _negate_values(tsv: Path) -> None:
+    lines = tsv.read_text().splitlines()
+    rows = [line.split("\t") for line in lines[1:]]
+    tsv.write_text("\n".join([lines[0], *("\t".join(r[:3] + [repr(-float(x)) for x in r[3:]])
+                                          for r in rows)]) + "\n")
+
+
+def _perturb_checkpoint(run: Path) -> None:
+    rng = np.random.default_rng(0)
+    params = load_checkpoint(run / "checkpoint.bin")
+    noise = {n: rng.normal(0.0, 0.05, v.shape).astype(v.dtype) for n, v in params.items()}
+    save_checkpoint(run / "checkpoint.bin", {n: v + noise[n] for n, v in params.items()})
+
+
+@pytest.mark.parametrize("stale", ["tsv", "checkpoint"])
+def test_stale_eval_embeddings_are_recomputed(workspace, multitask_run, tmp_path, monkeypatch,
+                                              stale):
+    root, c = workspace
+    reference, run = tmp_path / "reference", tmp_path / "run"
+    shutil.copytree(multitask_run, reference)
+    shutil.copytree(multitask_run, run)
+    assert main(["eval", *c, "--seed", "3", *_data(root, "--run", run)]) == 0
+    if stale == "tsv":
+        for market in ("alpha", "beta"):
+            _negate_values(run / f"embeddings-{market}.tsv")
+    else:
+        _perturb_checkpoint(reference)
+        _perturb_checkpoint(run)
+    fresh = _link(c, _data(root, "--run", reference), tmp_path / "fresh")
+
+    calls = []
+    embed = RetrievalIndex.from_episodes.__func__
+
+    def counted(cls, model, encoder, episodes, **kwargs):
+        calls.append({e.market for e in episodes})
+        return embed(cls, model, encoder, episodes, **kwargs)
+
+    monkeypatch.setattr(RetrievalIndex, "from_episodes", classmethod(counted))
+    assert _link(c, _data(root, "--run", run), tmp_path / "again") == fresh
+    assert calls == [{"alpha"}, {"beta"}, {"alpha"}]  # sybil per market, then attribute
+
+
+def test_unreadable_eval_embeddings_are_recomputed(workspace, multitask_run, tmp_path):
+    # eval writes names unescaped, so a tab in an author name splits that row
+    root, c = workspace
+    processed = tmp_path / "processed"
+    shutil.copytree(root / "processed", processed)
+    alpha = processed / "alpha.jsonl"
+    alpha.write_text(alpha.read_text().replace('"alpha_u01"', '"alpha\\tu01"'))
+    reference, run = tmp_path / "reference", tmp_path / "run"
+    shutil.copytree(multitask_run, reference)
+    shutil.copytree(multitask_run, run)
+    fresh = _link(c, _data(root, "--run", reference, processed=processed), tmp_path / "fresh")
+    assert main(["eval", *c, "--seed", "3", *_data(root, "--run", run, processed=processed)]) == 0
+    with pytest.raises(ValueError):
+        read_embeddings_index(run / "embeddings-alpha.tsv")
+    assert _link(c, _data(root, "--run", run, processed=processed), tmp_path / "again") == fresh
+
+
+def test_missing_market_file_exits_2_in_every_stage(workspace, multitask_run, tmp_path, capsys):
+    root, c = workspace
+    processed = tmp_path / "processed"
+    processed.mkdir()
+    shutil.copy(root / "processed" / "alpha.jsonl", processed)
+    data = _data(root, "--run", multitask_run, processed=processed)
+    for stage, *extra in (["eval", "--out", tmp_path / "eval"],
+                          ["sybil", "--user", "alpha:alpha_u00", "--out", tmp_path / "s.json"],
+                          ["attribute", "--market", "alpha", "--author", "alpha_u00",
+                           "--out", tmp_path / "a.jsonl"]):
+        capsys.readouterr()
+        assert main([stage, *c, *data, *map(str, extra)]) == 2
+        assert capsys.readouterr().err == "error: market 'beta' not among ['alpha']\n"
+
+
+def test_runlog_does_not_depend_on_the_string_hash_seed(workspace, tmp_path):
+    root, c = workspace
+    src = str(Path(epistyle.__file__).resolve().parents[1])
+    runlogs = []
+    for hash_seed in ("0", "1", "2"):  # 0 and 1 happen to order the parameter set alike
+        out = tmp_path / f"run-{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "epistyle.cli", "train", *c, "--seed", "3",
+                        *_data(root), "--multitask", "--labels", str(root / "raw" / "labels.csv"),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        runlogs.append((out / "runlog.jsonl").read_bytes())
+    assert runlogs[0] == runlogs[1] == runlogs[2]

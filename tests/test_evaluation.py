@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from epistyle.evaluation import (
     metrics_report,
     mrr,
     random_baseline_mrr,
+    read_embeddings_index,
     recall_at_k,
     sample_queries,
     seen_novel_report,
@@ -428,3 +430,30 @@ def test_metrics_report_and_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].split("\t")[:3] == ["episode_id", "market", "author"]
     assert len(lines) == 21
+
+
+def test_embeddings_tsv_round_trip_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(12)
+    emb = rng.normal(size=(7, 5)).astype(np.float32) * np.logspace(-30, 30, 7)[:, None]
+    idx = RetrievalIndex([f"m{i % 2}/a{i % 3}/p{i}" for i in range(7)],
+                         [f"m{i % 2}" for i in range(7)], [f"a{i % 3}" for i in range(7)], emb)
+    path = tmp_path / "emb.tsv"
+    export_embeddings_tsv(path, idx)
+    back = read_embeddings_index(path)
+    assert back.episode_ids == idx.episode_ids
+    assert list(back.markets) == list(idx.markets)
+    assert list(back.authors) == list(idx.authors)
+    assert back.raw.dtype == np.float64 and back.raw.tobytes() == idx.raw.tobytes()
+
+
+def test_embeddings_tsv_reader_names_the_bad_line(tmp_path):
+    idx = make_index(np.eye(3), ["a", "b", "c"])
+    path = tmp_path / "emb.tsv"
+    export_embeddings_tsv(path, idx)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], lines[1], lines[2].rsplit("\t", 1)[0], lines[3]]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+        read_embeddings_index(path)
+    path.write_text("\n".join(["id\tmarket\tauthor\tdim0\tdim1\tdim2", *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
+        read_embeddings_index(path)

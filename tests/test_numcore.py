@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import epistyle.numcore as nc
-from epistyle.numcore import AdamState, PlateauScheduler, Tensor, adam_step, grad_check
+from epistyle.numcore import (
+    AdamState, PlateauScheduler, Tensor, adam_step, clip_global_norm, grad_check,
+)
 
 
 def test_max_over_time_forward_and_grad_routing():
@@ -349,6 +351,14 @@ def test_adam_rejects_nonfinite_gradient():
     st = {"w": AdamState.for_param(p["w"])}
     with pytest.raises(FloatingPointError, match="w"):
         adam_step(p, {"w": np.array([1.0, np.nan], dtype=np.float32)}, st, lr=1e-3)
+
+
+def test_clip_global_norm_ignores_dict_order():
+    # summed front to back the two 1.0 squares vanish into 1e16; summed
+    # back to front they do not
+    grads = {"a": np.array([1e8]), "b": np.array([1.0]), "c": np.array([1.0])}
+    backwards = dict(reversed(grads.items()))
+    assert clip_global_norm(grads, np.inf) == clip_global_norm(backwards, np.inf)
 
 
 def test_plateau_scheduler_halves_after_patience():
