@@ -17,12 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_write
 from .config import (
     ValidationError,
     file_sha256,
     hashes_match,
     is_fresh,
     load_config,
+    manifest_key,
     read_manifest,
     section_values,
     write_manifest,
@@ -47,6 +49,7 @@ from .evaluation import (
     RetrievalIndex,
     author_centroid,
     cosine_target,
+    embeddings_files,
     export_embeddings_tsv,
     integrated_gradients,
     metrics_report,
@@ -154,26 +157,34 @@ def _patterns(raw: str, fallback):
 
 
 def _json_dump(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _run_stage(args, stage: str, out_dir, inputs: list, effective: dict, body,
-               manifest: str = "manifest.json") -> int:
-    """Run one manifest-writing stage.
+def _json_lines(path, records) -> None:
+    with atomic_write(path, encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    Under --skip-if-fresh a stage whose manifest in `out_dir` still matches
-    its inputs, config, seed and output hashes does nothing. Otherwise
-    `body()` writes the outputs and returns (outputs, extra, message); the
-    manifest is written only after the body returns.
+
+def _run_stage(args, stage: str, inputs: list, outputs: list, effective: dict, body,
+               manifest: str = "manifest.json") -> int:
+    """Run one manifest-writing stage, whose manifest sits beside its first
+    output.
+
+    Under --skip-if-fresh a stage whose manifest still records its inputs,
+    exactly its `outputs`, its config and seed, all with matching hashes,
+    does nothing. Otherwise `body()` writes `outputs` and returns
+    (extra, message); the manifest is written only after the body returns.
     """
-    out_dir = Path(out_dir)
-    if args.skip_if_fresh and is_fresh(out_dir, stage, inputs, effective, args.seed, manifest):
+    out_dir = Path(outputs[0]).parent
+    if args.skip_if_fresh and is_fresh(out_dir, stage, inputs, outputs, effective, args.seed,
+                                       manifest):
         print(f"{stage}: fresh, skipping ({out_dir})")
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, extra, message = body()
+    extra, message = body()
     write_manifest(out_dir, stage, inputs, effective, args.seed, outputs, extra=extra,
                    name=manifest)
     print(message)
@@ -195,16 +206,17 @@ def cmd_synth(args, cfg) -> int:
         archetypes=values["archetypes"], late_author_fraction=values["late_author_fraction"],
         seed=args.seed,
     )
+    out_dir = Path(args.out)
+    outputs = [out_dir / f"{m}.jsonl" for m in scfg.markets] + [out_dir / "labels.csv"]
 
     def body():
         corpus = generate_corpus(scfg)
-        written = write_corpus(corpus, args.out)
-        return (sorted(written.values()),
-                {"total_posts": corpus.total_posts(), "labels": len(corpus.labels)},
+        write_corpus(corpus, out_dir)
+        return ({"total_posts": corpus.total_posts(), "labels": len(corpus.labels)},
                 f"synth: wrote {corpus.total_posts()} posts across {len(scfg.markets)} "
                 f"markets to {args.out}")
 
-    return _run_stage(args, "synth", args.out, [], {**values, "seed": args.seed}, body)
+    return _run_stage(args, "synth", [], outputs, {**values, "seed": args.seed}, body)
 
 
 def cmd_ingest(args, cfg) -> int:
@@ -214,10 +226,10 @@ def cmd_ingest(args, cfg) -> int:
     def body():
         posts, malformed = load_posts(src, args.market)
         write_posts(out_path, posts)
-        return ([out_path], {"posts": len(posts), "malformed": malformed},
+        return ({"posts": len(posts), "malformed": malformed},
                 f"ingest: {len(posts)} posts ({malformed} malformed lines skipped) -> {out_path}")
 
-    return _run_stage(args, "ingest", args.out, [src], {"market": args.market}, body)
+    return _run_stage(args, "ingest", [src], [out_path], {"market": args.market}, body)
 
 
 def cmd_preprocess(args, cfg) -> int:
@@ -226,19 +238,18 @@ def cmd_preprocess(args, cfg) -> int:
     image = _patterns(values["image_patterns"], DEFAULT_IMAGE_PATTERNS)
     files = _market_files(args.input)
     out_dir = Path(args.out)
+    outputs = {market: out_dir / f"{market}.jsonl" for market in files}
 
     def body():
-        outputs = []
         for market, path in files.items():
             posts, _ = load_posts(path, market)
-            out_path = out_dir / f"{market}.jsonl"
-            write_posts(out_path, [replace(p, body=preprocess_text(p.body, quote, image))
-                                   for p in posts])
-            outputs.append(out_path)
-        return outputs, None, f"preprocess: {len(outputs)} market files -> {out_dir}"
+            write_posts(outputs[market], [replace(p, body=preprocess_text(p.body, quote, image))
+                                          for p in posts])
+        return None, f"preprocess: {len(outputs)} market files -> {out_dir}"
 
     effective = {"quote_patterns": quote, "image_patterns": image}
-    return _run_stage(args, "preprocess", out_dir, list(files.values()), effective, body)
+    return _run_stage(args, "preprocess", list(files.values()), list(outputs.values()),
+                      effective, body)
 
 
 def cmd_split(args, cfg) -> int:
@@ -257,10 +268,10 @@ def cmd_split(args, cfg) -> int:
         write_split_manifest(out_path, merged)
         counts = {m: (len(merged.train_ids.get(m, ())), len(merged.test_ids.get(m, ())))
                   for m in files}
-        return [out_path], {"split_timestamps": cuts}, f"split: {counts} -> {out_path}"
+        return {"split_timestamps": cuts}, f"split: {counts} -> {out_path}"
 
     effective = {"rule": "median-per-market, ties to train"}
-    return _run_stage(args, "split", out_path.parent, list(files.values()), effective, body)
+    return _run_stage(args, "split", list(files.values()), [out_path], effective, body)
 
 
 def cmd_pgp_pairs(args, cfg) -> int:
@@ -271,11 +282,11 @@ def cmd_pgp_pairs(args, cfg) -> int:
         posts = [p for plist in _load_markets(args.input).values() for p in plist]
         candidates = extract_pgp_candidate_pairs(posts)
         write_labels_csv(out_path, candidates)
-        return ([out_path], {"candidates": len(candidates)},
+        return ({"candidates": len(candidates)},
                 f"pgp-pairs: {len(candidates)} cross-market candidates -> {out_path}")
 
     effective = {"fingerprint": "sha256 of normalized base64 payload"}
-    return _run_stage(args, "pgp-pairs", out_path.parent, list(files.values()), effective, body)
+    return _run_stage(args, "pgp-pairs", list(files.values()), [out_path], effective, body)
 
 
 def cmd_build_graph(args, cfg) -> int:
@@ -288,12 +299,12 @@ def cmd_build_graph(args, cfg) -> int:
         spec = read_split_manifest(split_path)
         graph = build_graph([p for p in posts if p.post_id in spec.train_ids.get(args.market, ())])
         write_graph(out_path, graph)
-        return ([out_path], {"nodes": graph.num_nodes()},
+        return ({"nodes": graph.num_nodes()},
                 f"build-graph: {graph.num_nodes()} nodes -> {out_path}")
 
     inputs = [market_path, split_path]
     effective = {"market": args.market, "split": "train-only"}
-    return _run_stage(args, "build-graph", out_path.parent, inputs, effective, body)
+    return _run_stage(args, "build-graph", inputs, [out_path], effective, body)
 
 
 def cmd_walk(args, cfg) -> int:
@@ -307,16 +318,16 @@ def cmd_walk(args, cfg) -> int:
         walks = sample_walks(read_graph(graph_path), walks_per_user=gvals["walks_per_user"],
                              walk_length=gvals["walk_length"], rng_seed=args.seed)
         write_walks(out_path, walks)
-        return [out_path], {"walks": len(walks)}, f"walk: {len(walks)} walks -> {out_path}"
+        return {"walks": len(walks)}, f"walk: {len(walks)} walks -> {out_path}"
 
-    return _run_stage(args, "walk", out_path.parent, [graph_path], effective, body)
+    return _run_stage(args, "walk", [graph_path], [out_path], effective, body)
 
 
 def cmd_graph_embed(args, cfg) -> int:
     gvals = section_values(cfg, "graph", GRAPH_DEFAULTS, {"dim": args.dim, "epochs": args.epochs})
     walks_path = _require(args.walks, "walks file")
     graph_path = _require(args.graph, "graph file")
-    out_dir = Path(args.out)
+    ctx_path = Path(args.out) / "context.tsv"
 
     def body():
         emb = train_skipgram(
@@ -327,13 +338,11 @@ def cmd_graph_embed(args, cfg) -> int:
         graph = read_graph(graph_path)
         subforums = sorted(key for (t, key) in graph.key_labels if t == "S")
         ctx = export_context_init(emb, graph, subforums)
-        nodes_path, ctx_path = out_dir / "nodes.tsv", out_dir / "context.tsv"
-        write_embeddings_tsv(nodes_path, emb)
         write_embeddings_tsv(ctx_path, NodeEmbeddings(ctx, emb.dim), key="subforum")
-        return ([nodes_path, ctx_path], {"epoch_losses": emb.meta["epoch_losses"]},
-                f"graph-embed: {len(emb.vectors)} nodes, {len(ctx)} subforums -> {out_dir}")
+        return ({"epoch_losses": emb.meta["epoch_losses"]},
+                f"graph-embed: {len(emb.vectors)} nodes, {len(ctx)} subforums -> {args.out}")
 
-    return _run_stage(args, "graph-embed", out_dir, [walks_path, graph_path], gvals, body)
+    return _run_stage(args, "graph-embed", [walks_path, graph_path], [ctx_path], gvals, body)
 
 
 def cmd_train_tokenizer(args, cfg) -> int:
@@ -352,11 +361,11 @@ def cmd_train_tokenizer(args, cfg) -> int:
         trainer = train_char_vocab if tvals["kind"] == "char" else train_bpe
         vocab = trainer(texts, size=tvals["size"])
         save_vocab(out_path, vocab)
-        return ([out_path], {"vocab_size": len(vocab)},
+        return ({"vocab_size": len(vocab)},
                 f"train-tokenizer: {tvals['kind']} vocab of {len(vocab)} -> {out_path}")
 
     inputs = list(files.values()) + [split_path]
-    return _run_stage(args, "train-tokenizer", out_path.parent, inputs, tvals, body)
+    return _run_stage(args, "train-tokenizer", inputs, [out_path], tvals, body)
 
 
 def _parse_context_init(pairs: list[str]) -> dict[str, Path]:
@@ -418,6 +427,8 @@ def cmd_train(args, cfg) -> int:
         "rescale_init": gvals["rescale_init"],
     }
     out_dir = Path(args.out)
+    ckpt_path, runlog_path = out_dir / "checkpoint.bin", out_dir / "runlog.jsonl"
+    meta_path = out_dir / "model_meta.json"
 
     def body():
         spec = read_split_manifest(split_path)
@@ -461,12 +472,8 @@ def cmd_train(args, cfg) -> int:
         )
         load_best(registry, result)
 
-        ckpt_path = out_dir / "checkpoint.bin"
         save_checkpoint(ckpt_path, {n: t.data for n, t in registry.all_params().items()})
-        runlog_path = out_dir / "runlog.jsonl"
-        with open(runlog_path, "w", encoding="utf-8") as fh:
-            for record in result.log:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        _json_lines(runlog_path, result.log)
         meta = {
             "model": {**asdict(model_cfg), "filter_sizes": list(model_cfg.filter_sizes)},
             "subforum_maps": model.subforum_maps,
@@ -486,14 +493,12 @@ def cmd_train(args, cfg) -> int:
             "best_epoch": result.best_epoch,
             "best_val_loss": result.best_val_loss,
         }
-        meta_path = out_dir / "model_meta.json"
         _json_dump(meta_path, meta)
-        return ([ckpt_path, runlog_path, meta_path],
-                {"best_epoch": result.best_epoch, "best_val_loss": result.best_val_loss},
+        return ({"best_epoch": result.best_epoch, "best_val_loss": result.best_val_loss},
                 f"train: best val loss {result.best_val_loss:.4f} at epoch {result.best_epoch} "
                 f"-> {out_dir}")
 
-    return _run_stage(args, "train", out_dir, inputs, effective, body)
+    return _run_stage(args, "train", inputs, [ckpt_path, runlog_path, meta_path], effective, body)
 
 
 def _load_run(run_dir, vocab_path):
@@ -541,15 +546,13 @@ def _eval_indexes(meta, args, markets) -> dict[str, RetrievalIndex] | None:
     and still-matching outputs that include those embeddings files."""
     inputs = _embedding_inputs(meta, args)
     run = Path(args.run)
-    paths = {m: run / f"embeddings-{m}.tsv" for m in markets}
+    files = {m: embeddings_files(run, m) for m in markets}
     manifest = read_manifest(run / "eval-manifest.json")
-    if (manifest is None or not hashes_match(manifest, inputs)
-            or not all(str(p) in manifest["outputs"] for p in paths.values())):
+    if (manifest is None or not hashes_match(manifest, run, inputs)
+            or not all(manifest_key(f, run) in manifest["outputs"]
+                       for pair in files.values() for f in pair)):
         return None
-    try:
-        return {m: read_embeddings_index(p) for m, p in paths.items()}
-    except ValueError:  # eval writes names unescaped; a tab or line break in one splits its row
-        return None
+    return {m: read_embeddings_index(npy) for m, (npy, _) in files.items()}
 
 
 def cmd_eval(args, cfg) -> int:
@@ -558,6 +561,8 @@ def cmd_eval(args, cfg) -> int:
     out_dir = Path(args.out) if args.out else Path(args.run)
     inputs = _embedding_inputs(meta, args)
     effective = {"kappa": evals["kappa"], "ks": list(evals["ks"]), "seed": args.seed}
+    emb_files = {m: embeddings_files(out_dir, m) for m in meta["markets"]}
+    metrics_path = out_dir / "metrics.json"
 
     def body():
         episodes, seen = _test_episodes(meta, args)
@@ -570,7 +575,6 @@ def cmd_eval(args, cfg) -> int:
             },
             "markets": {},
         }
-        outputs = []
         for market in meta["markets"]:
             index = RetrievalIndex.from_episodes(model, encoder, episodes[market],
                                                  seen_authors=seen[market])
@@ -582,20 +586,17 @@ def cmd_eval(args, cfg) -> int:
                                                 ks=tuple(evals["ks"])).items():
                 block[group] = rep.to_dict()
             report["markets"][market] = block
-            emb_path = out_dir / f"embeddings-{market}.tsv"
-            export_embeddings_tsv(emb_path, index)
-            outputs.append(emb_path)
-        metrics_path = out_dir / "metrics.json"
+            export_embeddings_tsv(emb_files[market][0], index)
         _json_dump(metrics_path, report)
         lines = [f"eval {market}: MRR={block['all']['mrr']:.4f} "
                  f"R@10={block['all']['recall'].get('10', float('nan')):.4f} "
                  f"baseline={block['all']['random_baseline_mrr']:.4f}"
                  for market, block in report["markets"].items()]
-        return outputs + [metrics_path], None, "\n".join(lines)
+        return None, "\n".join(lines)
 
     # eval writes into the run directory by default, next to train's manifest
-    return _run_stage(args, "eval", out_dir, inputs, effective, body,
-                      manifest="eval-manifest.json")
+    outputs = [f for pair in emb_files.values() for f in pair] + [metrics_path]
+    return _run_stage(args, "eval", inputs, outputs, effective, body, manifest="eval-manifest.json")
 
 
 def cmd_sybil(args, cfg) -> int:
@@ -638,9 +639,7 @@ def cmd_attribute(args, cfg) -> int:
     target = cosine_target(author_centroid(index, args.market, args.author))
     records, completeness = integrated_gradients(model, encoder, episode, target, steps=args.steps)
     out_path = Path(args.out) if args.out else Path(args.run) / "attribution.jsonl"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    _json_lines(out_path, records)
     denom = max(abs(completeness["delta"]), 1e-12)
     print(
         f"attribute: {len(records)} token scores -> {out_path} "
@@ -744,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--out", required=True, help="output directory (nodes.tsv, context.tsv)")
+    p.add_argument("--out", required=True, help="output directory (context.tsv)")
 
     p = add("train-tokenizer", cmd_train_tokenizer, help="train a char or byte-BPE vocabulary")
     p.add_argument("--input", required=True)

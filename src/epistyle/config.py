@@ -11,9 +11,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import os
 from pathlib import Path
 
 from . import __version__
+from .atomic import atomic_write
 
 SECTIONS = ("corpus", "tokenizer", "graph", "model", "train", "eval")
 
@@ -92,24 +94,30 @@ def config_hash(effective: dict) -> str:
     ).hexdigest()
 
 
+def manifest_key(path, base) -> str:
+    """`path` as a manifest in directory `base` records it: relative to
+    `base`, so a work directory moved as a whole keeps its manifests valid."""
+    return Path(os.path.relpath(Path(path).resolve(), Path(base).resolve())).as_posix()
+
+
 def write_manifest(out_dir, stage: str, inputs: list, effective_config: dict,
                    seed: int | None, outputs: list, extra: dict | None = None,
                    name: str = "manifest.json") -> Path:
+    out_dir = Path(out_dir)
     manifest = {
         "stage": stage,
-        "inputs": {str(p): file_sha256(p) for p in sorted(str(x) for x in inputs)},
+        "inputs": {manifest_key(p, out_dir): file_sha256(p) for p in inputs},
         "config_hash": config_hash(effective_config),
         "config": effective_config,
         "seed": seed,
         "version": __version__,
-        "outputs": {str(p): file_sha256(p) for p in sorted(str(x) for x in outputs)},
+        "outputs": {manifest_key(p, out_dir): file_sha256(p) for p in outputs},
     }
     if extra:
         manifest["extra"] = extra
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     return path
@@ -127,27 +135,28 @@ def read_manifest(path) -> dict | None:
     return manifest if isinstance(manifest, dict) else None
 
 
-def hashes_match(manifest: dict, inputs: list) -> bool:
-    """True when `manifest` records exactly `inputs` with their current sha256
-    and every output it records still exists with its recorded hash."""
-    want = {str(p): file_sha256(p) for p in sorted(str(x) for x in inputs) if Path(p).exists()}
+def hashes_match(manifest: dict, base, inputs: list) -> bool:
+    """True when `manifest`, read from directory `base`, records exactly
+    `inputs` with their current sha256 and every output it records still
+    exists with its recorded hash."""
+    want = {manifest_key(p, base): file_sha256(p) for p in inputs if Path(p).exists()}
     if manifest.get("inputs") != want:
         return False
     outputs = manifest.get("outputs")
     if not isinstance(outputs, dict):  # older manifests list outputs without hashes
         return False
-    return all(Path(o).exists() and file_sha256(o) == h for o, h in outputs.items())
+    base = Path(base)
+    return all((base / o).is_file() and file_sha256(base / o) == h for o, h in outputs.items())
 
 
-def is_fresh(out_dir, stage: str, inputs: list, effective_config: dict, seed: int | None,
-             name: str = "manifest.json") -> bool:
-    """True when the manifest `name` in `out_dir` matches the would-be inputs
-    and config and every recorded output still exists with its recorded hash."""
+def is_fresh(out_dir, stage: str, inputs: list, outputs: list, effective_config: dict,
+             seed: int | None, name: str = "manifest.json") -> bool:
+    """True when the manifest `name` in `out_dir` matches the would-be inputs,
+    outputs and config and every output still has its recorded hash."""
     manifest = read_manifest(Path(out_dir) / name)
-    if manifest is None:
+    if (manifest is None or manifest.get("stage") != stage or manifest.get("seed") != seed
+            or manifest.get("config_hash") != config_hash(effective_config)
+            or not isinstance(manifest.get("outputs"), dict)
+            or set(manifest["outputs"]) != {manifest_key(p, out_dir) for p in outputs}):
         return False
-    if manifest.get("stage") != stage or manifest.get("seed") != seed:
-        return False
-    if manifest.get("config_hash") != config_hash(effective_config):
-        return False
-    return hashes_match(manifest, inputs)
+    return hashes_match(manifest, out_dir, inputs)

@@ -13,6 +13,8 @@ import re
 import statistics
 from dataclasses import dataclass, field
 
+from .atomic import atomic_write
+
 log = logging.getLogger(__name__)
 
 QUOTE_TOKEN = "[QUOTE]"
@@ -175,7 +177,7 @@ def load_posts(path, market: str) -> tuple[list[Post], int]:
 
 def write_posts(path, posts: list[Post]) -> None:
     """One JSON object per line with sorted keys: the format `load_posts` reads."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for p in posts:
             fh.write(json.dumps(vars(p), sort_keys=True) + "\n")
 
@@ -222,7 +224,7 @@ def chronological_split(posts: list[Post]) -> SplitSpec:
 
 
 def write_split_manifest(path, spec: SplitSpec) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["market", "post_id", "split"])
         for market in sorted(set(spec.train_ids) | set(spec.test_ids)):
@@ -347,7 +349,7 @@ def extract_pgp_candidate_pairs(posts: list[Post]) -> list[MigrationLabel]:
 
 
 def write_labels_csv(path, labels: list[MigrationLabel]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["market_a", "user_a", "market_b", "user_b", "same_author"])
         for lab in labels:

@@ -4,14 +4,17 @@ token attribution."""
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from . import numcore as nc
+from .atomic import atomic_write
 from .corpus import Episode
 from .model import EpisodeModel, EpisodeBatch, PostEncoder, make_episode_batch
 from .numcore import Tensor
@@ -443,36 +446,36 @@ def token_display(vocab, token_id: int) -> str:
 # ------------------------------------------------------------------ export
 
 
+def embeddings_files(directory, market) -> tuple[Path, Path]:
+    """A market's episode embeddings in `directory`: `.npy` matrix, `.json` labels."""
+    npy = Path(directory) / f"embeddings-{market}.npy"
+    return npy, npy.with_suffix(".json")
+
+
 def export_embeddings_tsv(path, index: RetrievalIndex) -> None:
-    dim = index.raw.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("episode_id\tmarket\tauthor\t" + "\t".join(f"dim{i}" for i in range(dim)) + "\n")
-        for i, eid in enumerate(index.episode_ids):
-            vals = "\t".join(repr(float(v)) for v in index.raw[i])
-            fh.write(f"{eid}\t{index.markets[i]}\t{index.authors[i]}\t{vals}\n")
+    """Write the index's float64 matrix to `path` (`.npy`) and its rows'
+    [episode_id, market, author] to the `.json` beside it; JSON escapes tabs,
+    line breaks and NULs. The name is older than the format: the benchmark's
+    tracer (perfbench/tracer.py) wraps it by name, so it changes with that."""
+    with atomic_write(path, "wb") as fh:
+        np.save(fh, index.raw, allow_pickle=False)
+    with atomic_write(Path(path).with_suffix(".json"), encoding="utf-8") as fh:
+        json.dump([list(r) for r in zip(index.episode_ids, index.markets, index.authors)], fh)
 
 
 def read_embeddings_index(path) -> RetrievalIndex:
-    """Read `export_embeddings_tsv` output back into an index (seen flags are
-    not stored). Values round-trip bit-exactly; a wrong header or a row of
-    the wrong width raises ValueError naming the path and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        dim = len(header) - 3
-        columns = ["episode_id", "market", "author"] + [f"dim{i}" for i in range(dim)]
-        if dim < 1 or header != columns:
-            raise ValueError(f"{path}:1: not an episode embeddings header")
-        ids, markets, authors, rows = [], [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise ValueError(f"{path}:{lineno}: {len(parts)} fields, "
-                                 f"header has {len(header)}")
-            try:
-                rows.append([float(x) for x in parts[3:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            ids.append(parts[0])
-            markets.append(parts[1])
-            authors.append(parts[2])
-    return RetrievalIndex(ids, markets, authors, np.array(rows, dtype=np.float64).reshape(-1, dim))
+    """Read `export_embeddings_tsv` output back, bit-exactly and without seen
+    flags. A matrix that is not 2-D, or labels that are not one
+    [episode_id, market, author] row per matrix row, raise ValueError naming
+    `path`."""
+    labels = Path(path).with_suffix(".json")
+    try:
+        raw = np.load(path, allow_pickle=False)
+        rows = json.loads(labels.read_text(encoding="utf-8"))
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if (np.ndim(raw) != 2 or not isinstance(rows, list) or len(rows) != len(raw)
+            or any(not isinstance(r, list) or len(r) != 3 for r in rows)):
+        raise ValueError(f"{path}: not a 2-D matrix with one [episode_id, market, author] "
+                         f"row per matrix row in {labels.name}")
+    return RetrievalIndex(*([r[k] for r in rows] for k in range(3)), raw)

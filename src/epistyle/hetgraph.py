@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .corpus import Post
 
 log = logging.getLogger(__name__)
@@ -167,7 +168,7 @@ def sample_walks(
 
 def write_graph(path, graph: HetGraph) -> None:
     """JSON with the label -> key map and the typed neighbour lists."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump({"node_keys": graph.node_keys, "neighbors": graph.neighbors}, fh,
                   indent=2, sort_keys=True)
         fh.write("\n")
@@ -183,7 +184,7 @@ def read_graph(path) -> HetGraph:
 
 
 def write_walks(path, walks: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for walk in walks:
             fh.write(" ".join(walk) + "\n")
 
@@ -429,7 +430,7 @@ def rescale_context_init(init: dict[str, np.ndarray], target_std: float) -> dict
 def write_embeddings_tsv(path, embeddings: NodeEmbeddings, key: str = "node") -> None:
     """One row per vector in sorted key order, under a `key dim0 dim1 ...`
     header; floats are written as their shortest round-trip repr."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         fh.write(key + "\t" + "\t".join(f"dim{i}" for i in range(embeddings.dim)) + "\n")
         for name in sorted(embeddings.vectors):
             vec = embeddings.vectors[name]

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_write
+
 MAGIC = b"EPST1"
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(params)))
         for name, arr in params.items():

@@ -11,6 +11,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .atomic import atomic_write
 from .corpus import SPECIAL_TOKENS
 
 PAD_TOKEN = "[PAD]"
@@ -282,7 +283,7 @@ def _unescape(text: str, as_bytes: bool):
 
 
 def save_vocab(path, vocab: Vocab) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         fh.write(f"{vocab.kind} {len(vocab)}\n")
         for token in vocab.tokens:
             fh.write(_escape(token) + "\n")

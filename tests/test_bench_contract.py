@@ -1,0 +1,68 @@
+"""The names the benchmark under perfbench/ uses from the program still
+exist: traced functions, CLI subcommands and their options. A rename that
+misses perfbench/ then fails here instead of in a traced benchmark run."""
+
+import argparse
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from epistyle.cli import build_parser
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    """perfbench/<name>.py as a module, compiled from source so that nothing
+    (not even a bytecode cache) is written under perfbench/."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"_perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up by name
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("module, attr", [(m, a) for m, a, _, _ in tracer.TIMED + tracer.COUNTED])
+def test_every_traced_name_resolves(module, attr):
+    mod = importlib.import_module(f"epistyle.{module}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert meth in vars(getattr(mod, cls_name))  # the tracer patches the class dict
+    else:
+        assert callable(getattr(mod, attr))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_planned_stage_is_a_subcommand_that_parses(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "labels.csv").write_text("market_a,user_a,market_b,user_b,same_author\n"
+                                    "alpha,alpha_u00,beta,beta_u00,true\n"
+                                    "alpha,alpha_u01,beta,beta_u01,true\n")
+    subcommands = _subcommands()
+    assert set(workload.flags) <= set(subcommands)
+    plan = workloads.stages(workload, raw, tmp_path / "work", 0)
+    assert plan
+    for stage, argv in plan:
+        assert stage in subcommands and argv[0] == stage
+        # exact names: argparse would also accept a flag that is now only a prefix
+        options = subcommands[stage]._option_string_actions
+        assert {a for a in argv if a.startswith("--")} <= set(options)
+        build_parser().parse_args(argv)
+    spans = {span for _, _, span, _ in tracer.TIMED} | {f"cli.{s}" for s in subcommands}
+    assert workload.absent <= spans

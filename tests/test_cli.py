@@ -13,6 +13,7 @@ import pytest
 import epistyle
 from epistyle import cli
 from epistyle.cli import _load_run, _test_episodes, main
+from epistyle.config import file_sha256
 from epistyle.evaluation import RetrievalIndex, read_embeddings_index
 from epistyle.model import make_episode_batch
 from epistyle.numcore import load_checkpoint, save_checkpoint
@@ -176,7 +177,8 @@ def test_eval_and_downstream(workspace):
     assert "alpha" in metrics["markets"]
     block = metrics["markets"]["alpha"]["all"]
     assert 0.0 <= block["mrr"] <= 1.0
-    assert (root / "run" / "embeddings-alpha.tsv").exists()
+    assert (root / "run" / "embeddings-alpha.npy").exists()
+    assert (root / "run" / "embeddings-alpha.json").exists()
 
     assert main(["attribute", *c, "--run", str(root / "run"),
                  "--processed", str(root / "processed"),
@@ -317,7 +319,7 @@ def test_sybil_and_attribute_reuse_eval_embeddings(workspace, multitask_run, tmp
     fresh = _link(c, _data(root, "--run", run), tmp_path / "fresh")
     assert main(["eval", *c, "--seed", "3", *_data(root, "--run", run)]) == 0
     manifest = json.loads((run / "eval-manifest.json").read_text())
-    assert str(run / "model_meta.json") in manifest["inputs"]
+    assert "model_meta.json" in manifest["inputs"]
 
     monkeypatch.setattr(RetrievalIndex, "from_episodes", classmethod(_refuse))
     assert _link(c, _data(root, "--run", run), tmp_path / "reused") == fresh
@@ -325,11 +327,8 @@ def test_sybil_and_attribute_reuse_eval_embeddings(workspace, multitask_run, tmp
     assert _sybil(c, _data(root, "--run", run), tmp_path) == fresh[0]
 
 
-def _negate_values(tsv: Path) -> None:
-    lines = tsv.read_text().splitlines()
-    rows = [line.split("\t") for line in lines[1:]]
-    tsv.write_text("\n".join([lines[0], *("\t".join(r[:3] + [repr(-float(x)) for x in r[3:]])
-                                          for r in rows)]) + "\n")
+def _negate_values(npy: Path) -> None:
+    np.save(npy, -np.load(npy))
 
 
 def _perturb_checkpoint(run: Path) -> None:
@@ -339,7 +338,7 @@ def _perturb_checkpoint(run: Path) -> None:
     save_checkpoint(run / "checkpoint.bin", {n: v + noise[n] for n, v in params.items()})
 
 
-@pytest.mark.parametrize("stale", ["tsv", "checkpoint"])
+@pytest.mark.parametrize("stale", ["npy", "checkpoint"])
 def test_stale_eval_embeddings_are_recomputed(workspace, multitask_run, tmp_path, monkeypatch,
                                               stale):
     root, c = workspace
@@ -347,9 +346,9 @@ def test_stale_eval_embeddings_are_recomputed(workspace, multitask_run, tmp_path
     shutil.copytree(multitask_run, reference)
     shutil.copytree(multitask_run, run)
     assert main(["eval", *c, "--seed", "3", *_data(root, "--run", run)]) == 0
-    if stale == "tsv":
+    if stale == "npy":
         for market in ("alpha", "beta"):
-            _negate_values(run / f"embeddings-{market}.tsv")
+            _negate_values(run / f"embeddings-{market}.npy")
     else:
         _perturb_checkpoint(reference)
         _perturb_checkpoint(run)
@@ -367,21 +366,164 @@ def test_stale_eval_embeddings_are_recomputed(workspace, multitask_run, tmp_path
     assert calls == [{"alpha"}, {"beta"}, {"alpha"}]  # sybil per market, then attribute
 
 
-def test_unreadable_eval_embeddings_are_recomputed(workspace, multitask_run, tmp_path):
-    # eval writes names unescaped, so a tab in an author name splits that row
+def test_author_names_with_tabs_and_line_breaks_reuse_eval_embeddings(
+        workspace, multitask_run, tmp_path, monkeypatch):
     root, c = workspace
     processed = tmp_path / "processed"
     shutil.copytree(root / "processed", processed)
     alpha = processed / "alpha.jsonl"
-    alpha.write_text(alpha.read_text().replace('"alpha_u01"', '"alpha\\tu01"'))
+    alpha.write_text(alpha.read_text().replace('"alpha_u01"', '"alpha\\tu01"')
+                     .replace('"alpha_u02"', '"alpha\\nu02"'))
     reference, run = tmp_path / "reference", tmp_path / "run"
     shutil.copytree(multitask_run, reference)
     shutil.copytree(multitask_run, run)
     fresh = _link(c, _data(root, "--run", reference, processed=processed), tmp_path / "fresh")
     assert main(["eval", *c, "--seed", "3", *_data(root, "--run", run, processed=processed)]) == 0
-    with pytest.raises(ValueError):
-        read_embeddings_index(run / "embeddings-alpha.tsv")
+
+    meta, _, _ = _load_run(run, root / "vocab" / "vocab.txt")
+    episodes, _ = _test_episodes(meta, SimpleNamespace(processed=str(processed),
+                                                       split=str(root / "split" / "split.csv")))
+    back = read_embeddings_index(run / "embeddings-alpha.npy")
+    assert list(back.authors) == [e.author for e in episodes["alpha"]]
+    assert {"alpha\tu01", "alpha\nu02"} <= set(back.authors)
+    assert back.episode_ids == [f"alpha/{e.author}/{e.posts[0].post_id}"
+                                for e in episodes["alpha"]]
+
+    monkeypatch.setattr(RetrievalIndex, "from_episodes", classmethod(_refuse))
     assert _link(c, _data(root, "--run", run, processed=processed), tmp_path / "again") == fresh
+
+
+def test_eval_reruns_over_a_manifest_that_lists_tsv_embeddings(workspace, multitask_run,
+                                                               tmp_path, capsys):
+    # a run directory evaluated when embeddings were TSV files
+    root, c = workspace
+    run = tmp_path / "run"
+    shutil.copytree(multitask_run, run)
+    argv = ["eval", *c, "--seed", "3", *_data(root, "--run", run), "--skip-if-fresh"]
+    assert main(argv) == 0
+    written = {p.name: p.read_bytes() for p in run.glob("embeddings-*")}
+    manifest_path = run / "eval-manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for market in ("alpha", "beta"):
+        for suffix in (".npy", ".json"):
+            (run / f"embeddings-{market}{suffix}").unlink()
+            del manifest["outputs"][f"embeddings-{market}{suffix}"]
+        tsv = run / f"embeddings-{market}.tsv"
+        tsv.write_text("episode_id\tmarket\tauthor\tdim0\n")
+        manifest["outputs"][tsv.name] = file_sha256(tsv)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "skipping" not in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in run.glob("embeddings-*.[nj]*")} == written
+
+
+def test_moved_work_directory_stays_fresh(tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "config.ini").write_text(CONFIG)
+
+    def plan(w):
+        c = ["--config", str(w / "config.ini"), "--seed", "3"]
+        split, vocab = w / "split" / "split.csv", w / "vocab" / "vocab.txt"
+        data = ["--processed", str(w / "processed"), "--split", str(split),
+                "--vocab", str(vocab)]
+        graph = []
+        for m in ("alpha", "beta"):
+            g, walks = w / "graph" / m / "graph.json", w / "walks" / m / "walks.txt"
+            graph += [
+                ["build-graph", *c, "--input", str(w / "processed"), "--split", str(split),
+                 "--market", m, "--out", str(g)],
+                ["walk", *c, "--graph", str(g), "--out", str(walks)],
+                ["graph-embed", *c, "--walks", str(walks), "--graph", str(g),
+                 "--out", str(w / "emb" / m)],
+            ]
+        return [
+            ["synth", *c, "--out", str(w / "raw")],
+            ["ingest", *c, "--input", str(w / "raw" / "beta.jsonl"), "--market", "beta",
+             "--out", str(w / "ingested")],
+            ["preprocess", *c, "--input", str(w / "raw"), "--out", str(w / "processed")],
+            ["split", *c, "--input", str(w / "processed"), "--out", str(split)],
+            ["pgp-pairs", *c, "--input", str(w / "raw"), "--out", str(w / "pgp" / "pairs.csv")],
+            ["train-tokenizer", *c, "--input", str(w / "processed"), "--split", str(split),
+             "--out", str(vocab)],
+            *graph,
+            ["train", *c, *data, "--multitask", "--labels", str(w / "raw" / "labels.csv"),
+             "--graph-init", "pretrained",
+             "--context-init", f"alpha={w / 'emb' / 'alpha' / 'context.tsv'}",
+             "--context-init", f"beta={w / 'emb' / 'beta' / 'context.tsv'}",
+             "--out", str(w / "run")],
+            ["eval", *c, *data, "--run", str(w / "run")],
+        ]
+
+    for argv in plan(work):
+        assert main(argv) == 0, argv
+    moved = tmp_path / "elsewhere" / "moved"
+    moved.parent.mkdir()
+    shutil.move(str(work), str(moved))
+    capsys.readouterr()
+    for argv in plan(moved):
+        assert main([*argv, "--skip-if-fresh"]) == 0, argv
+        assert "fresh, skipping" in capsys.readouterr().out, argv
+
+    monkeypatch.setattr(RetrievalIndex, "from_episodes", classmethod(_refuse))
+    c = ["--config", str(moved / "config.ini")]
+    assert main(["sybil", *c, "--run", str(moved / "run"),
+                 "--processed", str(moved / "processed"),
+                 "--split", str(moved / "split" / "split.csv"),
+                 "--vocab", str(moved / "vocab" / "vocab.txt"),
+                 "--user", "alpha:alpha_u00", "-k", "3"]) == 0
+
+
+def _fail_after(calls: int, fn):
+    """`fn`, raising RuntimeError from its `calls`-th call on."""
+    count = [0]
+
+    def failing(*args, **kwargs):
+        count[0] += 1
+        if count[0] >= calls:
+            raise RuntimeError("injected write failure")
+        return fn(*args, **kwargs)
+
+    return failing
+
+
+def test_a_writer_failing_partway_leaves_the_old_file_or_none(workspace, tmp_path, monkeypatch,
+                                                              capsys):
+    root, c = workspace
+    out = tmp_path / "processed"
+    argv = ["preprocess", *c, "--input", str(root / "raw"), "--out", str(out), "--skip-if-fresh"]
+    with monkeypatch.context() as m:
+        m.setattr(json, "dumps", _fail_after(20, json.dumps))
+        with pytest.raises(RuntimeError):
+            main(argv)
+    assert list(out.iterdir()) == []
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "skipping" not in capsys.readouterr().out
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(written) == {"alpha.jsonl", "beta.jsonl", "manifest.json"}
+
+    # the second market fails after the first was replaced: every file keeps
+    # whole old or new bytes, and the stale manifest makes the stage run again
+    raw = tmp_path / "raw"
+    shutil.copytree(root / "raw", raw)
+    for market in ("alpha", "beta"):
+        path = raw / f"{market}.jsonl"
+        path.write_text(path.read_text().replace('"body": "', '"body": "edited '))
+    argv[argv.index("--input") + 1] = str(raw)
+    n_alpha = len((raw / "alpha.jsonl").read_text().splitlines())
+    with monkeypatch.context() as m:
+        m.setattr(json, "dumps", _fail_after(n_alpha + 20, json.dumps))
+        with pytest.raises(RuntimeError):
+            main(argv)
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
+    assert (out / "alpha.jsonl").read_bytes() != written["alpha.jsonl"]
+    assert (out / "beta.jsonl").read_bytes() == written["beta.jsonl"]
+    assert (out / "manifest.json").read_bytes() == written["manifest.json"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "skipping" not in capsys.readouterr().out
 
 
 def test_missing_market_file_exits_2_in_every_stage(workspace, multitask_run, tmp_path, capsys):

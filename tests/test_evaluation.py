@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 
@@ -425,19 +426,20 @@ def test_metrics_report_and_export(tmp_path):
     report = metrics_report(idx, kappa=10, seed=1)
     d = report.to_dict()
     assert set(d) >= {"group", "mrr", "recall", "kappa", "n_queries", "seed"}
-    path = tmp_path / "emb.tsv"
+    path = tmp_path / "emb.npy"
     export_embeddings_tsv(path, idx)
-    lines = path.read_text().splitlines()
-    assert lines[0].split("\t")[:3] == ["episode_id", "market", "author"]
-    assert len(lines) == 21
+    rows = json.loads(path.with_suffix(".json").read_text())
+    assert rows[0] == ["e0", "m1", "a0"]
+    assert len(rows) == 20 and np.load(path).shape == (20, 4)
 
 
 def test_embeddings_tsv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(12)
     emb = rng.normal(size=(7, 5)).astype(np.float32) * np.logspace(-30, 30, 7)[:, None]
-    idx = RetrievalIndex([f"m{i % 2}/a{i % 3}/p{i}" for i in range(7)],
-                         [f"m{i % 2}" for i in range(7)], [f"a{i % 3}" for i in range(7)], emb)
-    path = tmp_path / "emb.tsv"
+    names = ["a\t0", "a\n1", "a\x002"]
+    idx = RetrievalIndex([f"m{i % 2}/{names[i % 3]}/p{i}" for i in range(7)],
+                         [f"m{i % 2}" for i in range(7)], [names[i % 3] for i in range(7)], emb)
+    path = tmp_path / "emb.npy"
     export_embeddings_tsv(path, idx)
     back = read_embeddings_index(path)
     assert back.episode_ids == idx.episode_ids
@@ -448,12 +450,17 @@ def test_embeddings_tsv_round_trip_is_bit_exact(tmp_path):
 
 def test_embeddings_tsv_reader_names_the_bad_line(tmp_path):
     idx = make_index(np.eye(3), ["a", "b", "c"])
-    path = tmp_path / "emb.tsv"
+    path = tmp_path / "emb.npy"
     export_embeddings_tsv(path, idx)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join([lines[0], lines[1], lines[2].rsplit("\t", 1)[0], lines[3]]) + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+    labels = path.with_suffix(".json")
+    rows = json.loads(labels.read_text())
+    labels.write_text(json.dumps(rows[:2]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         read_embeddings_index(path)
-    path.write_text("\n".join(["id\tmarket\tauthor\tdim0\tdim1\tdim2", *lines[1:]]) + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
+    labels.write_text(json.dumps(rows))
+    np.save(path, np.zeros(3))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        read_embeddings_index(path)
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         read_embeddings_index(path)
