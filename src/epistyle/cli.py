@@ -580,7 +580,7 @@ def cmd_eval(args, cfg) -> int:
                                                  seen_authors=seen[market])
             queries = sample_queries(index, evals["kappa"], np.random.default_rng(args.seed))
             block = {"all": metrics_report(index, kappa=evals["kappa"], seed=args.seed,
-                                           ks=tuple(evals["ks"])).to_dict()}
+                                           ks=tuple(evals["ks"]), queries=queries).to_dict()}
             block["all"]["random_baseline_mrr"] = random_baseline_mrr(index, queries)
             for group, rep in seen_novel_report(index, kappa=evals["kappa"], seed=args.seed,
                                                 ks=tuple(evals["ks"])).items():
@@ -697,13 +697,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, manifest=True, **kw):
+        """A subcommand; only those that write a manifest can skip when fresh."""
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--config", default=None, help="key-value config file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--skip-if-fresh", action="store_true",
-                       help="no-op when inputs and config are unchanged")
+        if manifest:
+            p.add_argument("--skip-if-fresh", action="store_true",
+                           help="no-op when inputs and config are unchanged")
         return p
 
     p = add("synth", cmd_synth, help="generate a synthetic multi-market corpus")
@@ -780,7 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, default=None)
     p.add_argument("--out", default=None)
 
-    p = add("sybil", cmd_sybil, help="top-k cross-market sybil candidate for a user")
+    p = add("sybil", cmd_sybil, manifest=False,
+            help="top-k cross-market sybil candidate for a user")
     p.add_argument("--run", required=True)
     p.add_argument("--processed", required=True)
     p.add_argument("--split", required=True)
@@ -789,7 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=10)
     p.add_argument("--out", default=None)
 
-    p = add("attribute", cmd_attribute, help="integrated-gradients token attribution")
+    p = add("attribute", cmd_attribute, manifest=False,
+            help="integrated-gradients token attribution")
     p.add_argument("--run", required=True)
     p.add_argument("--processed", required=True)
     p.add_argument("--split", required=True)
@@ -800,7 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--out", default=None)
 
-    p = add("compare", cmd_compare, help="paired signed-rank comparison of metric files")
+    p = add("compare", cmd_compare, manifest=False,
+            help="paired signed-rank comparison of metric files")
     p.add_argument("--metric", default="mrr", help="mrr or recall@K")
     p.add_argument("--group-a", nargs="+", required=True)
     p.add_argument("--group-b", nargs="+", required=True)

@@ -8,7 +8,6 @@ import csv
 import hashlib
 import json
 import logging
-import random
 import re
 import statistics
 from dataclasses import dataclass, field
@@ -109,13 +108,6 @@ class SplitSpec:
     split_timestamp: float
     train_ids: dict[str, set[str]]  # market -> post ids
     test_ids: dict[str, set[str]]
-
-    def side(self, post: Post) -> str:
-        if post.post_id in self.train_ids.get(post.market, ()):
-            return "train"
-        if post.post_id in self.test_ids.get(post.market, ()):
-            return "test"
-        raise KeyError(f"post {post.post_id!r} not covered by split")
 
 
 @dataclass(frozen=True)
@@ -256,35 +248,18 @@ def _sorted_author_posts(posts: list[Post]) -> dict[tuple[str, str], list[Post]]
     return groups
 
 
-def assemble_episodes(
-    posts: list[Post],
-    length: int,
-    min_episodes: int = 2,
-    mode: str = "fixed",
-    rng: random.Random | None = None,
-) -> list[Episode]:
-    """Bundle same-author posts into episodes of exactly `length` posts.
-
-    `fixed` emits consecutive non-overlapping windows (trailing remainder
-    dropped); `sampled` draws the same number of random contiguous windows.
-    Authors with fewer than min_episodes*length posts are excluded.
+def assemble_episodes(posts: list[Post], length: int, min_episodes: int = 2) -> list[Episode]:
+    """Bundle same-author posts into consecutive non-overlapping episodes of
+    exactly `length` posts, dropping the trailing remainder. Authors with
+    fewer than min_episodes*length posts are excluded.
     """
     if length < 1:
         raise ValueError(f"episode length must be >= 1, got {length}")
-    if mode not in ("fixed", "sampled"):
-        raise ValueError(f"unknown episode mode {mode!r}")
-    if mode == "sampled" and rng is None:
-        raise ValueError("sampled mode requires an rng")
     episodes: list[Episode] = []
     for (market, author), group in sorted(_sorted_author_posts(posts).items()):
         if len(group) < min_episodes * length:
             continue
-        n_windows = len(group) // length
-        if mode == "fixed":
-            starts = [i * length for i in range(n_windows)]
-        else:
-            starts = [rng.randrange(len(group) - length + 1) for _ in range(n_windows)]
-        for s in starts:
+        for s in range(0, len(group) // length * length, length):
             episodes.append(Episode(market=market, author=author, posts=tuple(group[s : s + length])))
     return episodes
 

@@ -87,15 +87,20 @@ class RetrievalIndex:
 
     def first_same_author_rank(self, i: int) -> int:
         """1-based rank of the first same-author episode among all others,
-        ordered by cosine descending with stable-id tie-breaking."""
+        ordered by cosine descending with stable-id tie-breaking.
+
+        No sort: the first same-author episode b is the first argmax of the
+        cosine over same-author others, and the episodes ranked before it
+        are those with a higher cosine or an equal one at a lower index.
+        """
         sims = self.unit @ self.unit[i]
-        order = np.lexsort((np.arange(len(sims)), -sims))
-        order = order[order != i]
-        hits = self.author_ids[order] == self.author_ids[i]
-        pos = int(np.argmax(hits))
-        if not hits[pos]:
+        sims[i] = -np.inf  # the query is not its own candidate
+        same = np.flatnonzero(self.author_ids == self.author_ids[i])
+        same = same[same != i]
+        if len(same) == 0:
             raise ValueError(f"query {i} has no same-author episode")
-        return pos + 1
+        b = same[np.argmax(sims[same])]
+        return 1 + int(np.count_nonzero(sims > sims[b]) + np.count_nonzero(sims[:b] == sims[b]))
 
 
 def sample_queries(index: RetrievalIndex, kappa: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,40 +118,24 @@ def sample_queries(index: RetrievalIndex, kappa: int, rng: np.random.Generator) 
     return eligible[np.sort(picked)]
 
 
-def mrr(index: RetrievalIndex, queries=None, kappa: int = 1000, rng=None) -> float:
-    """Mean reciprocal rank of the first same-author episode by cosine."""
-    if queries is None:
-        queries = sample_queries(index, kappa, rng or np.random.default_rng(0))
-    ranks = [index.first_same_author_rank(int(i)) for i in queries]
-    return float(np.mean([1.0 / r for r in ranks]))
-
-
-def recall_at_k(index: RetrievalIndex, queries=None, k: int = 10, kappa: int = 1000, rng=None) -> float:
-    """Fraction of queries with a same-author episode in the top k."""
-    if queries is None:
-        queries = sample_queries(index, kappa, rng or np.random.default_rng(0))
-    ranks = [index.first_same_author_rank(int(i)) for i in queries]
-    return float(np.mean([1.0 if r <= k else 0.0 for r in ranks]))
-
-
 def random_baseline_mrr(index: RetrievalIndex, queries) -> float:
     """Exact expected MRR of a uniformly random ranking.
 
     For a query with m same-author episodes among n-1 candidates, the first
-    hit's rank R has P(R=r) = C(n-1-r, m-1)/C(n-1, m); we sum 1/r * P(R=r).
+    hit's rank R has P(R=r) = C(n-1-r, m-1)/C(n-1, m); we sum 1/r * P(R=r),
+    once per distinct m.
     """
     n = len(index)
     _, counts = np.unique(index.author_ids, return_counts=True)
-    expectations = []
-    for i in queries:
-        m = int(counts[index.author_ids[int(i)]]) - 1
+    ms = [int(counts[index.author_ids[int(i)]]) - 1 for i in queries]
+    expected = {}
+    for m in set(ms):
         total = math.comb(n - 1, m)
-        e = sum(
+        expected[m] = sum(
             (1.0 / r) * math.comb(n - 1 - r, m - 1) / total
             for r in range(1, n - m + 1)
         )
-        expectations.append(e)
-    return float(np.mean(expectations))
+    return float(np.mean([expected[m] for m in ms]))
 
 
 @dataclass
@@ -181,6 +170,8 @@ class MetricsReport:
 
 def metrics_report(index: RetrievalIndex, kappa: int = 1000, seed: int = 0,
                    ks=(1, 5, 10), queries=None, group: str = "all") -> MetricsReport:
+    """MRR and recall@k of the first same-author rank over `queries`, or over
+    `kappa` eligible queries sampled with `seed`."""
     rng = np.random.default_rng(seed)
     if queries is None:
         queries = sample_queries(index, kappa, rng)
@@ -231,7 +222,10 @@ def _signed_ranks(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, np.array(ties)
 
 
-def wmw_paired(sample_a, sample_b, exact_threshold: int = 12) -> float:
+_EXACT_MAX_N = 12
+
+
+def wmw_paired(sample_a, sample_b) -> float:
     """Two-sided paired signed-rank test p-value.
 
     Zero differences are dropped. With n nonzero differences <= 12 the null
@@ -253,7 +247,7 @@ def wmw_paired(sample_a, sample_b, exact_threshold: int = 12) -> float:
     ranks, ties = _signed_ranks(diffs)
     w_pos = float(ranks[diffs > 0].sum())
 
-    if n <= exact_threshold:
+    if n <= _EXACT_MAX_N:
         scaled = np.rint(ranks * 2).astype(np.int64)  # tie-averages become integers
         total = int(scaled.sum())
         counts = np.zeros(total + 1, dtype=np.float64)
@@ -280,11 +274,11 @@ def wmw_paired(sample_a, sample_b, exact_threshold: int = 12) -> float:
 # --------------------------------------------------------- SI & sybil search
 
 
-def si_score(index: RetrievalIndex, market: str, author: str, normalized: bool = False) -> float:
+def si_score(index: RetrievalIndex, market: str, author: str) -> float:
     """Mean pairwise Euclidean distance between the author's episode
     embeddings; lower means more identifiable."""
     mask = (index.markets == market) & (index.authors == author)
-    rows = (index.unit if normalized else index.raw)[mask]
+    rows = index.raw[mask]
     if len(rows) < 2:
         raise ValueError(f"author {author!r} has {len(rows)} episode(s); need >= 2")
     total, pairs = 0.0, 0
@@ -327,7 +321,7 @@ def topk_sybil(index: RetrievalIndex, market: str, author: str, k: int = 10):
 # ------------------------------------------------------ integrated gradients
 
 
-def gauss_legendre_unit(steps: int, panels: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre_unit(steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]; weights sum to 1.
 
     The rule is composite: `steps` nodes spread over equal panels of ~5
@@ -337,9 +331,7 @@ def gauss_legendre_unit(steps: int, panels: int | None = None) -> tuple[np.ndarr
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if panels is None:
-        panels = max(1, steps // 5)
-    panels = min(panels, steps)
+    panels = max(1, steps // 5)
     base, extra = divmod(steps, panels)
     alphas, weights = [], []
     for p in range(panels):
@@ -465,14 +457,19 @@ def export_embeddings_tsv(path, index: RetrievalIndex) -> None:
 
 def read_embeddings_index(path) -> RetrievalIndex:
     """Read `export_embeddings_tsv` output back, bit-exactly and without seen
-    flags. A matrix that is not 2-D, or labels that are not one
-    [episode_id, market, author] row per matrix row, raise ValueError naming
-    `path`."""
+    flags. A file that is not a float `.npy` matrix, or labels that are not
+    one [episode_id, market, author] row per matrix row, raise ValueError
+    naming `path`."""
     labels = Path(path).with_suffix(".json")
     try:
         raw = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError):
+        raw = None  # numpy's message for a pickle suggests allow_pickle=True
+    if not isinstance(raw, np.ndarray) or raw.dtype.kind != "f":
+        raise ValueError(f"{path}: not a float .npy matrix")
+    try:
         rows = json.loads(labels.read_text(encoding="utf-8"))
-    except (ValueError, EOFError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if (np.ndim(raw) != 2 or not isinstance(rows, list) or len(rows) != len(raw)
             or any(not isinstance(r, list) or len(r) != 3 for r in rows)):

@@ -254,9 +254,6 @@ class NodeEmbeddings:
     dim: int
     meta: dict = field(default_factory=dict)
 
-    def matrix(self, labels) -> np.ndarray:
-        return np.stack([self.vectors[lab] for lab in labels])
-
 
 class _TypedNegativeSampler:
     """Unigram^(3/4) negative sampling over node indices, optionally
@@ -393,13 +390,10 @@ def train_skipgram(
 
 
 def export_context_init(
-    embeddings: NodeEmbeddings, graph: HetGraph, subforums: list[str], dim: int | None = None
+    embeddings: NodeEmbeddings, graph: HetGraph, subforums: list[str]
 ) -> dict[str, np.ndarray]:
     """Subforum -> S-node vector, in subforum-id order; missing S nodes get a
     zero vector with a warning."""
-    want = dim if dim is not None else embeddings.dim
-    if want != embeddings.dim:
-        raise ValueError(f"context dim {want} != embedding dim {embeddings.dim}")
     out: dict[str, np.ndarray] = {}
     for sf in sorted(subforums):
         label = graph.key_labels.get(("S", sf))

@@ -52,9 +52,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def _accumulate(self, g: np.ndarray):
         g = g.astype(self.data.dtype, copy=False)
         if self.grad is None:

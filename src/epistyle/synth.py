@@ -355,7 +355,7 @@ def total_variation(p: AuthorProfile, q: AuthorProfile) -> float:
     return 0.5 * sum(abs(a - b) for a, b in zip(p.word_weights, q.word_weights))
 
 
-def write_corpus(corpus: SynthCorpus, out_dir, labels_name: str = "labels.csv") -> dict[str, str]:
+def write_corpus(corpus: SynthCorpus, out_dir) -> dict[str, str]:
     """JSONL per market plus the ground-truth label CSV; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -364,7 +364,7 @@ def write_corpus(corpus: SynthCorpus, out_dir, labels_name: str = "labels.csv") 
         path = out / f"{market}.jsonl"
         write_posts(path, plist)
         written[market] = str(path)
-    labels_path = out / labels_name
+    labels_path = out / "labels.csv"
     write_labels_csv(labels_path, corpus.labels)
     written["labels"] = str(labels_path)
     return written

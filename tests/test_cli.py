@@ -17,6 +17,7 @@ from epistyle.config import file_sha256
 from epistyle.evaluation import RetrievalIndex, read_embeddings_index
 from epistyle.model import make_episode_batch
 from epistyle.numcore import load_checkpoint, save_checkpoint
+from test_bench_contract import tracer, workloads
 
 CONFIG = """\
 [corpus]
@@ -152,6 +153,19 @@ def test_skip_if_fresh_reruns_when_an_output_changed(workspace, tmp_path, capsys
     assert main(argv) == 0
     assert "skipping" not in capsys.readouterr().out
     assert split.read_bytes() == written
+
+
+@pytest.mark.parametrize("argv", [
+    ["sybil", "--run", "r", "--processed", "p", "--split", "s", "--vocab", "v", "--user", "m:u"],
+    ["attribute", "--run", "r", "--processed", "p", "--split", "s", "--vocab", "v",
+     "--market", "m", "--author", "u"],
+    ["compare", "--group-a", "a.json", "--group-b", "b.json"],
+])
+def test_skip_if_fresh_is_rejected_where_no_manifest_is_written(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--skip-if-fresh"])
+    assert exc.value.code == 2
+    assert "--skip-if-fresh" in capsys.readouterr().err
 
 
 def test_missing_artifact_exits_2(tmp_path, capsys):
@@ -325,6 +339,26 @@ def test_sybil_and_attribute_reuse_eval_embeddings(workspace, multitask_run, tmp
     assert _link(c, _data(root, "--run", run), tmp_path / "reused") == fresh
     monkeypatch.setattr(cli, "load_posts", _refuse)
     assert _sybil(c, _data(root, "--run", run), tmp_path) == fresh[0]
+
+
+def test_eval_enters_every_evaluation_span_the_benchmark_predicts(workspace, multitask_run,
+                                                                  tmp_path):
+    # desk-graph's pipeline ends in eval, so the evaluation spans it predicts
+    # are the ones eval enters
+    predicted = {span for _, _, span, _ in tracer.TIMED if span.startswith("evaluation.")}
+    predicted -= workloads.WORKLOADS["desk-graph"].absent
+    assert {"evaluation.metrics_report", "evaluation.seen_novel_report",
+            "evaluation.random_baseline_mrr"} <= predicted
+    root, c = workspace
+    run = tmp_path / "run"
+    shutil.copytree(multitask_run, run)
+    traced = tracer.Tracer()
+    traced.install(tracer.TIMED, [])
+    try:
+        assert main(["eval", *c, "--seed", "3", *_data(root, "--run", run)]) == 0
+    finally:
+        traced.uninstall()
+    assert predicted <= set(traced.summary())
 
 
 def _negate_values(npy: Path) -> None:

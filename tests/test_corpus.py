@@ -219,17 +219,6 @@ def test_fixed_episodes_disjoint_property():
             seen.add(p.post_id)
 
 
-def test_sampled_episodes_are_contiguous():
-    posts = _author_posts(20)
-    rng = random.Random(3)
-    eps = assemble_episodes(posts, length=5, mode="sampled", rng=rng)
-    assert len(eps) == 4
-    index = {p.post_id: i for i, p in enumerate(posts)}
-    for e in eps:
-        positions = [index[p.post_id] for p in e.posts]
-        assert positions == list(range(positions[0], positions[0] + 5))
-
-
 def test_episode_invariant_enforced():
     with pytest.raises(ValueError):
         Episode(market="m1", author="alice", posts=(make_post(author="bob"),))

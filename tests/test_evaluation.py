@@ -15,10 +15,8 @@ from epistyle.evaluation import (
     gauss_legendre_unit,
     integrated_gradients_fn,
     metrics_report,
-    mrr,
     random_baseline_mrr,
     read_embeddings_index,
-    recall_at_k,
     sample_queries,
     seen_novel_report,
     si_score,
@@ -84,10 +82,10 @@ def test_worked_example_ranks_1_2_4():
     assert idx.first_same_author_rank(0) == 1
     assert idx.first_same_author_rank(2) == 2
     assert idx.first_same_author_rank(5) == 4
-    queries = np.array([0, 2, 5])
-    assert math.isclose(mrr(idx, queries), (1 + 0.5 + 0.25) / 3, rel_tol=1e-12)
-    assert math.isclose(mrr(idx, queries), 0.58333, abs_tol=5e-6)
-    assert math.isclose(recall_at_k(idx, queries, k=3), 2 / 3, rel_tol=1e-12)
+    report = metrics_report(idx, queries=np.array([0, 2, 5]), ks=(3,))
+    assert math.isclose(report.mrr, (1 + 0.5 + 0.25) / 3, rel_tol=1e-12)
+    assert math.isclose(report.mrr, 0.58333, abs_tol=5e-6)
+    assert math.isclose(report.recall[3], 2 / 3, rel_tol=1e-12)
 
 
 def test_perfect_index_mrr_one():
@@ -99,7 +97,7 @@ def test_perfect_index_mrr_one():
             emb.append(c + rng.normal(size=8) * 0.01)
             authors.append(f"a{a}")
     idx = make_index(np.array(emb), authors)
-    assert mrr(idx, np.arange(len(authors))) == 1.0
+    assert metrics_report(idx, queries=np.arange(len(authors))).mrr == 1.0
 
 
 def test_all_queries_excluded_is_error():
@@ -120,7 +118,8 @@ def test_recall_monotone_in_k():
     authors = [f"a{i % 6}" for i in range(30)]
     idx = make_index(emb, authors)
     queries = idx.eligible_queries()
-    values = [recall_at_k(idx, queries, k=k) for k in (1, 5, 10, 29)]
+    recall = metrics_report(idx, queries=queries, ks=(1, 5, 10, 29)).recall
+    values = [recall[k] for k in (1, 5, 10, 29)]
     assert values == sorted(values)
     assert values[-1] == 1.0  # k >= n-1 and every author has >= 2 episodes
 
@@ -140,6 +139,28 @@ def test_mrr_matches_brute_force_oracle(seed):
         assert idx.first_same_author_rank(int(q)) == oracle[int(q)]
 
 
+def lexsort_rank(index, i):
+    """The rank as a full stable sort gives it: cosine descending, ties by id."""
+    sims = index.unit @ index.unit[i]
+    order = np.lexsort((np.arange(len(sims)), -sims))
+    order = order[order != i]
+    hits = index.author_ids[order] == index.author_ids[i]
+    return int(np.argmax(hits)) + 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_count_matches_lexsort_under_ties(seed):
+    rng = np.random.default_rng(300 + seed)
+    base = np.round(rng.normal(size=(12, 3)), 0)  # few distinct directions: many exact ties
+    emb = np.vstack([base, base[rng.integers(0, 12, size=28)]])  # duplicated rows
+    authors = [f"a{rng.integers(0, 9)}" for _ in range(len(emb))]  # drawn apart from the rows
+    idx = make_index(emb, authors)
+    sims = idx.unit @ idx.unit.T
+    assert len(np.unique(sims)) < sims.size // 4
+    for q in idx.eligible_queries():
+        assert idx.first_same_author_rank(int(q)) == lexsort_rank(idx, int(q))
+
+
 def test_cosine_rank_invariant_to_positive_scaling():
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(40, 7))
@@ -156,6 +177,21 @@ def test_random_baseline_mrr_closed_form_small():
     # n=3, one other same-author episode (m=1): E[1/R] = (1/2)(1 + 1/2) = 0.75
     idx = make_index(np.eye(3), ["a", "a", "b"])
     assert math.isclose(random_baseline_mrr(idx, [0]), 0.75, rel_tol=1e-12)
+
+
+def test_random_baseline_mrr_equals_per_query_sum():
+    authors = ["a"] * 2 + ["b"] * 3 + ["c"] * 5 + ["d"] * 5 + [f"s{i}" for i in range(6)]
+    idx = make_index(np.eye(len(authors)), authors)
+    queries = idx.eligible_queries()
+    n = len(idx)
+    per_query = []
+    for i in queries:
+        m = authors.count(authors[i]) - 1
+        total = math.comb(n - 1, m)
+        per_query.append(sum((1.0 / r) * math.comb(n - 1 - r, m - 1) / total
+                             for r in range(1, n - m + 1)))
+    assert len({authors.count(authors[i]) for i in queries}) == 3
+    assert random_baseline_mrr(idx, queries) == float(np.mean(per_query))
 
 
 def test_random_baseline_mrr_matches_monte_carlo():
@@ -461,6 +497,11 @@ def test_embeddings_tsv_reader_names_the_bad_line(tmp_path):
     np.save(path, np.zeros(3))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         read_embeddings_index(path)
-    path.write_bytes(b"")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
-        read_embeddings_index(path)
+    not_npy = np.random.default_rng(13).integers(0, 256, size=256, dtype=np.uint8).tobytes()
+    for write in (lambda: path.write_bytes(b""), lambda: path.write_bytes(not_npy),
+                  lambda: np.save(path, np.array([["a", 1]] * 3, dtype=object))):
+        write()
+        with pytest.raises(ValueError) as exc:
+            read_embeddings_index(path)
+        assert str(exc.value) == f"{path}: not a float .npy matrix"
+        assert "allow_pickle" not in str(exc.value)
