@@ -10,7 +10,7 @@ import json
 import logging
 import re
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .atomic import atomic_write
 
@@ -65,7 +65,10 @@ REQUIRED_POST_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+MAX_TIMESTAMP = 253402300799  # 9999-12-31T23:59:59Z, the last second `datetime` can hold
+
+
+@dataclass(frozen=True, slots=True)
 class Post:
     market: str
     subforum: str
@@ -79,8 +82,12 @@ class Post:
     def __post_init__(self):
         if not self.author:
             raise ValueError(f"post {self.post_id!r}: author must be nonempty")
-        if self.timestamp <= 0:
-            raise ValueError(f"post {self.post_id!r}: timestamp must be > 0")
+        if not 0 < self.timestamp <= MAX_TIMESTAMP:  # also false for NaN
+            raise ValueError(f"post {self.post_id!r}: timestamp {self.timestamp!r} "
+                             f"not in (0, {MAX_TIMESTAMP}]")
+
+
+POST_FIELDS = tuple(f.name for f in fields(Post))
 
 
 @dataclass(frozen=True)
@@ -128,37 +135,43 @@ class MigrationLabel:
 # ------------------------------------------------------------------- ingest
 
 
-def load_posts(path, market: str) -> tuple[list[Post], int]:
-    """Parse a JSONL post file; returns (posts, malformed line count).
+_JSON_WHITESPACE = " \t\n\r"  # what `json.loads` skips; `str.strip()` drops more
+_scan_once = json.JSONDecoder().scan_once  # the C scanner behind `json.loads`
 
-    Malformed lines are skipped with a warning; an unreadable file raises.
+
+def load_posts(path, market: str) -> tuple[list[Post], int]:
+    """Parse a file of one JSON object per line; returns (posts, malformed
+    line count).
+
+    A line is malformed where `json.loads` would reject it, where it is not
+    an object with every required field, or where `Post` rejects the values.
+    Malformed lines are skipped with a warning; blank lines are skipped
+    silently; an unreadable file raises.
     """
     posts: list[Post] = []
     malformed = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+            text = line.strip(_JSON_WHITESPACE)
             try:
-                obj = json.loads(line)
-                missing = [k for k in REQUIRED_POST_FIELDS if k not in obj]
-                if missing:
-                    raise KeyError(", ".join(missing))
-                posts.append(
-                    Post(
-                        market=market,
-                        subforum=str(obj["subforum"]),
-                        thread_id=str(obj["thread_id"]),
-                        post_id=str(obj["post_id"]),
-                        author=str(obj["author"]),
-                        timestamp=float(obj["timestamp"]),
-                        is_thread_start=bool(obj["is_thread_start"]),
-                        body=str(obj["body"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                malformed += 1
-                log.warning("%s:%d: skipping malformed post line (%s)", path, lineno, exc)
+                obj, end = _scan_once(text, 0)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
+                posts.append(Post(market, str(obj["subforum"]), str(obj["thread_id"]),
+                                  str(obj["post_id"]), str(obj["author"]),
+                                  float(obj["timestamp"]), bool(obj["is_thread_start"]),
+                                  str(obj["body"])))
+                continue
+            except StopIteration as exc:
+                if line.isspace():
+                    continue
+                error = json.JSONDecodeError("Expecting value", text, exc.value)
+            except KeyError:
+                error = KeyError(", ".join(k for k in REQUIRED_POST_FIELDS if k not in obj))
+            except (TypeError, ValueError, OverflowError) as exc:
+                error = exc
+            malformed += 1
+            log.warning("%s:%d: skipping malformed post line (%s)", path, lineno, error)
     seen: set[str] = set()
     for p in posts:
         if p.post_id in seen:
@@ -171,7 +184,8 @@ def write_posts(path, posts: list[Post]) -> None:
     """One JSON object per line with sorted keys: the format `load_posts` reads."""
     with atomic_write(path, encoding="utf-8") as fh:
         for p in posts:
-            fh.write(json.dumps(vars(p), sort_keys=True) + "\n")
+            fh.write(json.dumps({name: getattr(p, name) for name in POST_FIELDS},
+                                sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------- preprocess
@@ -215,10 +229,13 @@ def chronological_split(posts: list[Post]) -> SplitSpec:
     return SplitSpec(split_timestamp=cut, train_ids=train, test_ids=test)
 
 
+SPLIT_COLUMNS = ("market", "post_id", "split")
+
+
 def write_split_manifest(path, spec: SplitSpec) -> None:
     with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["market", "post_id", "split"])
+        writer.writerow(SPLIT_COLUMNS)
         for market in sorted(set(spec.train_ids) | set(spec.test_ids)):
             for pid in sorted(spec.train_ids.get(market, ())):
                 writer.writerow([market, pid, "train"])
@@ -227,13 +244,29 @@ def write_split_manifest(path, spec: SplitSpec) -> None:
 
 
 def read_split_manifest(path) -> SplitSpec:
-    train: dict[str, set[str]] = {}
-    test: dict[str, set[str]] = {}
+    """Read `write_split_manifest`'s CSV. Every row but a blank one has the
+    header's field count and a split of `train` or `test`."""
+    sides: dict[str, dict[str, set[str]]] = {"train": {}, "test": {}}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            side = train if row["split"] == "train" else test
-            side.setdefault(row["market"], set()).add(row["post_id"])
-    return SplitSpec(split_timestamp=float("nan"), train_ids=train, test_ids=test)
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        for name in SPLIT_COLUMNS:
+            if name not in header:
+                raise ValueError(f"{path}: split manifest header has no {name!r} column")
+        m, p, s = (header.index(name) for name in SPLIT_COLUMNS)
+        width = len(header)
+        for row in rows:
+            if len(row) != width or row[s] not in sides:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ValueError(f"{path}:{rows.line_num}: expected {width} fields, "
+                                     f"got {len(row)}")
+                raise ValueError(f"{path}:{rows.line_num}: split {row[s]!r} is not "
+                                 f"'train' or 'test'")
+            sides[row[s]].setdefault(row[m], set()).add(row[p])
+    return SplitSpec(split_timestamp=float("nan"), train_ids=sides["train"],
+                     test_ids=sides["test"])
 
 
 # ----------------------------------------------------------------- episodes

@@ -167,11 +167,12 @@ def sample_walks(
 
 
 def write_graph(path, graph: HetGraph) -> None:
-    """JSON with the label -> key map and the typed neighbour lists."""
+    """One line of JSON with the label -> key map and the typed neighbour
+    lists. `json.dumps` without indent runs the C encoder; `json.dump` and
+    any indent run the pure-Python one."""
     with atomic_write(path, encoding="utf-8") as fh:
-        json.dump({"node_keys": graph.node_keys, "neighbors": graph.neighbors}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps({"node_keys": graph.node_keys, "neighbors": graph.neighbors},
+                            sort_keys=True) + "\n")
 
 
 def read_graph(path) -> HetGraph:

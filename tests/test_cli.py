@@ -361,6 +361,25 @@ def test_eval_enters_every_evaluation_span_the_benchmark_predicts(workspace, mul
     assert predicted <= set(traced.summary())
 
 
+def test_train_tokenizer_enters_the_corpus_spans_the_benchmark_reads(workspace, tmp_path):
+    # the traced corpus.load_posts and corpus.read_split_manifest numbers
+    # quoted for the parsers are those of this path
+    root, c = workspace
+    traced = tracer.Tracer()
+    traced.install(tracer.TIMED, [])
+    try:
+        assert main(["train-tokenizer", *c, "--input", str(root / "processed"),
+                     "--split", str(root / "split" / "split.csv"),
+                     "--out", str(tmp_path / "vocab.txt")]) == 0
+    finally:
+        traced.uninstall()
+    assert {"corpus.load_posts", "corpus.read_split_manifest"} <= set(traced.summary())
+    corpus_size = sum(1 for path in (root / "processed").glob("*.jsonl")
+                      for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+    assert corpus_size > 0
+    assert traced.counts["corpus.load_posts.posts"] == corpus_size
+
+
 def _negate_values(npy: Path) -> None:
     np.save(npy, -np.load(npy))
 

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,115 @@ def test_load_posts_missing_author_skipped(tmp_path):
 def test_load_posts_unreadable_is_fatal(tmp_path):
     with pytest.raises(OSError):
         load_posts(tmp_path / "missing.jsonl", "m1")
+
+
+def _warned_lines(caplog) -> list[int]:
+    return [r.args[1] for r in caplog.records
+            if r.name == "epistyle.corpus" and "malformed post line" in r.msg]
+
+
+def test_load_posts_skips_out_of_range_timestamps(tmp_path, caplog):
+    # NaN passes a plain `timestamp <= 0` check and lands in a split;
+    # Infinity and 1e20 make day_of_week raise OverflowError
+    path = tmp_path / "posts.jsonl"
+    lines = [json.dumps(_row(pid="ok1", ts=5.0)),
+             json.dumps(_row(pid="nan", ts=math.nan)),
+             json.dumps(_row(pid="inf", ts=math.inf)),
+             json.dumps(_row(pid="big", ts=1e20)),
+             json.dumps(_row(pid="ninf", ts=-math.inf)),
+             json.dumps(_row(pid="huge", ts=10 ** 400)),
+             json.dumps(_row(pid="last", ts=float(corpus.MAX_TIMESTAMP)))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING", logger="epistyle.corpus"):
+        posts, malformed = load_posts(path, "m1")
+    assert [p.post_id for p in posts] == ["ok1", "last"]
+    assert malformed == 5
+    assert _warned_lines(caplog) == [2, 3, 4, 5, 6]
+
+
+def _reference_load_posts(path, market):
+    """The per-line `json.loads` parser `load_posts` replaced, kept here as the
+    oracle: (posts, malformed count, warned line numbers)."""
+    posts, malformed, warned = [], 0, []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                missing = [k for k in corpus.REQUIRED_POST_FIELDS if k not in obj]
+                if missing:
+                    raise KeyError(", ".join(missing))
+                posts.append(Post(
+                    market=market, subforum=str(obj["subforum"]),
+                    thread_id=str(obj["thread_id"]), post_id=str(obj["post_id"]),
+                    author=str(obj["author"]), timestamp=float(obj["timestamp"]),
+                    is_thread_start=bool(obj["is_thread_start"]), body=str(obj["body"])))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                malformed += 1
+                warned.append(lineno)
+    return posts, malformed, warned
+
+
+def _fuzz_line(rng: random.Random, pid: str) -> str:
+    row = _row(pid=pid, ts=rng.choice([5.0, 1.5e9, 7]))
+    row["subforum"] = rng.choice(["s", 3, None])
+    row["is_thread_start"] = rng.choice([False, True, 0, 1])
+
+    def ws():
+        return "".join(rng.choice(" \t\r") for _ in range(rng.randrange(3)))
+
+    kind = rng.randrange(14)
+    if kind == 0:
+        return ws() + json.dumps(row) + ws()
+    if kind == 1:
+        return rng.choice(["\x0c", "\xa0", "\ufeff", " \ufeff"]) + json.dumps(row)
+    if kind == 2:
+        return json.dumps(row) + rng.choice(["", " "]) + json.dumps(_row(pid=pid + "b"))
+    if kind == 3:  # one object over two lines: each half alone is malformed
+        text = json.dumps(row, indent=rng.choice([None, 1]))
+        cut = rng.randrange(1, len(text))
+        return text[:cut] + "\n" + text[cut:]
+    if kind == 4:
+        return rng.choice(["[1, 2]", "[]", json.dumps(list(corpus.REQUIRED_POST_FIELDS)),
+                           '"x"', json.dumps(" ".join(corpus.REQUIRED_POST_FIELDS)),
+                           "null", "12", "true"])
+    if kind == 5:
+        row["timestamp"] = rng.choice([math.nan, math.inf, -math.inf, 1e20, 0, -3, "12.5", "x"])
+        return json.dumps(row)
+    if kind == 6:
+        del row[rng.choice(corpus.REQUIRED_POST_FIELDS)]
+        return json.dumps(row)
+    if kind == 7:
+        row["author"] = ""
+        return json.dumps(row)
+    if kind == 8:
+        return rng.choice(["", " ", "\t", "\x0c", "\xa0", " \x0c \xa0", "\u2028"])
+    if kind == 9:
+        return json.dumps(row)[: rng.randrange(len(json.dumps(row)))]
+    if kind == 10:
+        return json.dumps(row) + rng.choice(["\x0c", "\xa0", ",", "}", " x"])
+    if kind == 11:
+        return json.dumps(row, ensure_ascii=False) + ws()
+    return json.dumps(row)
+
+
+def test_load_posts_matches_the_per_line_json_loads_parser(tmp_path, caplog):
+    rng = random.Random(20261018)
+    path = tmp_path / "posts.jsonl"
+    for trial in range(300):
+        lines = [_fuzz_line(rng, f"p{trial}_{i}") for i in range(rng.randrange(1, 25))]
+        end = rng.choice(["\n", "\r\n", ""])
+        path.write_text("\n".join(lines) + end, encoding="utf-8", newline="")
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="epistyle.corpus"):
+            posts, malformed = load_posts(path, "m1")
+        ref_posts, ref_malformed, ref_warned = _reference_load_posts(path, "m1")
+        fields = corpus.POST_FIELDS
+        assert ([tuple(getattr(p, f) for f in fields) for p in posts]
+                == [tuple(getattr(p, f) for f in fields) for p in ref_posts]), trial
+        assert malformed == ref_malformed, trial
+        assert _warned_lines(caplog) == ref_warned, trial
 
 
 # -------------------------------------------------------------- preprocess
@@ -179,6 +290,36 @@ def test_split_manifest_round_trip(tmp_path):
     loaded = corpus.read_split_manifest(path)
     assert loaded.train_ids == spec.train_ids
     assert loaded.test_ids == spec.test_ids
+
+
+def test_split_manifest_reader_finds_columns_by_name_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "split.csv"
+    path.write_text("split,post_id,market\r\n\r\ntrain,p1,alpha\r\n\r\ntest,p2,beta\r\n")
+    spec = corpus.read_split_manifest(path)
+    assert spec.train_ids == {"alpha": {"p1"}} and spec.test_ids == {"beta": {"p2"}}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("alpha,p1,train\nalpha,p2\n", ":3: expected 3 fields, got 2"),
+    ("alpha,p1,train,extra\n", ":2: expected 3 fields, got 4"),
+    ("alpha,p1,train\nalpha,p2,Train\n", ":3: split 'Train' is not 'train' or 'test'"),
+    ("alpha,p1,\n", ":2: split '' is not 'train' or 'test'"),
+])
+def test_split_manifest_bad_row_names_its_line(tmp_path, rows, message):
+    # a short row or an unknown split used to land in the test split
+    path = tmp_path / "split.csv"
+    path.write_text("market,post_id,split\n" + rows)
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+        corpus.read_split_manifest(path)
+
+
+@pytest.mark.parametrize("header, column", [("market,id,split", "post_id"), ("", "market")])
+def test_split_manifest_bad_header_names_the_column(tmp_path, header, column):
+    path = tmp_path / "split.csv"
+    path.write_text(header + "\nalpha,p1,train\n" if header else "")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: split manifest header has no "
+                                                   f"{column!r} column")):
+        corpus.read_split_manifest(path)
 
 
 def test_split_empty_errors():
