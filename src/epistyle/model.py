@@ -14,7 +14,6 @@ from .corpus import Episode, Post
 from .numcore import Tensor
 from .tokenization import Vocab, encode
 
-MASK_NEG = -1e30
 UNK_SUBFORUM_ROW = 0
 
 
@@ -212,16 +211,12 @@ class EpisodeModel:
     def _text_from_token_embeddings(self, emb: Tensor, pad_lengths: np.ndarray,
                                     train: bool, rng) -> Tensor:
         cfg = self.cfg
-        n_max = emb.shape[-2]
         feats = []
         for w in cfg.filter_sizes:
             conv = nc.sliding_window_conv(emb, self.params[f"conv{w}.w"], self.params[f"conv{w}.b"])
-            conv = nc.relu(conv)
-            t = n_max - w + 1
-            valid = pad_lengths - w + 1
-            mask = np.where(np.arange(t)[None, :] < valid[:, None], 0.0, MASK_NEG)
-            conv = nc.add(conv, Tensor(mask.astype(np.float32)[..., None]))
-            feats.append(nc.max_over_time(conv, axis=1))
+            # ReLU after the max is exact: max(relu(x)) = relu(max(x)), and the
+            # gradient reaches the same first argmax over the real windows
+            feats.append(nc.relu(nc.max_over_time(conv, axis=1, lengths=pad_lengths - w + 1)))
         x = nc.concat(feats, axis=-1)
         x = nc.dropout(x, cfg.dropout, train, rng)
         return nc.linear(x, self.params["text_fc.w"], self.params["text_fc.b"])

@@ -12,6 +12,19 @@ Values are float32 by default. Precision contract:
   episode's posts: in float64 that order does not reach the float32 result,
   so transformer pooling is exactly invariant to permuting posts. It is a
   small share of training time.
+
+Gradient lifetime: after `backward()` only leaves (tensors without a
+backward closure, such as parameters and inputs) keep `.grad`. Each op
+output's gradient is dropped as soon as its closure has passed it on, so a
+pass holds the gradients still in flight, not one per op. Read gradients
+from leaves; a caller that wants an intermediate's gradient makes that
+intermediate a leaf.
+
+Masked max: `max_over_time(a, axis, lengths)` takes row i's max over its
+first lengths[i] steps only (1 <= lengths[i] <= t, else `ShapeError`). The
+gradient goes to the first argmax among those steps, padded steps get
+exactly zero, and `a.data` is never written. ReLU applied after it equals
+ReLU before it, bit for bit, values and gradients.
 """
 
 from __future__ import annotations
@@ -55,8 +68,11 @@ class Tensor:
     def _accumulate(self, g: np.ndarray):
         g = g.astype(self.data.dtype, copy=False)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g + 0 copies g in one pass (g may be a view or a reused buffer)
+            # and, like adding into zeros, turns -0.0 into +0.0
+            self.grad = np.add(g, 0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -79,10 +95,13 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         # A closure gets its output as the argument rather than capturing it,
         # so no op output references itself and a finished graph is freed by
-        # reference counting, without waiting for the cyclic collector.
+        # reference counting, without waiting for the cyclic collector. An op
+        # output's gradient is spent once its closure has run, so it is freed
+        # there; only leaves keep theirs.
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node)
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
@@ -367,11 +386,20 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def max_over_time(a, axis: int = 0) -> Tensor:
-    """Max along one axis; the gradient routes to the first argmax."""
+def max_over_time(a, axis: int = 0, lengths=None) -> Tensor:
+    """Max along one axis; the gradient routes to the first argmax.
+
+    With `lengths` (one integer per index of axis 0, each in 1..t for
+    t = a.shape[axis]), row i takes the max over its first lengths[i] steps
+    only, so padded steps never win and get exactly zero gradient. The input
+    is never written: the masking works on a copy.
+    """
     a = _as_tensor(a)
-    idx = np.argmax(a.data, axis=axis)
-    data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
+    x = a.data
+    if lengths is not None:
+        x = _mask_time_suffix(x, axis, lengths)
+    idx = np.argmax(x, axis=axis)
+    data = np.take_along_axis(x, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
 
     def backward(out):
         g = np.zeros_like(a.data)
@@ -382,6 +410,26 @@ def max_over_time(a, axis: int = 0) -> Tensor:
 
     out = _result(data, (a,), backward)
     return out
+
+
+def _mask_time_suffix(x: np.ndarray, axis: int, lengths) -> np.ndarray:
+    """A copy of x with steps at or past lengths[i] along `axis` set to -inf
+    in row i of axis 0."""
+    axis = axis % x.ndim
+    n = np.asarray(lengths)
+    if axis == 0 or n.shape != (x.shape[0],) or n.dtype.kind not in "iu":
+        raise ShapeError(
+            f"max_over_time: lengths must be {x.shape[0]} integers for a time axis "
+            f"other than 0, got {n.dtype} {n.shape} for axis {axis} of {x.shape}"
+        )
+    t = x.shape[axis]
+    if n.size and (n.min() < 1 or n.max() > t):
+        raise ShapeError(f"max_over_time: lengths must be in 1..{t}, got [{n.min()}, {n.max()}]")
+    masked = x.copy()
+    steps = np.moveaxis(masked, axis, 1)  # a view: filling it fills the copy
+    for i in np.flatnonzero(n < t):
+        steps[i, n[i]:] = -np.inf
+    return masked
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -523,8 +571,10 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
     xd = x.data.reshape(b_, n, d_in).astype(dt, copy=False)
     fd = filt.data.astype(dt, copy=False)
     data = xd[:, :t] @ fd[0]
+    tap = np.empty_like(data)
     for j in range(1, w):
-        data += xd[:, j : j + t] @ fd[j]
+        data += np.matmul(xd[:, j : j + t], fd[j], out=tap)
+    del tap  # freed before the bias add allocates its result
     if bias is not None:
         bias = _as_tensor(bias)
         data = data + bias.data
@@ -542,8 +592,9 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
             )
         if x.requires_grad or x._parents:
             gx = np.zeros((b_, n, d_in), dtype=dt)
+            tap = np.empty((b_, t, d_in), dtype=dt)
             for j in range(w):
-                gx[:, j : j + t] += g @ fd[j].T
+                gx[:, j : j + t] += np.matmul(g, fd[j].T, out=tap)
             x._accumulate(gx.reshape(x.shape))
 
     parents = (x, filt) if bias is None else (x, filt, bias)

@@ -302,6 +302,7 @@ def _validation_loss(registry: TaskRegistry, task: Task, batch_size: int) -> flo
         loss = task.head.loss(emb, labels)
         total += loss.item() * len(eps)
         count += len(eps)
+        del emb, loss  # the graph is spent; free it before the next forward
     return total / max(count, 1)
 
 
@@ -344,6 +345,7 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
                     f"non-finite loss {value} (task={task.name}, epoch={epoch}, step={step})"
                 )
             loss.backward()
+            del emb, loss  # the graph is spent; free it before the next forward
             allowed = registry.allowed_params(task)
             grads = {n: t.grad for n, t in params.items() if n in allowed and t.grad is not None}
             grad_norms.append(clip_global_norm(grads, cfg.grad_clip))

@@ -361,6 +361,21 @@ def test_eval_enters_every_evaluation_span_the_benchmark_predicts(workspace, mul
     assert predicted <= set(traced.summary())
 
 
+def test_train_enters_the_text_cnn_and_backward_spans_the_benchmark_predicts(workspace, tmp_path):
+    # the tracer wraps these by name, so a rename or an inlined call would
+    # otherwise only show as a missing span in a traced benchmark run
+    root, c = workspace
+    traced = tracer.Tracer()
+    traced.install(tracer.TIMED, [])
+    try:
+        assert main(["train", *c, "--seed", "3", *_data(root), "--market", "alpha",
+                     "--epochs", "1", "--out", str(tmp_path / "run")]) == 0
+    finally:
+        traced.uninstall()
+    assert {"numcore.max_over_time", "numcore.sliding_window_conv",
+            "numcore.Tensor.backward"} <= set(traced.summary())
+
+
 def test_train_tokenizer_enters_the_corpus_spans_the_benchmark_reads(workspace, tmp_path):
     # the traced corpus.load_posts and corpus.read_split_manifest numbers
     # quoted for the parsers are those of this path

@@ -420,3 +420,50 @@ def test_full_model_loss_gradients(pooling, head_kind):
         return head.loss(emb, labels)
 
     assert grad_check(fn, arrays) <= 1e-3
+
+
+# ------------------------------------------------------ graph memory
+
+
+def _graph_nodes(root):
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_frees_op_gradients_and_leaves_keep_theirs():
+    model, head, batch, labels = _toy_training_setup("transformer", "cf", seed=3)
+    tokens = Tensor(model.params["token_emb"].data[batch.token_ids], requires_grad=True)
+    loss = head.loss(model.embed_episodes(batch, token_embeddings=tokens), labels)
+    nodes = _graph_nodes(loss)
+    ops = [n for n in nodes if n._backward is not None]
+    leaves = [n for n in nodes if n._backward is None]
+    assert any(n is tokens for n in leaves) and any(n is head.weight for n in leaves)
+    assert len(leaves) > 20 and len(ops) > 50
+    loss.backward()
+    assert all(n.grad is None for n in ops)
+    for leaf in leaves:
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+
+def test_text_cnn_graph_holds_one_activation_per_filter_width():
+    model, head, batch, labels = _toy_training_setup("mean", "sm", seed=3)
+    loss = head.loss(model.embed_episodes(batch, train=False), labels)
+    arrays = {}
+    for node in _graph_nodes(loss):
+        arrays[id(node.data)] = node.data
+        for cell in (node._backward.__closure__ or ()) if node._backward else ():
+            held = cell.cell_contents
+            held = held.data if isinstance(held, Tensor) else held
+            if isinstance(held, np.ndarray):
+                arrays[id(held)] = held
+    rows, n_max = batch.token_ids.shape
+    f = model.cfg.filters_per_size
+    for w in model.cfg.filter_sizes:
+        shape = (rows, n_max - w + 1, f)
+        assert sum(a.shape == shape for a in arrays.values()) == 1, shape

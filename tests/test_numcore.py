@@ -20,6 +20,71 @@ def test_max_over_time_forward_and_grad_routing():
     assert np.array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
 
 
+def _relu_mask_max_reference(x, lengths, g):
+    """The unfused text-CNN pooling in plain numpy: ReLU, an additive float32
+    -1e30 mask on padded steps, then max over axis 1 with the gradient g
+    routed to the first argmax; each op's input gradient starts from zeros,
+    as the autodiff core's accumulation does. Returns (output, dL/dx)."""
+    t = x.shape[1]
+    r = np.maximum(x, 0)
+    mask = np.where(np.arange(t)[None, :] < lengths[:, None], 0.0, -1e30)
+    m = r + mask.astype(np.float32)[..., None]
+    idx = np.expand_dims(np.argmax(m, axis=1), 1)
+    out = np.take_along_axis(m, idx, axis=1).squeeze(1)
+    g_m = np.zeros_like(m)
+    np.put_along_axis(g_m, idx, np.expand_dims(g, 1), axis=1)
+    g_r = np.zeros_like(r) + g_m
+    return out, np.zeros_like(x) + g_r * (x > 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_masked_max_then_relu_equals_relu_mask_max_bit_for_bit(dtype):
+    rng = np.random.default_rng(21)
+    b, t, f = 12, 7, 5
+    x = rng.normal(size=(b, t, f))
+    x[1] = -np.abs(x[1])  # every step <= 0
+    x[2, :, :2] = 0.0  # exact zeros
+    x[3, 1:4] = -np.abs(x[3, 1:4])
+    x[3, 1, 0] = x[3, 2, 0] = x[3, 3, 0] = 0.0  # a tie at 0 below the real max
+    x[4] = np.round(x[4])  # ties between steps
+    x[5, :, 1] = 1.5  # a positive tie over every step
+    lengths = np.array([1, t, t, 4, 5, 3, 1, 2, 6, t, 3, 2])
+    pad = np.arange(t)[None, :] >= lengths[:, None]
+    x[pad] = 1e6  # padding that would win an unmasked max
+    x = x.astype(dtype)
+    g = rng.normal(size=(b, f)).astype(dtype)
+    want_y, want_gx = _relu_mask_max_reference(x, lengths, g)
+    xt = Tensor(x.copy(), requires_grad=True)
+    y = nc.relu(nc.max_over_time(xt, axis=1, lengths=lengths))
+    nc.sum_(nc.mul(y, Tensor(g))).backward()
+    got_y, got_gx = y.data, xt.grad
+    assert np.array_equal(xt.data, x)  # the input is never written
+    for got, want in ((got_y, want_y), (got_gx, want_gx)):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert not got_gx[pad].any()
+
+
+@pytest.mark.parametrize("lengths", [
+    np.array([2, 3]),  # one length too few
+    np.array([[2, 3, 3]]),  # not 1-d
+    np.array([2, 0, 3]),  # zero steps
+    np.array([2, -1, 3]),
+    np.array([2, 5, 3]),  # past the time axis
+    np.array([2.0, 3.0, 3.0]),  # not integers
+], ids=["short", "2d", "zero", "negative", "too-long", "float"])
+def test_max_over_time_rejects_bad_lengths(lengths):
+    x = Tensor(np.ones((3, 4, 2)), requires_grad=True)
+    with pytest.raises(nc.ShapeError, match="lengths"):
+        nc.max_over_time(x, axis=1, lengths=lengths)
+
+
+def test_max_over_time_rejects_lengths_along_the_row_axis():
+    with pytest.raises(nc.ShapeError, match="lengths"):
+        nc.max_over_time(Tensor(np.ones((3, 3))), axis=0, lengths=np.array([1, 2, 3]))
+
+
 def test_l2_normalize_345():
     y = nc.l2_normalize(Tensor(np.array([3.0, 4.0])))
     assert np.allclose(y.data, [0.6, 0.8], atol=1e-7)
@@ -156,6 +221,14 @@ def gc_conv_batched(rng):
 def gc_max_over_time(rng):
     x = _rand(rng, 5, 4)
     return lambda a: nc.sum_(nc.mul(nc.max_over_time(a, axis=0), 2.0)), [x]
+
+
+@gradcase
+def gc_max_over_time_lengths(rng):
+    x = _rand(rng, 3, 5, 2)
+    lengths = np.array([2, 5, 1])
+    x[np.arange(5)[None, :] >= lengths[:, None]] += 50.0  # padding that must not win
+    return lambda a: nc.sum_(nc.mul(nc.max_over_time(a, axis=1, lengths=lengths), 2.0)), [x]
 
 
 @gradcase

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -246,3 +248,31 @@ def test_training_improves_toy_separable_corpus():
     registry = build_registry(model, encoder, {"m1": posts}, tcfg)
     result = train_single(registry, tcfg)
     assert result.best_val_loss < 0.1 * math.log(2)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "transformer"])
+def test_each_forward_starts_after_the_previous_graph_is_freed(pooling):
+    # with the cyclic collector off, only reference counting frees a graph
+    registry, tcfg = make_setup(markets=("alpha",), with_cross=False, epochs=1, pooling=pooling,
+                                batch_size=4)
+    model = registry.model
+    embed = model.embed_episodes
+    calls = []  # (train mode, previous output still alive)
+    last = [lambda: None]
+
+    def recording(batch, train=False, **kw):
+        calls.append((train, last[0]() is not None))
+        out = embed(batch, train=train, **kw)
+        last[0] = weakref.ref(out.data)
+        return out
+
+    model.embed_episodes = recording
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train_multitask(registry, tcfg)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert sum(train for train, _ in calls) >= 2 and sum(not train for train, _ in calls) >= 2
+    assert [alive for _, alive in calls] == [False] * len(calls)
