@@ -19,6 +19,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .corpus import Post
+from .numcore import scatter_add
 
 log = logging.getLogger(__name__)
 
@@ -240,15 +241,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """table[rows] += values, summing repeated rows. np.add.at on flat element
-    indices takes numpy's one-dimensional fast path, about 4x faster than on
-    row blocks or a sorted np.add.reduceat."""
-    dim = table.shape[1]
-    flat = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
-    np.add.at(table.reshape(-1), flat, values.reshape(-1))
-
-
 @dataclass
 class NodeEmbeddings:
     vectors: dict[str, np.ndarray]
@@ -366,9 +358,9 @@ def train_skipgram(
             alpha = lr * max(1e-4, 1.0 - (epoch * n_pairs + lo) / total_updates)
             loss, g_v, g_uc, g_un = sgns_batch_loss_and_grads(w_in[ci], w_out[oi], w_out[ni])
             loss_sum += loss
-            _scatter_add(w_in, ci, -alpha * g_v)
-            _scatter_add(w_out, np.concatenate([oi, ni.ravel()]),
-                         -alpha * np.concatenate([g_uc, g_un.reshape(-1, dim)]))
+            scatter_add(w_in, ci, -alpha * g_v)
+            scatter_add(w_out, np.concatenate([oi, ni.ravel()]),
+                        -alpha * np.concatenate([g_uc, g_un.reshape(-1, dim)]))
         epoch_losses.append(loss_sum / max(1, n_pairs))
 
     vectors = {n: w_in[i].astype(np.float32) for i, n in enumerate(nodes)}

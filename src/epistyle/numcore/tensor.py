@@ -25,6 +25,27 @@ first lengths[i] steps only (1 <= lengths[i] <= t, else `ShapeError`). The
 gradient goes to the first argmax among those steps, padded steps get
 exactly zero, and `a.data` is never written. ReLU applied after it equals
 ReLU before it, bit for bit, values and gradients.
+
+Sparse backward, bit for bit. Max pooling leaves most rows of the conv's
+upstream gradient zero, and three rules skip that work without changing a
+bit of any gradient:
+
+- All-zero rows. A .grad never holds -0.0: a first gradient is stored as
+  g + 0, and x + y is -0.0 only when both are. So adding a row of +-0.0
+  changes nothing, and the conv's bias and input gradients and the
+  embedding scatter run only over rows holding a nonzero (NaN counts),
+  adding into each element in the dense order. The input gradient's GEMMs
+  run on those rows packed into blocks of t rows, the call shape of the
+  dense product, because BLAS may pick another kernel for another shape.
+  The filter gradient stays one dense GEMM per tap: BLAS splits its K = B*t
+  reduction into blocks, and dropping rows would move their boundaries.
+- Hand-over. A backward that fills a fresh buffer with no -0.0 in it hands
+  the buffer to an input that has no gradient yet, instead of copying it
+  (`Tensor._accumulate_owned`): the conv's input gradient and the max's.
+- Untracked max. On an input that tracks no gradient, `max_over_time` skips
+  the argmax and still returns the first argmax's values: np.max may pick
+  the other zero of a +-0.0 tie, so rows whose max is +-0.0 or NaN make it
+  take the argmax route.
 """
 
 from __future__ import annotations
@@ -73,6 +94,15 @@ class Tensor:
             self.grad = np.add(g, 0, out=np.empty_like(self.data))
         else:
             self.grad += g
+
+    def _accumulate_owned(self, g: np.ndarray):
+        """`_accumulate` for a buffer the op made and no longer needs: with no
+        gradient yet, g itself becomes `.grad`, saving the copy. g holds no
+        -0.0, so this stores what the copy would."""
+        if self.grad is None and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
+            self._accumulate(g)
 
     def backward(self):
         if self.data.size != 1:
@@ -129,6 +159,44 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if n == 1 and grad.shape[ax] != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad.reshape(shape)
+
+
+def _nonzero_rows(g: np.ndarray) -> np.ndarray:
+    """Indices of the rows of 2-D g that hold anything but +-0.0 (NaN counts)."""
+    flags = g != 0
+    # numpy reduces a short last axis slowly, so OR the row's flags column by
+    # column over whole arrays, eight flags per word where the width allows
+    words = flags.shape[1] % 8 == 0 and flags.flags.c_contiguous
+    cols = flags.view(np.uint64) if words else flags
+    hit = np.zeros(len(cols), dtype=cols.dtype)
+    for c in range(cols.shape[1]):
+        hit |= cols[:, c]
+    return np.flatnonzero(hit)
+
+
+# Elements per np.add.at call in `scatter_add`, which bounds its index arrays.
+_SCATTER_CHUNK = 1 << 18
+
+
+def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """table[rows] += values in place for a 2-D table, summing repeated rows.
+
+    np.add.at on flat element indices takes numpy's one-dimensional fast
+    path, about 4x faster than on row blocks or a sorted np.add.reduceat. The
+    chunks run in row order, so every element receives its adds in the order
+    a row-by-row np.add.at gives them, bit for bit.
+    """
+    if not table.flags.c_contiguous:
+        np.add.at(table, rows, values)  # the same adds, row by row
+        return
+    flat = table.reshape(-1, copy=False)
+    dim = table.shape[1]
+    values = values.reshape(len(rows), dim)
+    cols = np.arange(dim)
+    step = max(1, _SCATTER_CHUNK // max(1, dim))
+    for lo in range(0, len(rows), step):
+        index = rows[lo : lo + step, None] * dim + cols
+        np.add.at(flat, index.reshape(-1), values[lo : lo + step].reshape(-1))
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
@@ -321,7 +389,8 @@ def embedding_lookup(table, ids) -> Tensor:
         g = out.grad.reshape(-1, table.shape[1])
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx.ravel(), g)
+        rows = _nonzero_rows(g)
+        scatter_add(table.grad, idx.ravel()[rows], g[rows])
 
     out = _result(data, (table,), backward)
     return out
@@ -330,17 +399,18 @@ def embedding_lookup(table, ids) -> Tensor:
 def scatter_rows(pieces, n_rows: int, dim: int) -> Tensor:
     """Assemble (n_rows, dim) from (row-index array, Tensor rows) pieces.
 
-    Every output row must be covered exactly once; used to stitch per-market
-    lookups into one batch.
+    The integer row indices of all pieces together must cover every output
+    row exactly once, else `ShapeError`; used to stitch per-market lookups
+    into one batch.
     """
+    rows = np.concatenate([np.asarray(idx).ravel() for idx, _ in pieces] or [np.zeros(0, int)])
+    if rows.dtype.kind not in "iu" or not np.array_equal(np.sort(rows), np.arange(n_rows)):
+        raise ShapeError(f"scatter_rows: the pieces must cover each of the {n_rows} rows "
+                         "exactly once")
     dt = np.result_type(*[t.dtype for _, t in pieces]) if pieces else _DEFAULT_DTYPE
     data = np.zeros((n_rows, dim), dtype=dt)
-    covered = np.zeros(n_rows, dtype=bool)
     for idx, t in pieces:
         data[idx] = t.data
-        covered[idx] = True
-    if not covered.all():
-        raise ShapeError("scatter_rows: some output rows were not assigned")
 
     def backward(out):
         for idx, t in pieces:
@@ -398,15 +468,20 @@ def max_over_time(a, axis: int = 0, lengths=None) -> Tensor:
     x = a.data
     if lengths is not None:
         x = _mask_time_suffix(x, axis, lengths)
-    idx = np.argmax(x, axis=axis)
-    data = np.take_along_axis(x, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
+    if not (a.requires_grad or a._parents):
+        # no gradient to route, so no argmax; np.max may pick the other zero
+        # of a +-0.0 tie, and NaN rows take the argmax route as well
+        data = x.max(axis=axis)
+        if data.all() and not np.isnan(data).any():
+            return Tensor(data)
+    idx = np.expand_dims(np.argmax(x, axis=axis), axis)
+    data = np.take_along_axis(x, idx, axis=axis).squeeze(axis)
 
     def backward(out):
         g = np.zeros_like(a.data)
-        np.put_along_axis(
-            g, np.expand_dims(idx, axis), np.expand_dims(out.grad, axis), axis=axis
-        )
-        a._accumulate(g)
+        # + 0 turns -0.0 into +0.0, as a first _accumulate would
+        np.put_along_axis(g, idx, np.expand_dims(out.grad, axis) + 0, axis=axis)
+        a._accumulate_owned(g)
 
     out = _result(data, (a,), backward)
     return out
@@ -556,7 +631,9 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
     x: (B, n, d_in) or (n, d_in); filt: (w, d_in, f); output (B, n-w+1, f).
     No padding; the caller guarantees n >= w. Tap j contributes
     x[:, j:j+t] @ filt[j], so no im2col copy is built; every GEMM runs in
-    the operands' dtype.
+    the operands' dtype. The backward gives the dense bits while its bias
+    and input gradients touch only the nonzero rows of the output gradient
+    (module docstring).
     """
     x, filt = _as_tensor(x), _as_tensor(filt)
     squeeze = x.data.ndim == 2
@@ -583,19 +660,48 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
 
     def backward(out):
         g = out.grad.reshape(b_, t, f)
-        if bias is not None and (bias.requires_grad or bias._parents):
-            bias._accumulate(g.sum(axis=(0, 1), dtype=np.float64))
+        g2 = g.reshape(-1, f)
         if filt.requires_grad or filt._parents:
-            g2 = g.reshape(-1, f)
+            # dense on purpose: BLAS blocks this K = B*t reduction, and leaving
+            # out the zero rows of g would move the block boundaries
             filt._accumulate(
                 np.stack([xd[:, j : j + t].reshape(-1, d_in).T @ g2 for j in range(w)])
             )
-        if x.requires_grad or x._parents:
-            gx = np.zeros((b_, n, d_in), dtype=dt)
-            tap = np.empty((b_, t, d_in), dtype=dt)
-            for j in range(w):
-                gx[:, j : j + t] += np.matmul(g, fd[j].T, out=tap)
-            x._accumulate(gx.reshape(x.shape))
+        want_bias = bias is not None and (bias.requires_grad or bias._parents)
+        want_x = x.requires_grad or x._parents
+        if not (want_bias or want_x):
+            return
+        # every other row (b, s) of g adds only +-0.0 to the bias and input
+        # gradients (module docstring); max pooling leaves most rows zero
+        rows = _nonzero_rows(g2)
+        gz = g2[rows]
+        if want_bias:
+            # numpy sums the rows in order, except a single column, pairwise
+            summed = g2 if f == 1 else gz
+            bias._accumulate(summed.sum(axis=0, dtype=np.float64))
+        if want_x:
+            gx = np.zeros((b_ * n, d_in), dtype=dt)
+            if d_in % 4:
+                # unless the GEMM's column count is a multiple of 4, a row's
+                # bits can depend on where it sits in the call (seen with
+                # OpenBLAS 0.3.31), so other widths keep the dense product
+                tap = np.empty((b_, t, d_in), dtype=dt)
+                gx3 = gx.reshape(b_, n, d_in)
+                for j in range(w):
+                    gx3[:, j : j + t] += np.matmul(g, fd[j].T, out=tap)
+            else:
+                # blocks of t rows make the GEMM calls of the dense (B, t, f)
+                # product; one call over all the rows may get another kernel
+                m = len(rows)
+                blocks = np.zeros((-(-m // t) * t, f), dtype=g.dtype)
+                blocks[:m] = gz
+                blocks = blocks.reshape(-1, t, f)
+                tap = np.empty((len(blocks), t, d_in), dtype=dt)
+                dest = rows // t * n + rows % t  # row (b, s) of g feeds x row b*n + s + j
+                for j in range(w):
+                    np.matmul(blocks, fd[j].T, out=tap)
+                    gx[dest + j] += tap.reshape(-1, d_in)[:m]
+            x._accumulate_owned(gx.reshape(x.shape))
 
     parents = (x, filt) if bias is None else (x, filt, bias)
     out = _result(data, parents, backward)

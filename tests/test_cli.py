@@ -376,6 +376,23 @@ def test_train_enters_the_text_cnn_and_backward_spans_the_benchmark_predicts(wor
             "numcore.Tensor.backward"} <= set(traced.summary())
 
 
+def test_eval_enters_the_text_cnn_spans_the_benchmark_predicts(workspace, multitask_run, tmp_path):
+    # eval runs the model on parameters that track no gradient, so
+    # max_over_time takes its forward-only route; it must stay the traced op
+    root, c = workspace
+    run = tmp_path / "run"
+    shutil.copytree(multitask_run, run)
+    traced = tracer.Tracer()
+    traced.install(tracer.TIMED, [])
+    try:
+        assert main(["eval", *c, "--seed", "3", *_data(root), "--run", str(run)]) == 0
+    finally:
+        traced.uninstall()
+    summary = set(traced.summary())
+    assert {"numcore.max_over_time", "numcore.sliding_window_conv"} <= summary
+    assert "numcore.Tensor.backward" not in summary
+
+
 def test_train_tokenizer_enters_the_corpus_spans_the_benchmark_reads(workspace, tmp_path):
     # the traced corpus.load_posts and corpus.read_split_manifest numbers
     # quoted for the parsers are those of this path

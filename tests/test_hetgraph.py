@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import epistyle.numcore.tensor as nc_tensor
+from epistyle import hetgraph
 from epistyle.corpus import Post
 from epistyle.hetgraph import (
     DEFAULT_SCHEMES,
@@ -341,6 +343,39 @@ def test_skipgram_deterministic():
     b = train_skipgram(walks, dim=6, window=2, negatives=2, epochs=2, rng_seed=3)
     for k in a.vectors:
         assert np.array_equal(a.vectors[k], b.vectors[k])
+
+
+def _one_call_scatter_add(table, rows, values):
+    """table[rows] += values as one np.add.at over flat element indices."""
+    dim = table.shape[1]
+    flat = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+    np.add.at(table.reshape(-1), flat, values.reshape(-1))
+
+
+def _skipgram_tables(monkeypatch, scatter):
+    """The skip-gram's (w_in, w_out) after one seeded epoch, updated by `scatter`."""
+    tables = {}
+
+    def recording(table, rows, values):
+        tables[id(table)] = table
+        scatter(table, rows, values)
+
+    monkeypatch.setattr(hetgraph, "scatter_add", recording)
+    corpus = generate_corpus(SynthConfig(authors_per_market=4, posts_per_author=12,
+                                         migrant_count=1, distinct_pair_count=1, seed=5))
+    walks = sample_walks(build_graph(corpus.posts["alpha"]), walks_per_user=8, walk_length=12,
+                         rng_seed=5)
+    train_skipgram(walks, dim=5, window=3, negatives=2, epochs=1, rng_seed=5)
+    return list(tables.values())
+
+
+def test_skipgram_tables_equal_one_call_scatter_add_bit_for_bit(monkeypatch):
+    want = _skipgram_tables(monkeypatch, _one_call_scatter_add)
+    monkeypatch.setattr(nc_tensor, "_SCATTER_CHUNK", 64)  # 12 rows of 5 per np.add.at
+    got = _skipgram_tables(monkeypatch, nc_tensor.scatter_add)
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 # ----------------------------------------------------- chi-square / export

@@ -85,6 +85,75 @@ def test_max_over_time_rejects_lengths_along_the_row_axis():
         nc.max_over_time(Tensor(np.ones((3, 3))), axis=0, lengths=np.array([1, 2, 3]))
 
 
+def _bits(a):
+    """The float bits of a as unsigned integers, so NaNs and zeros compare
+    by their payload and sign."""
+    a = np.asarray(a)
+    return a.view(f"u{a.dtype.itemsize}")
+
+
+def _first_gradient(g, like):
+    """A first gradient as the autodiff core stores it: cast, copied, and
+    -0.0 turned into +0.0."""
+    return np.add(g.astype(like.dtype), 0, out=np.empty_like(like))
+
+
+def _upstream_with_zero_signs(rng, shape, dtype):
+    """An upstream gradient with -0.0 and +0.0 entries and a NaN."""
+    g = rng.normal(size=shape).astype(dtype)
+    g[rng.random(shape) < 0.3] = -0.0
+    g[rng.random(shape) < 0.2] = 0.0
+    g.reshape(-1)[3] = np.nan
+    return g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("preset", [False, True], ids=["handed-over", "accumulated"])
+def test_max_over_time_backward_equals_the_dense_route_bit_for_bit(dtype, preset):
+    # the dense route: a zero array with out.grad put at the first argmax,
+    # then accumulated as a copy
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(6, 9, 4)).astype(dtype)
+    lengths = np.array([9, 1, 4, 9, 2, 7])
+    a = Tensor(x, requires_grad=True)
+    out = nc.max_over_time(a, axis=1, lengths=lengths)
+    g = _upstream_with_zero_signs(rng, out.shape, dtype)
+    idx = np.expand_dims(np.argmax(np.where((np.arange(9) < lengths[:, None])[..., None], x, -np.inf),
+                                   axis=1), 1)
+    dense = np.zeros_like(x)
+    np.put_along_axis(dense, idx, np.expand_dims(g, 1), axis=1)
+    pre = rng.normal(size=x.shape).astype(dtype)
+    if preset:
+        a.grad = pre.copy()
+        want = pre + dense
+    else:
+        want = _first_gradient(dense, x)
+    out.grad = g
+    out._backward(out)
+    assert a.grad.dtype == dtype and np.array_equal(_bits(a.grad), _bits(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_untracked_max_over_time_equals_tracked_values_bit_for_bit(dtype):
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(7, 6, 3)).astype(dtype)
+    x[0, :, 0] = [-0.0, 0.0, -1.0, -0.0, 0.0, -2.0]  # a +-0.0 tie, -0.0 first
+    x[1, :, 1] = [0.0, -0.0, -3.0, 0.0, -0.0, -1.0]  # a +-0.0 tie, +0.0 first
+    x[2] = -0.0  # every step -0.0
+    x[3, 2, :] = np.nan  # a NaN window
+    x[4, :, 2] = np.nan
+    lengths = np.array([6, 6, 3, 6, 5, 1, 2])
+    for kw in ({"lengths": lengths}, {}):
+        untracked = nc.max_over_time(Tensor(x), axis=1, **kw)
+        tracked = nc.max_over_time(Tensor(x, requires_grad=True), axis=1, **kw)
+        assert untracked._backward is None and untracked.dtype == dtype
+        assert np.array_equal(_bits(untracked.data), _bits(tracked.data))
+    # rows without a zero or NaN max take np.max, which gives the same bits
+    clean = np.abs(rng.normal(size=(5, 4, 2))).astype(dtype) + 1
+    assert np.array_equal(_bits(nc.max_over_time(Tensor(clean), axis=1).data),
+                          _bits(nc.max_over_time(Tensor(clean, requires_grad=True), axis=1).data))
+
+
 def test_l2_normalize_345():
     y = nc.l2_normalize(Tensor(np.array([3.0, 4.0])))
     assert np.allclose(y.data, [0.6, 0.8], atol=1e-7)
@@ -159,6 +228,51 @@ def test_embedding_lookup_out_of_range():
         nc.embedding_lookup(table, np.array([0, 4]))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "7-element-chunks"])
+@pytest.mark.parametrize("preset", [False, True], ids=["fresh", "accumulated"])
+def test_embedding_backward_equals_row_wise_add_at_bit_for_bit(dtype, chunk, preset, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(nc.tensor, "_SCATTER_CHUNK", chunk)  # 2 rows of 3 per chunk
+    rng = np.random.default_rng(26)
+    table = Tensor(rng.normal(size=(5, 3)).astype(dtype), requires_grad=True)
+    ids = rng.integers(0, 5, size=(4, 6))  # 24 rows, every id repeated
+    out = nc.embedding_lookup(table, ids)
+    g = _upstream_with_zero_signs(rng, out.shape, dtype)
+    g[1, 2] = 0.0  # all-zero rows
+    g[2, :3] = -0.0
+    pre = rng.normal(size=table.shape).astype(dtype)
+    want = pre.copy() if preset else np.zeros_like(table.data)
+    np.add.at(want, ids.ravel(), g.reshape(-1, 3))
+    table.grad = pre.copy() if preset else None
+    out.grad = g
+    out._backward(out)
+    assert np.array_equal(_bits(table.grad), _bits(want))
+
+
+@pytest.mark.parametrize("pieces, n_rows", [
+    ([[0, 1], [1, 2]], 3),  # row 1 twice
+    ([[0, 1], [1, 2]], 4),  # row 1 twice and row 3 never
+    ([[0], [2]], 3),  # row 1 never
+    ([[0, 1], [2, 3]], 3),  # a row past the end
+    ([[0, -1], [1]], 2),  # a negative row
+], ids=["overlap", "overlap-and-gap", "gap", "past-the-end", "negative"])
+def test_scatter_rows_rejects_pieces_that_do_not_cover_each_row_once(pieces, n_rows):
+    tensors = [(np.array(rows), Tensor(np.ones((len(rows), 2)), requires_grad=True))
+               for rows in pieces]
+    with pytest.raises(nc.ShapeError, match="exactly once"):
+        nc.scatter_rows(tensors, n_rows, 2)
+
+
+def test_scatter_rows_routes_each_row_gradient_to_its_piece():
+    a = Tensor(np.ones((2, 2)), requires_grad=True)
+    b = Tensor(np.ones((1, 2)), requires_grad=True)
+    out = nc.scatter_rows([(np.array([2, 0]), a), (np.array([1]), b)], 3, 2)
+    nc.sum_(nc.mul(out, Tensor(np.arange(6.0).reshape(3, 2)))).backward()
+    assert np.array_equal(a.grad, [[4.0, 5.0], [0.0, 1.0]])
+    assert np.array_equal(b.grad, [[2.0, 3.0]])
+
+
 # ------------------------------------------------------------- grad checks
 
 
@@ -229,6 +343,20 @@ def gc_max_over_time_lengths(rng):
     lengths = np.array([2, 5, 1])
     x[np.arange(5)[None, :] >= lengths[:, None]] += 50.0  # padding that must not win
     return lambda a: nc.sum_(nc.mul(nc.max_over_time(a, axis=1, lengths=lengths), 2.0)), [x]
+
+
+@gradcase
+def gc_conv_max_over_time(rng):
+    # max pooling after the conv leaves most rows of the conv's upstream
+    # gradient zero, the case its backward skips
+    x, f, b = _rand(rng, 3, 9, 4), _rand(rng, 3, 4, 5), _rand(rng, 5)
+    lengths = np.array([7, 2, 5])
+
+    def fn(a, w, c):
+        pooled = nc.max_over_time(nc.sliding_window_conv(a, w, c), axis=1, lengths=lengths)
+        return nc.sum_(nc.mul(pooled, np.linspace(0.5, 2.0, 5)))
+
+    return fn, [x, f, b]
 
 
 @gradcase
@@ -387,6 +515,83 @@ def test_conv_matches_im2col_reference(shape, dtype, tol):
     for got, ref in zip((out.data, xt.grad, ft.grad, bt.grad), want):
         assert got.dtype == dtype and got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+
+def _dense_conv_backward(x, filt, g):
+    """The conv backward over every row of g, as plain numpy: (dL/dx, dL/dfilt,
+    dL/dbias) before their first accumulation."""
+    xd = x.reshape(-1, *x.shape[-2:])
+    b_, n, d_in = xd.shape
+    w, _, f = filt.shape
+    t = n - w + 1
+    g = g.reshape(b_, t, f)
+    gb = g.sum(axis=(0, 1), dtype=np.float64)
+    g2 = g.reshape(-1, f)
+    gf = np.stack([xd[:, j : j + t].reshape(-1, d_in).T @ g2 for j in range(w)])
+    gx = np.zeros((b_, n, d_in), dtype=x.dtype)
+    tap = np.empty((b_, t, d_in), dtype=x.dtype)
+    for j in range(w):
+        gx[:, j : j + t] += np.matmul(g, filt[j].T, out=tap)
+    return gx.reshape(x.shape), gf, gb
+
+
+def _pooled_gradient(rng, b_, t, f, dtype):
+    """A max-pool gradient: one nonzero step per (row, filter), so most
+    (row, step) rows of g are zero."""
+    g = np.zeros((b_, t, f), dtype=dtype)
+    steps = rng.integers(0, t, size=(b_, 1, f)) % rng.integers(1, t + 1, size=(b_, 1, 1))
+    np.put_along_axis(g, steps, rng.normal(size=(b_, 1, f)).astype(dtype), axis=1)
+    return g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("shape, w, f", [
+    ((40, 8), 3, 6),  # 2-d input
+    ((5, 70, 16), 4, 12),
+    ((3, 40, 32), 5, 32),  # the model's widths, few rows: BLAS picks another kernel
+    ((3, 20, 6), 2, 32),  # an input width the dense route takes
+    ((20, 30, 4), 2, 1),  # one filter: numpy sums a single column pairwise
+], ids=["2d", "batched", "model-widths", "width-6", "one-filter"])
+@pytest.mark.parametrize("pattern", ["pooled", "signed-zeros", "nan-row", "dense", "zero"])
+def test_conv_backward_equals_the_dense_route_bit_for_bit(dtype, shape, w, f, pattern):
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=shape).astype(dtype)
+    filt = (rng.normal(size=(w, shape[-1], f)) * 0.3).astype(dtype)
+    bias = rng.normal(size=f).astype(dtype)
+    xt, ft, bt = (Tensor(a, requires_grad=True) for a in (x, filt, bias))
+    out = nc.sliding_window_conv(xt, ft, bt)
+    b_, t = (1 if len(shape) == 2 else shape[0]), shape[-2] - w + 1
+    g = _pooled_gradient(rng, b_, t, f, dtype)
+    if pattern == "signed-zeros":
+        g[g == 0] = -0.0
+        g[0, 1::2] = 0.0
+    elif pattern == "nan-row":
+        g[-1, t // 2, 0] = np.nan
+    elif pattern == "dense":
+        g = rng.normal(size=g.shape).astype(dtype)
+    elif pattern == "zero":
+        g[:] = 0.0
+    out.grad = g.reshape(out.shape)
+    out._backward(out)
+    gx, gf, gb = _dense_conv_backward(x, filt, g)
+    for got, want, like in ((xt.grad, gx, x), (ft.grad, gf, filt), (bt.grad, gb, bias)):
+        want = _first_gradient(want, like)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_conv_input_gradient_adds_to_an_existing_gradient_bit_for_bit():
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(6, 30, 8)).astype(np.float32)
+    filt = rng.normal(size=(3, 8, 4)).astype(np.float32)
+    xt = Tensor(x, requires_grad=True)
+    out = nc.sliding_window_conv(xt, Tensor(filt))
+    g = _pooled_gradient(rng, 6, 28, 4, np.float32)
+    pre = rng.normal(size=x.shape).astype(np.float32)
+    xt.grad = pre.copy()
+    out.grad = g
+    out._backward(out)
+    assert np.array_equal(_bits(xt.grad), _bits(pre + _dense_conv_backward(x, filt, g)[0]))
 
 
 # ------------------------------------------------------------------ adam
