@@ -91,8 +91,7 @@ CORPUS_DEFAULTS = dict(
 )
 TOKENIZER_DEFAULTS = dict(kind="bpe", size=30000)
 GRAPH_DEFAULTS = dict(
-    walks_per_user=1000, walk_length=80, dim=128, window=7, negatives=5,
-    epochs=5, lr=0.025, typed_negatives=True, rescale_init=True,
+    walks_per_user=1000, walk_length=80, dim=128, window=7, negatives=5, epochs=5, lr=0.025,
 )
 MODEL_DEFAULTS = dict(
     d_token=32, d_text=128, d_time=64, d_context=128, filter_sizes=(2, 3, 4, 5),
@@ -333,7 +332,7 @@ def cmd_graph_embed(args, cfg) -> int:
         emb = train_skipgram(
             read_walks(walks_path), dim=gvals["dim"], window=gvals["window"],
             negatives=gvals["negatives"], epochs=gvals["epochs"], lr=gvals["lr"],
-            rng_seed=args.seed, typed_negatives=gvals["typed_negatives"],
+            rng_seed=args.seed,
         )
         graph = read_graph(graph_path)
         subforums = sorted(key for (t, key) in graph.key_labels if t == "S")
@@ -387,7 +386,6 @@ def cmd_train(args, cfg) -> int:
          "batch_size": args.batch_size, "p_cross": args.p_cross},
     )
     cvals = section_values(cfg, "corpus", CORPUS_DEFAULTS)
-    gvals = section_values(cfg, "graph", GRAPH_DEFAULTS)
 
     files = _market_files(args.processed)
     split_path = _require(args.split, "split manifest")
@@ -424,7 +422,6 @@ def cmd_train(args, cfg) -> int:
     effective = {
         "markets": markets, "multitask": args.multitask, "graph_init": args.graph_init,
         "model": mvals, "train": tvals, "min_episodes": cvals["min_episodes"],
-        "rescale_init": gvals["rescale_init"],
     }
     out_dir = Path(args.out)
     ckpt_path, runlog_path = out_dir / "checkpoint.bin", out_dir / "runlog.jsonl"
@@ -440,27 +437,11 @@ def cmd_train(args, cfg) -> int:
             context_init = {}
             target_std = 0.1 / np.sqrt(3.0)  # matches the random uniform(-0.1, 0.1) table
             for m in markets:
-                raw = read_embeddings_tsv(ctx_paths[m]).vectors
-                context_init[m] = (
-                    rescale_context_init(raw, target_std) if gvals["rescale_init"] else raw
-                )
+                context_init[m] = rescale_context_init(read_embeddings_tsv(ctx_paths[m]).vectors,
+                                                       target_std)
 
-        model_cfg = ModelConfig(
-            vocab_size=len(vocab), d_token=mvals["d_token"], d_text=mvals["d_text"],
-            d_time=mvals["d_time"], d_context=mvals["d_context"],
-            filter_sizes=tuple(mvals["filter_sizes"]), filters_per_size=mvals["filters_per_size"],
-            dropout=mvals["dropout"], pooling=mvals["pooling"], tf_layers=mvals["tf_layers"],
-            tf_heads=mvals["tf_heads"], tf_ff=mvals["tf_ff"], tf_model_dim=mvals["tf_model_dim"],
-            tf_out_dim=mvals["tf_out_dim"], tokenizer_kind=vocab.kind,
-            max_tokens=mvals["max_tokens"],
-        )
-        train_cfg = TrainConfig(
-            batch_size=tvals["batch_size"], epochs=tvals["epochs"], lr=tvals["lr"],
-            plateau_factor=tvals["plateau_factor"],
-            plateau_patience=tvals["plateau_patience"], val_fraction=tvals["val_fraction"],
-            episode_len=tvals["episode_len"], p_cross=tvals["p_cross"], seed=args.seed,
-            grad_clip=tvals["grad_clip"], min_episodes=cvals["min_episodes"], loss=tvals["loss"],
-        )
+        model_cfg = ModelConfig(**mvals, vocab_size=len(vocab), tokenizer_kind=vocab.kind)
+        train_cfg = TrainConfig(**tvals, seed=args.seed, min_episodes=cvals["min_episodes"])
 
         model = EpisodeModel.build(model_cfg, subforums, seed=args.seed, context_init=context_init)
         encoder = PostEncoder(vocab, model_cfg.max_tokens)

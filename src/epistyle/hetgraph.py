@@ -177,12 +177,33 @@ def write_graph(path, graph: HetGraph) -> None:
 
 
 def read_graph(path) -> HetGraph:
+    """Read `write_graph` output; JSON of another shape raises ValueError
+    naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    node_keys = obj["node_keys"]
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    # JSON object keys are strings, so only the values need their types checked
+    node_keys, neighbors = obj.get("node_keys"), obj.get("neighbors")
+    if not (isinstance(node_keys, dict) and "" not in node_keys
+            and all(isinstance(key, str) for key in node_keys.values())):
+        raise ValueError(f"{path}: expected \"node_keys\" to map node labels to keys")
+
+    def known_labels_by_type(by_type) -> bool:
+        return isinstance(by_type, dict) and all(
+            isinstance(labels, list) and all(isinstance(n, str) and n in node_keys for n in labels)
+            for labels in by_type.values())
+
+    if not (isinstance(neighbors, dict) and neighbors.keys() <= node_keys.keys()
+            and all(map(known_labels_by_type, neighbors.values()))):
+        raise ValueError(f"{path}: expected \"neighbors\" to map node labels to lists of "
+                         "node labels by type")
     return HetGraph(node_keys=node_keys,
                     key_labels={(label[0], key): label for label, key in node_keys.items()},
-                    neighbors=obj["neighbors"])
+                    neighbors=neighbors)
 
 
 def write_walks(path, walks: list[list[str]]) -> None:
@@ -249,10 +270,10 @@ class NodeEmbeddings:
 
 
 class _TypedNegativeSampler:
-    """Unigram^(3/4) negative sampling over node indices, optionally
-    restricted to the context node's type (the typed-context normalization).
+    """Unigram^(3/4) negative sampling over node indices, restricted to the
+    context node's type (the typed-context normalization).
 
-    groups[i] is the sampling table of node i: its type, or 0 when untyped.
+    groups[i] is the sampling table of node i, one per node type.
     """
 
     def __init__(self, counts: np.ndarray, groups: np.ndarray):
@@ -314,7 +335,6 @@ def train_skipgram(
     epochs: int = 5,
     lr: float = 0.025,
     rng_seed: int = 0,
-    typed_negatives: bool = True,
 ) -> NodeEmbeddings:
     """Skip-gram with negative sampling over walk windows.
 
@@ -336,10 +356,7 @@ def train_skipgram(
     centers, contexts = _walk_pairs(walk_ids, window)
     counts = np.bincount(np.fromiter((i for w in walk_ids for i in w), dtype=np.int64),
                          minlength=len(nodes))
-    if typed_negatives:
-        groups = np.unique([n[0] for n in nodes], return_inverse=True)[1]
-    else:
-        groups = np.zeros(len(nodes), dtype=np.int64)
+    groups = np.unique([n[0] for n in nodes], return_inverse=True)[1]
     sampler = _TypedNegativeSampler(counts, groups)
 
     rng = np.random.default_rng(rng_seed)
@@ -373,7 +390,6 @@ def train_skipgram(
             "epochs": epochs,
             "lr": lr,
             "seed": rng_seed,
-            "typed_negatives": typed_negatives,
             "epoch_losses": epoch_losses,
         },
     )
@@ -426,7 +442,8 @@ def write_embeddings_tsv(path, embeddings: NodeEmbeddings, key: str = "node") ->
 
 def read_embeddings_tsv(path) -> NodeEmbeddings:
     """Read `write_embeddings_tsv` output; a row whose width differs from the
-    header's raises ValueError naming the path and line."""
+    header's, or with a cell that is not a number, raises ValueError naming
+    the path and line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         vectors: dict[str, np.ndarray] = {}
@@ -435,5 +452,8 @@ def read_embeddings_tsv(path) -> NodeEmbeddings:
             if len(parts) != len(header):
                 raise ValueError(f"{path}:{lineno}: {len(parts)} fields, "
                                  f"header has {len(header)}")
-            vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float32)
+            try:
+                vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float32)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return NodeEmbeddings(vectors=vectors, dim=len(header) - 1)

@@ -26,26 +26,23 @@ gradient goes to the first argmax among those steps, padded steps get
 exactly zero, and `a.data` is never written. ReLU applied after it equals
 ReLU before it, bit for bit, values and gradients.
 
-Sparse backward, bit for bit. Max pooling leaves most rows of the conv's
-upstream gradient zero, and three rules skip that work without changing a
-bit of any gradient:
+Sparse backward. Max pooling leaves most rows of the conv's upstream
+gradient zero, so the conv and embedding backwards work only on the rows
+holding a nonzero (NaN counts):
 
-- All-zero rows. A .grad never holds -0.0: a first gradient is stored as
-  g + 0, and x + y is -0.0 only when both are. So adding a row of +-0.0
-  changes nothing, and the conv's bias and input gradients and the
-  embedding scatter run only over rows holding a nonzero (NaN counts),
-  adding into each element in the dense order. The input gradient's GEMMs
-  run on those rows packed into blocks of t rows, the call shape of the
-  dense product, because BLAS may pick another kernel for another shape.
-  The filter gradient stays one dense GEMM per tap: BLAS splits its K = B*t
-  reduction into blocks, and dropping rows would move their boundaries.
+- Embedding scatter, bit for bit. A .grad never holds -0.0: a first
+  gradient is stored as g + 0, and x + y is -0.0 only when both are. So
+  adding a row of +-0.0 changes nothing, and the scatter, which adds into
+  each element in the dense order, gives the dense bits. The max backward,
+  one put into a zero buffer, gives them too.
+- Conv, over the gathered rows. Per tap, the filter gradient is one GEMM
+  over the gathered input rows and the input gradient one GEMM added at
+  those rows; the bias gradient sums them in float64. BLAS rounds a GEMM
+  over fewer rows differently, so these are bounded against a float64
+  reference in the tests, not pinned to a dense route's bits.
 - Hand-over. A backward that fills a fresh buffer with no -0.0 in it hands
   the buffer to an input that has no gradient yet, instead of copying it
   (`Tensor._accumulate_owned`): the conv's input gradient and the max's.
-- Untracked max. On an input that tracks no gradient, `max_over_time` skips
-  the argmax and still returns the first argmax's values: np.max may pick
-  the other zero of a +-0.0 tie, so rows whose max is +-0.0 or NaN make it
-  take the argmax route.
 """
 
 from __future__ import annotations
@@ -469,11 +466,7 @@ def max_over_time(a, axis: int = 0, lengths=None) -> Tensor:
     if lengths is not None:
         x = _mask_time_suffix(x, axis, lengths)
     if not (a.requires_grad or a._parents):
-        # no gradient to route, so no argmax; np.max may pick the other zero
-        # of a +-0.0 tie, and NaN rows take the argmax route as well
-        data = x.max(axis=axis)
-        if data.all() and not np.isnan(data).any():
-            return Tensor(data)
+        return Tensor(x.max(axis=axis))  # no gradient to route, so no argmax
     idx = np.expand_dims(np.argmax(x, axis=axis), axis)
     data = np.take_along_axis(x, idx, axis=axis).squeeze(axis)
 
@@ -631,9 +624,8 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
     x: (B, n, d_in) or (n, d_in); filt: (w, d_in, f); output (B, n-w+1, f).
     No padding; the caller guarantees n >= w. Tap j contributes
     x[:, j:j+t] @ filt[j], so no im2col copy is built; every GEMM runs in
-    the operands' dtype. The backward gives the dense bits while its bias
-    and input gradients touch only the nonzero rows of the output gradient
-    (module docstring).
+    the operands' dtype. The backward works only on the nonzero rows of the
+    output gradient (module docstring).
     """
     x, filt = _as_tensor(x), _as_tensor(filt)
     squeeze = x.data.ndim == 2
@@ -659,48 +651,20 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
         data = data[0]
 
     def backward(out):
-        g = out.grad.reshape(b_, t, f)
-        g2 = g.reshape(-1, f)
-        if filt.requires_grad or filt._parents:
-            # dense on purpose: BLAS blocks this K = B*t reduction, and leaving
-            # out the zero rows of g would move the block boundaries
-            filt._accumulate(
-                np.stack([xd[:, j : j + t].reshape(-1, d_in).T @ g2 for j in range(w)])
-            )
-        want_bias = bias is not None and (bias.requires_grad or bias._parents)
-        want_x = x.requires_grad or x._parents
-        if not (want_bias or want_x):
-            return
-        # every other row (b, s) of g adds only +-0.0 to the bias and input
-        # gradients (module docstring); max pooling leaves most rows zero
+        g2 = out.grad.reshape(-1, f)
+        # max pooling leaves most rows (b, s) of g zero; the backward skips them
         rows = _nonzero_rows(g2)
         gz = g2[rows]
-        if want_bias:
-            # numpy sums the rows in order, except a single column, pairwise
-            summed = g2 if f == 1 else gz
-            bias._accumulate(summed.sum(axis=0, dtype=np.float64))
-        if want_x:
+        src = rows // t * n + rows % t  # row (b, s) of g meets x row b*n + s + j in tap j
+        if filt.requires_grad or filt._parents:
+            x2 = xd.reshape(-1, d_in)
+            filt._accumulate(np.stack([x2[src + j].T @ gz for j in range(w)]))
+        if bias is not None and (bias.requires_grad or bias._parents):
+            bias._accumulate(gz.sum(axis=0, dtype=np.float64))
+        if x.requires_grad or x._parents:
             gx = np.zeros((b_ * n, d_in), dtype=dt)
-            if d_in % 4:
-                # unless the GEMM's column count is a multiple of 4, a row's
-                # bits can depend on where it sits in the call (seen with
-                # OpenBLAS 0.3.31), so other widths keep the dense product
-                tap = np.empty((b_, t, d_in), dtype=dt)
-                gx3 = gx.reshape(b_, n, d_in)
-                for j in range(w):
-                    gx3[:, j : j + t] += np.matmul(g, fd[j].T, out=tap)
-            else:
-                # blocks of t rows make the GEMM calls of the dense (B, t, f)
-                # product; one call over all the rows may get another kernel
-                m = len(rows)
-                blocks = np.zeros((-(-m // t) * t, f), dtype=g.dtype)
-                blocks[:m] = gz
-                blocks = blocks.reshape(-1, t, f)
-                tap = np.empty((len(blocks), t, d_in), dtype=dt)
-                dest = rows // t * n + rows % t  # row (b, s) of g feeds x row b*n + s + j
-                for j in range(w):
-                    np.matmul(blocks, fd[j].T, out=tap)
-                    gx[dest + j] += tap.reshape(-1, d_in)[:m]
+            for j in range(w):
+                gx[src + j] += gz @ fd[j].T
             x._accumulate_owned(gx.reshape(x.shape))
 
     parents = (x, filt) if bias is None else (x, filt, bias)

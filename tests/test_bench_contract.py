@@ -1,6 +1,7 @@
 """The names the benchmark under perfbench/ uses from the program still
-exist: traced functions, CLI subcommands and their options. A rename that
-misses perfbench/ then fails here instead of in a traced benchmark run."""
+exist: traced functions, CLI subcommands and their options, and the config
+keys its workloads set. A rename that misses perfbench/ then fails here
+instead of in a benchmark run."""
 
 import argparse
 import importlib
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from epistyle import cli
 from epistyle.cli import build_parser
+from epistyle.config import SECTIONS, load_config, section_values
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,3 +69,15 @@ def test_every_planned_stage_is_a_subcommand_that_parses(name, tmp_path):
         build_parser().parse_args(argv)
     spans = {span for _, _, span, _ in tracer.TIMED} | {f"cli.{s}" for s in subcommands}
     assert workload.absent <= spans
+
+
+@pytest.mark.parametrize("path", sorted({w.config_path for w in workloads.WORKLOADS.values()}),
+                         ids=lambda p: p.name)
+def test_every_key_of_a_workload_config_is_one_the_cli_reads(path):
+    defaults = {"corpus": cli.CORPUS_DEFAULTS, "tokenizer": cli.TOKENIZER_DEFAULTS,
+                "graph": cli.GRAPH_DEFAULTS, "model": cli.MODEL_DEFAULTS,
+                "train": cli.TRAIN_DEFAULTS, "eval": cli.EVAL_DEFAULTS}
+    assert set(defaults) == set(SECTIONS)
+    cfg = load_config(path)
+    for section in SECTIONS:
+        section_values(cfg, section, defaults[section])  # raises on an unknown key

@@ -249,6 +249,37 @@ def test_truncated_checkpoint_exits_1_with_one_line(workspace, tmp_path, capsys)
     assert len(err.splitlines()) == 1 and "checkpoint.bin" in err
 
 
+@pytest.mark.parametrize("doc", [
+    "[]",
+    '{"neighbors": [], "node_keys": {}}',
+    '{"neighbors": {}, "node_keys": ["U0"]}',
+    '{"neighbors": {"U0": {"T": "T0"}}, "node_keys": {"U0": "alice"}}',
+    '{"neighbors": {"U0": {"T": [5]}}, "node_keys": {"U0": "alice"}}',
+    '{"neighbors": {"U0": {"T": ["T9"]}}, "node_keys": {"U0": "alice"}}',
+    '{"neighbors": {',
+], ids=["list", "neighbors-list", "node-keys-list", "neighbors-not-lists", "neighbor-not-a-label",
+        "unknown-neighbor", "truncated"])
+def test_malformed_graph_json_exits_1_with_one_line(tmp_path, capsys, doc):
+    graph = tmp_path / "graph.json"
+    graph.write_text(doc + "\n")
+    code = main(["walk", "--graph", str(graph), "--out", str(tmp_path / "walks.txt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err and str(graph) in err
+
+
+def test_non_numeric_context_init_cell_exits_1_naming_its_line(workspace, tmp_path, capsys):
+    root, c = workspace
+    bad = tmp_path / "context.tsv"
+    bad.write_text("subforum\tdim0\tdim1\ns0\t0.5\tabc\n")
+    code = main(["train", *c, "--seed", "3", *_data(root), "--market", "alpha",
+                 "--graph-init", "pretrained", "--context-init", f"alpha={bad}",
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err and f"{bad}:2:" in err
+
+
 def test_graph_stages_and_multitask(workspace, capsys):
     root, c = workspace
     for market in ("alpha", "beta"):
