@@ -1,5 +1,5 @@
 """Forum post ingestion, text normalization, chronological splitting, and
-episode assembly, plus the cross-market labeled dataset built from PGP
+episode assembly, plus the cross-market same-author classes built from PGP
 key reuse and adjudicated migration labels."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import json
 import logging
 import re
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .atomic import atomic_write
 
@@ -272,7 +272,8 @@ def read_split_manifest(path) -> SplitSpec:
 # ----------------------------------------------------------------- episodes
 
 
-def _sorted_author_posts(posts: list[Post]) -> dict[tuple[str, str], list[Post]]:
+def author_timelines(posts: list[Post]) -> dict[tuple[str, str], list[Post]]:
+    """Each (market, author)'s posts, sorted by (timestamp, post_id)."""
     groups: dict[tuple[str, str], list[Post]] = {}
     for p in posts:
         groups.setdefault((p.market, p.author), []).append(p)
@@ -289,7 +290,7 @@ def assemble_episodes(posts: list[Post], length: int, min_episodes: int = 2) -> 
     if length < 1:
         raise ValueError(f"episode length must be >= 1, got {length}")
     episodes: list[Episode] = []
-    for (market, author), group in sorted(_sorted_author_posts(posts).items()):
+    for (market, author), group in sorted(author_timelines(posts).items()):
         if len(group) < min_episodes * length:
             continue
         for s in range(0, len(group) // length * length, length):
@@ -387,28 +388,12 @@ def load_migration_labels(path) -> list[MigrationLabel]:
     return [by_key[k] for k in sorted(by_key)]
 
 
-@dataclass
-class CrossDataset:
-    """Episodes of labeled users, relabeled by same-author cluster."""
-
-    classes: list[tuple[tuple[str, str], ...]]  # cluster -> members
-    episodes: list[Episode] = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)
-
-    def class_of(self, user: tuple[str, str]) -> int:
-        for i, members in enumerate(self.classes):
-            if user in members:
-                return i
-        raise KeyError(user)
-
-
-def build_cross_dataset(labels: list[MigrationLabel], episodes: list[Episode]) -> CrossDataset:
-    """Union-find over same-author pairs; each cluster is one class, users from
-    distinct-author pairs become singleton classes."""
-    by_user: dict[tuple[str, str], list[Episode]] = {}
-    for ep in episodes:
-        by_user.setdefault((ep.market, ep.author), []).append(ep)
-
+def same_author_classes(labels: list[MigrationLabel],
+                        users: set[tuple[str, str]]) -> list[tuple[tuple[str, str], ...]]:
+    """Union-find over same-author pairs among `users`, as (market, author)
+    keys. Each cluster is one class, users from distinct-author pairs become
+    singleton classes; classes are ordered by their smallest member and list
+    their members sorted. A label naming a user outside `users` is skipped."""
     parent: dict[tuple[str, str], tuple[str, str]] = {}
 
     def find(u):
@@ -425,28 +410,17 @@ def build_cross_dataset(labels: list[MigrationLabel], episodes: list[Episode]) -
                 ra, rb = rb, ra
             parent[rb] = ra
 
-    referenced: set[tuple[str, str]] = set()
     for lab in labels:
-        missing = [u for u in (lab.user_a, lab.user_b) if u not in by_user]
+        missing = [u for u in (lab.user_a, lab.user_b) if u not in users]
         if missing:
             log.warning("migration label references unknown user(s) %s; pair skipped", missing)
             continue
         for u in (lab.user_a, lab.user_b):
-            if u not in parent:
-                parent[u] = u
-            referenced.add(u)
+            parent.setdefault(u, u)
         if lab.same_author:
             union(lab.user_a, lab.user_b)
 
     clusters: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for u in sorted(referenced):
+    for u in sorted(parent):
         clusters.setdefault(find(u), []).append(u)
-    classes = [tuple(clusters[root]) for root in sorted(clusters)]
-
-    ds = CrossDataset(classes=classes)
-    for class_id, members in enumerate(classes):
-        for user in members:
-            for ep in by_user[user]:
-                ds.episodes.append(ep)
-                ds.labels.append(class_id)
-    return ds
+    return [tuple(clusters[root]) for root in sorted(clusters)]

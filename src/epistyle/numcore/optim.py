@@ -6,6 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -14,16 +18,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
-        return cls(
-            m=np.zeros_like(param), v=np.zeros_like(param),
-            beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def for_param(cls, param: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
 
 
 def adam_step(params: dict, grads: dict, state: dict[str, AdamState], lr: float) -> dict:
@@ -40,11 +38,11 @@ def adam_step(params: dict, grads: dict, state: dict[str, AdamState], lr: float)
         p = params[name]
         st = state[name]
         st.step += 1
-        st.m = st.beta1 * st.m + (1.0 - st.beta1) * grad
-        st.v = st.beta2 * st.v + (1.0 - st.beta2) * grad * grad
-        mhat = st.m / (1.0 - st.beta1**st.step)
-        vhat = st.v / (1.0 - st.beta2**st.step)
-        p -= (lr * mhat / (np.sqrt(vhat) + st.eps)).astype(p.dtype)
+        st.m = BETA1 * st.m + (1.0 - BETA1) * grad
+        st.v = BETA2 * st.v + (1.0 - BETA2) * grad * grad
+        mhat = st.m / (1.0 - BETA1**st.step)
+        vhat = st.v / (1.0 - BETA2**st.step)
+        p -= (lr * mhat / (np.sqrt(vhat) + EPS)).astype(p.dtype)
     return params
 
 

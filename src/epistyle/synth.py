@@ -10,7 +10,9 @@ bitwise reproducible.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from .corpus import MigrationLabel, Post, write_labels_csv, write_posts
@@ -193,29 +195,15 @@ def shared_key_payload(rng: random.Random) -> str:
     return "\n".join("".join(rng.choice(alphabet) for _ in range(48)) for _ in range(3))
 
 
-def _body(cfg: SynthConfig, rng: random.Random, profile: AuthorProfile, pool: list[str],
-          peers: list[str]) -> str:
+def _body(cfg: SynthConfig, rng: random.Random, profile: AuthorProfile, word_cum: list[float],
+          pool: list[str], peers: list[str]) -> str:
+    """One post body; `word_cum` is the running sum of the profile's word weights."""
     q = profile.quirks
     if profile.archetype == "newbie":
         n = rng.randint(1, 50)
         return rng.choice([f"{n}", f"{n} spam to fifty", f"post {n} almost there"])
     n_words = rng.randint(*cfg.words_per_post)
-    cum = []
-    acc = 0.0
-    for w in profile.word_weights:
-        acc += w
-        cum.append(acc)
-    words = []
-    for _ in range(n_words):
-        r = rng.random() * cum[-1]
-        lo, hi = 0, len(cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] < r:
-                lo = mid + 1
-            else:
-                hi = mid
-        words.append(pool[lo])
+    words = [pool[bisect_left(word_cum, rng.random() * word_cum[-1])] for _ in range(n_words)]
     if q.ellipsis and rng.random() < q.ellipsis:
         pos = rng.randrange(len(words))
         words[pos] = words[pos] + "..."
@@ -301,6 +289,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
         late_set = set(usernames[-n_late:]) if n_late else set()
         for profile in market_profiles:
             peers = [u for u in usernames if u != profile.username]
+            word_cum = list(accumulate(profile.word_weights))
             key_posts: set[int] = set()
             for lab in labels:
                 for side in (lab.user_a, lab.user_b):
@@ -332,7 +321,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
                     threads[subforum].append(thread_id)
                 else:
                     thread_id = rng.choice(threads[subforum])
-                body = _body(cfg, rng, profile, pool, peers)
+                body = _body(cfg, rng, profile, word_cum, pool, peers)
                 if pi in key_posts:
                     for lab in labels:
                         if (market, profile.username) in (lab.user_a, lab.user_b):

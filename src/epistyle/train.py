@@ -1,6 +1,11 @@
 """Single-task and multitask training: task sampling, window-sampled batches,
 validation with plateau decay, and min-val-loss checkpoint selection.
 
+One builder makes every task from a list of classes, each class the
+(market, author) timelines pooled under one label: a market task has one
+class per author of that market, the cross-market task one class per
+same-author cluster of labeled users.
+
 Parameter partition: every step updates only the parameters the sampled
 task's loss actually touched (shared trunk + that task's context tables +
 its head), each with its own Adam state, so a step for one market never
@@ -11,11 +16,13 @@ from __future__ import annotations
 
 import logging
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .corpus import Episode, MigrationLabel, Post, build_cross_dataset
+from .corpus import Episode, MigrationLabel, Post, author_timelines, same_author_classes
 from .model import EpisodeModel, MetricHead, PostEncoder, make_episode_batch
 from .numcore import AdamState, PlateauScheduler, Tensor, adam_step, clip_global_norm
 
@@ -55,6 +62,7 @@ class _LabelPool:
     label: int
     segments: list[list[Post]]
     weight: int  # fixed-window episode count, for proportional sampling
+    window_ends: list[int]  # running count of each segment's sliding windows
 
 
 @dataclass
@@ -70,28 +78,15 @@ class Task:
 
     def __post_init__(self):
         self.train_episode_total = sum(p.weight for p in self.pools)
-        self._cum = np.cumsum([p.weight for p in self.pools]).tolist()
+        self._cum = list(accumulate(p.weight for p in self.pools))
 
     def sample_episode(self, rng: random.Random) -> tuple[Episode, int]:
-        r = rng.random() * self._cum[-1]
-        lo, hi = 0, len(self._cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cum[mid] <= r:
-                lo = mid + 1
-            else:
-                hi = mid
-        pool = self.pools[lo]
-        sizes = [len(s) - self.episode_len + 1 for s in pool.segments]
-        total = sum(max(s, 0) for s in sizes)
-        pick = rng.randrange(total)
-        for seg, size in zip(pool.segments, sizes):
-            if size > 0:
-                if pick < size:
-                    posts = tuple(seg[pick : pick + self.episode_len])
-                    return Episode(market=posts[0].market, author=posts[0].author, posts=posts), pool.label
-                pick -= size
-        raise AssertionError("window sampling fell off the end")
+        pool = self.pools[bisect_right(self._cum, rng.random() * self._cum[-1])]
+        pick = rng.randrange(pool.window_ends[-1])
+        i = bisect_right(pool.window_ends, pick)
+        start = pick - (pool.window_ends[i - 1] if i else 0)
+        posts = tuple(pool.segments[i][start : start + self.episode_len])
+        return Episode(market=posts[0].market, author=posts[0].author, posts=posts), pool.label
 
 
 @dataclass
@@ -100,6 +95,9 @@ class TaskRegistry:
     encoder: PostEncoder
     market_tasks: list[Task]
     cross_task: Task | None = None
+
+    def __post_init__(self):
+        self._market_cum = list(accumulate(t.train_episode_total for t in self.market_tasks))
 
     def all_tasks(self) -> list[Task]:
         return self.market_tasks + ([self.cross_task] if self.cross_task else [])
@@ -124,15 +122,6 @@ class TaskRegistry:
 
 
 # ----------------------------------------------------------- task building
-
-
-def _author_groups(posts: list[Post]) -> dict[str, list[Post]]:
-    groups: dict[str, list[Post]] = {}
-    for p in posts:
-        groups.setdefault(p.author, []).append(p)
-    for g in groups.values():
-        g.sort(key=lambda p: (p.timestamp, p.post_id))
-    return groups
 
 
 def _split_author(group: list[Post], length: int, val_fraction: float,
@@ -163,72 +152,35 @@ def _split_author(group: list[Post], length: int, val_fraction: float,
     return segments, val_eps
 
 
-def prepare_market_task(market: str, train_posts: list[Post], cfg: TrainConfig,
-                        episode_dim: int, rng: random.Random, head_seed: int) -> Task:
+def _build_task(name: str, kind: str, classes: list[tuple[tuple[str, str], ...]],
+                timelines: dict[tuple[str, str], list[Post]], cfg: TrainConfig,
+                episode_dim: int, rng: random.Random, head_seed: int) -> Task | None:
+    """One label per class, pooling the timelines of the class's (market,
+    author) members; labels follow pool order. None if no class has a
+    training window."""
     length = cfg.episode_len
     pools: list[_LabelPool] = []
     val_eps: list[Episode] = []
     val_labels: list[int] = []
-    label = 0
-    groups = _author_groups(train_posts)
-    for author in sorted(groups):
-        group = groups[author]
-        if len(group) < cfg.min_episodes * length:
-            continue
-        segments, author_val = _split_author(group, length, cfg.val_fraction, rng)
-        weight = sum(len(s) // length for s in segments)
-        if weight == 0:
-            continue
-        pools.append(_LabelPool(label=label, segments=segments, weight=weight))
-        val_eps.extend(author_val)
-        val_labels.extend([label] * len(author_val))
-        label += 1
-    if not pools:
-        raise ValueError(f"market {market!r}: no author has enough posts to train on")
-    head = MetricHead.build(cfg.loss, market, n_labels=label, dim=episode_dim, seed=head_seed)
-    return Task(name=market, kind="market", head=head, pools=pools,
-                val_episodes=val_eps, val_labels=np.array(val_labels, dtype=np.int64),
-                episode_len=length)
-
-
-def prepare_cross_task(labels: list[MigrationLabel], train_posts_by_market: dict[str, list[Post]],
-                       cfg: TrainConfig, episode_dim: int, rng: random.Random,
-                       head_seed: int) -> Task | None:
-    """Cluster labeled identities and pool their episodes as one task."""
-    length = cfg.episode_len
-    episodes = []
-    for market, posts in sorted(train_posts_by_market.items()):
-        groups = _author_groups(posts)
-        for author in sorted(groups):
-            group = groups[author]
-            for wi in range(len(group) // length):
-                window = group[wi * length : (wi + 1) * length]
-                episodes.append(Episode(market=market, author=author, posts=tuple(window)))
-    ds = build_cross_dataset(labels, episodes)
-    if not ds.classes:
-        return None
-    pools = []
-    val_eps: list[Episode] = []
-    val_labels: list[int] = []
-    for class_id, members in enumerate(ds.classes):
+    for members in classes:
         segments: list[list[Post]] = []
         class_val: list[Episode] = []
-        for market, author in members:
-            group = _author_groups(train_posts_by_market[market])[author]
-            segs, author_val = _split_author(group, length, cfg.val_fraction, rng)
+        for user in members:
+            segs, user_val = _split_author(timelines[user], length, cfg.val_fraction, rng)
             segments.extend(segs)
-            class_val.extend(author_val)
+            class_val.extend(user_val)
         weight = sum(len(s) // length for s in segments)
         if weight == 0:
             continue
-        pools.append(_LabelPool(label=class_id, segments=segments, weight=weight))
+        label = len(pools)
+        ends = list(accumulate(len(s) - length + 1 for s in segments))
+        pools.append(_LabelPool(label=label, segments=segments, weight=weight, window_ends=ends))
         val_eps.extend(class_val)
-        val_labels.extend([class_id] * len(class_val))
+        val_labels.extend([label] * len(class_val))
     if not pools:
         return None
-    head = MetricHead.build(cfg.loss, "cross", n_labels=len(ds.classes), dim=episode_dim,
-                            seed=head_seed)
-    return Task(name="cross", kind="cross", head=head, pools=pools,
+    head = MetricHead.build(cfg.loss, name, n_labels=len(pools), dim=episode_dim, seed=head_seed)
+    return Task(name=name, kind=kind, head=head, pools=pools,
                 val_episodes=val_eps, val_labels=np.array(val_labels, dtype=np.int64),
                 episode_len=length)
 
@@ -236,15 +188,27 @@ def prepare_cross_task(labels: list[MigrationLabel], train_posts_by_market: dict
 def build_registry(model: EpisodeModel, encoder: PostEncoder,
                    train_posts_by_market: dict[str, list[Post]], cfg: TrainConfig,
                    migration_labels: list[MigrationLabel] | None = None) -> TaskRegistry:
+    """One market task per market, a class for each of its authors with at
+    least min_episodes * episode_len posts, and, given labels, one cross task
+    whose classes are the same-author clusters of users with at least one
+    window."""
     rng = random.Random(cfg.seed ^ 0x5EED)
-    tasks = [
-        prepare_market_task(market, posts, cfg, model.cfg.episode_dim, rng, head_seed=cfg.seed + 101 + i)
-        for i, (market, posts) in enumerate(sorted(train_posts_by_market.items()))
-    ]
+    length, dim = cfg.episode_len, model.cfg.episode_dim
+    timelines = author_timelines([p for posts in train_posts_by_market.values() for p in posts])
+    tasks = []
+    for i, market in enumerate(sorted(train_posts_by_market)):
+        classes = [(user,) for user in sorted(timelines)
+                   if user[0] == market and len(timelines[user]) >= cfg.min_episodes * length]
+        task = _build_task(market, "market", classes, timelines, cfg, dim, rng,
+                           head_seed=cfg.seed + 101 + i)
+        if task is None:
+            raise ValueError(f"market {market!r}: no author has enough posts to train on")
+        tasks.append(task)
     cross = None
     if migration_labels:
-        cross = prepare_cross_task(migration_labels, train_posts_by_market, cfg,
-                                   model.cfg.episode_dim, rng, head_seed=cfg.seed + 997)
+        users = {user for user, posts in timelines.items() if len(posts) >= length}
+        cross = _build_task("cross", "cross", same_author_classes(migration_labels, users),
+                            timelines, cfg, dim, rng, head_seed=cfg.seed + 997)
     return TaskRegistry(model=model, encoder=encoder, market_tasks=tasks, cross_task=cross)
 
 
@@ -255,15 +219,8 @@ def sample_task(registry: TaskRegistry, p_cross: float, rng: random.Random) -> T
     r = rng.random()
     if registry.cross_task is not None and p_cross > 0.0 and r < p_cross:
         return registry.cross_task
-    weights = [t.train_episode_total for t in registry.market_tasks]
-    total = sum(weights)
-    pick = rng.random() * total
-    acc = 0.0
-    for task, w in zip(registry.market_tasks, weights):
-        acc += w
-        if pick < acc:
-            return task
-    return registry.market_tasks[-1]
+    cum = registry._market_cum
+    return registry.market_tasks[bisect_right(cum, rng.random() * cum[-1])]
 
 
 def sample_batch(task: Task, n: int, rng: random.Random) -> tuple[list[Episode], np.ndarray]:

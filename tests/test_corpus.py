@@ -13,12 +13,12 @@ from epistyle.corpus import (
     MigrationLabel,
     Post,
     assemble_episodes,
-    build_cross_dataset,
     chronological_split,
     extract_pgp_candidate_pairs,
     load_migration_labels,
     load_posts,
     preprocess_text,
+    same_author_classes,
     write_posts,
 )
 
@@ -451,46 +451,28 @@ def test_load_migration_labels_duplicates_collapse(tmp_path):
 # ----------------------------------------------------------- cross dataset
 
 
-def _episodes_for(users, n=2):
-    eps = []
-    for market, author in users:
-        posts = [
-            make_post(pid=f"{market}{author}{i}", market=market, author=author, ts=10 + i)
-            for i in range(n)
-        ]
-        eps.append(Episode(market=market, author=author, posts=tuple(posts)))
-    return eps
-
-
 def test_cross_dataset_transitive_cluster():
     users = [("M1", "a"), ("M2", "b"), ("M3", "c")]
-    eps = _episodes_for(users)
     labels = [
         MigrationLabel(("M1", "a"), ("M2", "b"), True),
         MigrationLabel(("M2", "b"), ("M3", "c"), True),
     ]
-    ds = build_cross_dataset(labels, eps)
-    assert len(ds.classes) == 1
-    assert set(ds.classes[0]) == set(users)
-    assert len(ds.episodes) == 3 and set(ds.labels) == {0}
+    assert same_author_classes(labels, set(users)) == [tuple(users)]
 
 
 def test_cross_dataset_distinct_pair_two_classes():
-    users = [("M1", "a"), ("M2", "b")]
-    ds = build_cross_dataset([MigrationLabel(("M1", "a"), ("M2", "b"), False)], _episodes_for(users))
-    assert len(ds.classes) == 2
-    assert ds.class_of(("M1", "a")) != ds.class_of(("M2", "b"))
+    users = {("M1", "a"), ("M2", "b")}
+    classes = same_author_classes([MigrationLabel(("M1", "a"), ("M2", "b"), False)], users)
+    assert classes == [(("M1", "a"),), (("M2", "b"),)]
 
 
 def test_cross_dataset_no_labels_empty():
-    ds = build_cross_dataset([], _episodes_for([("M1", "a")]))
-    assert ds.classes == [] and ds.episodes == []
+    assert same_author_classes([], {("M1", "a")}) == []
 
 
 def test_cross_dataset_unknown_user_skipped():
-    eps = _episodes_for([("M1", "a")])
-    ds = build_cross_dataset([MigrationLabel(("M1", "a"), ("M2", "ghost"), True)], eps)
-    assert ds.classes == []
+    labels = [MigrationLabel(("M1", "a"), ("M2", "ghost"), True)]
+    assert same_author_classes(labels, {("M1", "a")}) == []
 
 
 def test_cross_dataset_classes_partition_users():
@@ -500,6 +482,7 @@ def test_cross_dataset_classes_partition_users():
         MigrationLabel(("M1", "c"), ("M2", "d"), False),
         MigrationLabel(("M2", "d"), ("M3", "e"), True),
     ]
-    ds = build_cross_dataset(labels, _episodes_for(users))
-    flat = [u for members in ds.classes for u in members]
+    classes = same_author_classes(labels, set(users))
+    flat = [u for members in classes for u in members]
     assert len(flat) == len(set(flat)) == 5
+    assert classes == [(("M1", "a"), ("M2", "b")), (("M1", "c"),), (("M2", "d"), ("M3", "e"))]

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from epistyle import corpus as corpus_mod
@@ -33,6 +36,22 @@ def test_seed_reproducibility(tmp_path):
     for key in a:
         with open(a[key], "rb") as fa, open(b[key], "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def test_corpus_bytes_pinned(tmp_path):
+    # every benchmark workload and end-to-end criterion starts from synth, so
+    # its bytes must not move with a refactor; the digest is that of the
+    # generator before its word draw became a bisect over a running sum
+    cfg = SynthConfig(markets=("alpha", "beta", "gamma"), authors_per_market=6,
+                      posts_per_author=30, migrant_count=2, distinct_pair_count=2, weeks=8,
+                      archetypes=True, late_author_fraction=0.25, community_affinity=True,
+                      seed=5)
+    written = write_corpus(generate_corpus(cfg), tmp_path)
+    digest = hashlib.sha256()
+    for key in sorted(written):
+        digest.update(Path(written[key]).read_bytes())
+    assert sorted(written) == ["alpha", "beta", "gamma", "labels"]
+    assert digest.hexdigest() == "8a9d25205d23670372a0fe565b2916fe3e4a35bc055bc285424457881fabfdcf"
 
 
 def test_migrant_word_distributions_close_others_far(small_corpus):

@@ -133,6 +133,66 @@ def test_sampled_windows_never_touch_validation_posts():
         assert not (val_ids & train_ids)
 
 
+def _linear_sample_task(registry, p_cross, rng):
+    """Reference: the task draw as a linear scan over market-task totals."""
+    r = rng.random()
+    if registry.cross_task is not None and p_cross > 0.0 and r < p_cross:
+        return registry.cross_task
+    weights = [t.train_episode_total for t in registry.market_tasks]
+    pick = rng.random() * sum(weights)
+    acc = 0.0
+    for task, w in zip(registry.market_tasks, weights):
+        acc += w
+        if pick < acc:
+            return task
+    return registry.market_tasks[-1]
+
+
+def _linear_sample_episode(task, rng):
+    """Reference: a label by its fixed-window weight, then a uniform sliding
+    window over the label's segments, both found by linear scans."""
+    pick = rng.random() * sum(p.weight for p in task.pools)
+    acc = 0
+    for pool in task.pools:
+        acc += pool.weight
+        if pick < acc:
+            break
+    length = task.episode_len
+    sizes = [len(seg) - length + 1 for seg in pool.segments]
+    pick = rng.randrange(sum(sizes))
+    for seg, size in zip(pool.segments, sizes):
+        if pick < size:
+            return tuple(seg[pick : pick + length]), pool.label
+        pick -= size
+    raise AssertionError("window sampling fell off the end")
+
+
+def test_samplers_match_linear_scan_reference():
+    registry, tcfg = make_setup()
+    assert registry.cross_task is not None
+    for seed in (0, 1, 2):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        kinds = set()
+        for _ in range(100):
+            task = sample_task(registry, tcfg.p_cross, rng)
+            assert task is _linear_sample_task(registry, tcfg.p_cross, ref_rng)
+            kinds.add(task.kind)
+            episodes, labels = sample_batch(task, 8, rng)
+            expected = [_linear_sample_episode(task, ref_rng) for _ in range(8)]
+            assert [e.posts for e in episodes] == [posts for posts, _ in expected]
+            assert labels.tolist() == [label for _, label in expected]
+        assert kinds == {"market", "cross"}
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_task_labels_are_pool_order():
+    registry, _ = make_setup()
+    for task in registry.all_tasks():
+        assert [p.label for p in task.pools] == list(range(len(task.pools)))
+        assert task.head.n_labels == len(task.pools)
+        assert set(task.val_labels.tolist()) <= set(range(len(task.pools)))
+
+
 # ---------------------------------------------------------------- training
 
 
