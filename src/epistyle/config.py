@@ -35,11 +35,20 @@ def load_config(path=None) -> dict[str, dict[str, str]]:
         raise ValidationError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive
-    parser.read(path, encoding="utf-8")
-    for section in parser.sections():
+    try:
+        parser.read(path, encoding="utf-8")
+        sections = {s: dict(parser.items(s)) for s in parser.sections()}
+    except configparser.MissingSectionHeaderError as exc:
+        raise ValidationError(f"{path}:{exc.lineno}: no [section] header before this line") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ValidationError(f"{path}:{exc.lineno}: key {exc.option!r} set twice "
+                              f"in [{exc.section}]") from None
+    except configparser.Error as exc:  # its own text may span several lines
+        raise ValidationError(f"{path}: {' '.join(str(exc).split())}") from None
+    for section, values in sections.items():
         if section not in cfg:
             raise ValidationError(f"{path}: unknown config section [{section}]")
-        cfg[section] = dict(parser.items(section))
+        cfg[section] = values
     return cfg
 
 

@@ -357,23 +357,36 @@ def extract_pgp_candidate_pairs(posts: list[Post]) -> list[MigrationLabel]:
     return [candidates[k] for k in sorted(candidates)]
 
 
+LABEL_COLUMNS = ("market_a", "user_a", "market_b", "user_b", "same_author")
+
+
 def write_labels_csv(path, labels: list[MigrationLabel]) -> None:
     with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["market_a", "user_a", "market_b", "user_b", "same_author"])
+        writer.writerow(LABEL_COLUMNS)
         for lab in labels:
             flag = "" if lab.same_author is None else str(lab.same_author).lower()
             writer.writerow([lab.user_a[0], lab.user_a[1], lab.user_b[0], lab.user_b[1], flag])
 
 
 def load_migration_labels(path) -> list[MigrationLabel]:
-    """Read adjudicated labels; duplicates collapse, conflicts are fatal."""
+    """Read adjudicated labels; duplicates collapse, conflicts are fatal.
+    Every row but a blank one has the header's field count."""
     by_key: dict = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for name in LABEL_COLUMNS:
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: labels header has no {name!r} column")
+        for row in reader:
+            # a short row fills in None values, a long one a None key
+            if None in row or None in row.values():
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(reader.fieldnames)} fields")
             flag_raw = row["same_author"].strip().lower()
             if flag_raw not in ("true", "false"):
-                raise ValueError(f"{path}: bad same_author value {row['same_author']!r}")
+                raise ValueError(f"{path}:{reader.line_num}: bad same_author value "
+                                 f"{row['same_author']!r}")
             label = MigrationLabel(
                 user_a=(row["market_a"], row["user_a"]),
                 user_b=(row["market_b"], row["user_b"]),

@@ -9,6 +9,7 @@ deterministic for a fixed post list.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -107,15 +108,6 @@ def _walk_rng(seed: int, node: str, walk_index: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _scheme_type_cycle(scheme: str):
-    """Infinite node-type sequence: the scheme repeated with its terminal U
-    doubling as the next start."""
-    yield scheme[0]
-    while True:
-        for t in scheme[1:]:
-            yield t
-
-
 def sample_walks(
     graph: HetGraph,
     schemes=DEFAULT_SCHEMES,
@@ -150,8 +142,8 @@ def sample_walks(
                 rng = _walk_rng(rng_seed, user, walk_index)
                 walk_index += 1
                 walk = [user]
-                types = _scheme_type_cycle(scheme)
-                next(types)  # consume the starting U
+                # the scheme's terminal U doubles as the next repeat's start
+                types = itertools.cycle(scheme[1:])
                 current = user
                 while len(walk) < walk_length:
                     want = next(types)

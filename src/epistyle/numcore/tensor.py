@@ -140,8 +140,9 @@ def _as_tensor(x) -> Tensor:
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    tracked = tuple(p for p in parents if p.requires_grad or p._parents)
+    tracked = tuple(p for p in parents if p.requires_grad)
     if tracked:
+        # the only place _parents is set: a tensor with parents requires grad
         out.requires_grad = True
         out._parents = tracked
         out._backward = backward
@@ -213,9 +214,9 @@ def add(a, b) -> Tensor:
 
     def backward(out):
         g = out.grad
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
     out = _result(data, (a, b), backward)
@@ -229,9 +230,9 @@ def sub(a, b) -> Tensor:
 
     def backward(out):
         g = out.grad
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(-_unbroadcast(g, b.shape))
 
     out = _result(data, (a, b), backward)
@@ -245,9 +246,9 @@ def mul(a, b) -> Tensor:
 
     def backward(out):
         g = out.grad
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     out = _result(data, (a, b), backward)
@@ -321,10 +322,10 @@ def matmul(a, b) -> Tensor:
 
     def backward(out):
         g = out.grad.astype(np.float64)
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data.astype(np.float64), -1, -2))
             a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data.astype(np.float64), -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.shape))
 
@@ -341,7 +342,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
     def backward(out):
         pieces = np.split(out.grad, splits, axis=axis)
         for t, g in zip(tensors, pieces):
-            if t.requires_grad or t._parents:
+            if t.requires_grad:
                 t._accumulate(g)
 
     out = _result(data, tuple(tensors), backward)
@@ -411,7 +412,7 @@ def scatter_rows(pieces, n_rows: int, dim: int) -> Tensor:
 
     def backward(out):
         for idx, t in pieces:
-            if t.requires_grad or t._parents:
+            if t.requires_grad:
                 t._accumulate(out.grad[idx])
 
     out = _result(data, tuple(t for _, t in pieces), backward)
@@ -465,7 +466,7 @@ def max_over_time(a, axis: int = 0, lengths=None) -> Tensor:
     x = a.data
     if lengths is not None:
         x = _mask_time_suffix(x, axis, lengths)
-    if not (a.requires_grad or a._parents):
+    if not a.requires_grad:
         return Tensor(x.max(axis=axis))  # no gradient to route, so no argmax
     idx = np.expand_dims(np.argmax(x, axis=axis), axis)
     data = np.take_along_axis(x, idx, axis=axis).squeeze(axis)
@@ -602,13 +603,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
     def backward(out):
         g = out.grad.astype(np.float64)
-        if gain.requires_grad or gain._parents:
+        if gain.requires_grad:
             axes = tuple(range(g.ndim - 1))
             gain._accumulate((g * xhat).sum(axis=axes))
-        if bias.requires_grad or bias._parents:
+        if bias.requires_grad:
             axes = tuple(range(g.ndim - 1))
             bias._accumulate(g.sum(axis=axes))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             gh = g * gain.data.astype(np.float64)
             m1 = gh.mean(axis=-1, keepdims=True)
             m2 = (gh * xhat).mean(axis=-1, keepdims=True)
@@ -656,12 +657,12 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
         rows = _nonzero_rows(g2)
         gz = g2[rows]
         src = rows // t * n + rows % t  # row (b, s) of g meets x row b*n + s + j in tap j
-        if filt.requires_grad or filt._parents:
+        if filt.requires_grad:
             x2 = xd.reshape(-1, d_in)
             filt._accumulate(np.stack([x2[src + j].T @ gz for j in range(w)]))
-        if bias is not None and (bias.requires_grad or bias._parents):
+        if bias is not None and bias.requires_grad:
             bias._accumulate(gz.sum(axis=0, dtype=np.float64))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             gx = np.zeros((b_ * n, d_in), dtype=dt)
             for j in range(w):
                 gx[src + j] += gz @ fd[j].T

@@ -2,11 +2,14 @@
 
 Special tokens are reserved before training and matched atomically during
 encoding, so they never split and never participate in merges. Byte-level
-BPE is closed over arbitrary UTF-8: decode(encode(x)) == x.
+BPE is closed over arbitrary UTF-8: decode(encode(x)) == x. The vocabulary
+file is one JSON document; `save_vocab` defines it and `load_vocab` checks it.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -34,24 +37,19 @@ class Vocab:
     kind: str  # "char" | "bpe"
     tokens: list  # str for char mode, bytes for bpe body tokens
     merges: list = field(default_factory=list)  # ordered (left, right) byte pairs
-    specials: tuple = RESERVED
+
+    # every vocabulary starts with RESERVED (class attributes, not fields)
+    special_ids = {s: i for i, s in enumerate(RESERVED)}
+    pad_id = special_ids[PAD_TOKEN]
+    unk_id = special_ids[UNK_TOKEN]
 
     def __post_init__(self):
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
-        self.special_ids = {s: i for i, s in enumerate(self.specials)}
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
         self._bpe_cache: dict[bytes, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def pad_id(self) -> int:
-        return self.special_ids[PAD_TOKEN]
-
-    @property
-    def unk_id(self) -> int:
-        return self.special_ids[UNK_TOKEN]
 
 
 def _iter_segments(text: str):
@@ -126,20 +124,11 @@ def train_bpe(texts, size: int = 30000) -> Vocab:
             break
         pair = best_pair
         merges.append(pair)
-        merged = pair[0] + pair[1]
         for wi in sorted(pair_words.get(pair, ())):
             syms, count = words[wi]
             for left, right in zip(syms, syms[1:]):
                 pair_counts[(left, right)] -= count
-            new_syms = []
-            i = 0
-            while i < len(syms):
-                if i + 1 < len(syms) and syms[i] == pair[0] and syms[i + 1] == pair[1]:
-                    new_syms.append(merged)
-                    i += 2
-                else:
-                    new_syms.append(syms[i])
-                    i += 1
+            new_syms = _merge_pair(syms, pair)
             words[wi][0] = new_syms
             for p in zip(new_syms, new_syms[1:]):
                 pair_counts[p] += count
@@ -148,6 +137,21 @@ def train_bpe(texts, size: int = 30000) -> Vocab:
 
     tokens = list(RESERVED) + [bytes([b]) for b in range(256)] + [l + r for l, r in merges]
     return Vocab(kind="bpe", tokens=tokens, merges=merges)
+
+
+def _merge_pair(syms: list[bytes], pair: tuple[bytes, bytes]) -> list[bytes]:
+    """`syms` with each occurrence of `pair`, scanned left to right, joined."""
+    merged = pair[0] + pair[1]
+    out = []
+    i = 0
+    while i < len(syms):
+        if i + 1 < len(syms) and syms[i] == pair[0] and syms[i + 1] == pair[1]:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(syms[i])
+            i += 1
+    return out
 
 
 # ---------------------------------------------------------------- encoding
@@ -163,17 +167,7 @@ def _bpe_symbols(chunk: bytes, ranks) -> list[bytes]:
                 best_rank, best_pair = r, pair
         if best_pair is None:
             break
-        merged = best_pair[0] + best_pair[1]
-        out = []
-        i = 0
-        while i < len(syms):
-            if i + 1 < len(syms) and (syms[i], syms[i + 1]) == best_pair:
-                out.append(merged)
-                i += 2
-            else:
-                out.append(syms[i])
-                i += 1
-        syms = out
+        syms = _merge_pair(syms, best_pair)
     return syms
 
 
@@ -199,122 +193,60 @@ def encode(vocab: Vocab, text: str) -> list[int]:
 
 
 def decode(vocab: Vocab, ids) -> str:
-    """Inverse of encode; exact for byte-level bpe."""
-    n_special = len(vocab.specials)
+    """Inverse of encode; exact for byte-level bpe, whose byte runs between
+    special tokens decode as UTF-8."""
     if vocab.kind == "char":
         return "".join(vocab.tokens[i] for i in ids)
     parts: list[str] = []
-    pending: list[bytes] = []
-    for i in ids:
-        if i < n_special:
-            if pending:
-                parts.append(b"".join(pending).decode("utf-8", errors="replace"))
-                pending = []
-            parts.append(vocab.tokens[i])
-        else:
-            pending.append(vocab.tokens[i])
-    if pending:
-        parts.append(b"".join(pending).decode("utf-8", errors="replace"))
+    for special, run in itertools.groupby(ids, key=lambda i: i < len(RESERVED)):
+        tokens = [vocab.tokens[i] for i in run]
+        parts.append("".join(tokens) if special
+                     else b"".join(tokens).decode("utf-8", errors="replace"))
     return "".join(parts)
 
 
 # ---------------------------------------------------------------- file I/O
 
 
-def _escape_byte(b: int) -> str:
-    if b == 0x5C:
-        return "\\\\"
-    if b == 0x20:
-        return "\\s"
-    if b == 0x0A:
-        return "\\n"
-    if b == 0x0D:
-        return "\\r"
-    if b == 0x09:
-        return "\\t"
-    if b < 0x20 or b > 0x7E:
-        return f"\\x{b:02x}"
-    return chr(b)
-
-
-def _escape(token) -> str:
-    if isinstance(token, bytes):
-        return "".join(_escape_byte(b) for b in token)
-    out = []
-    for ch in token:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == " ":
-            out.append("\\s")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\x{ord(ch):02x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-_UNESCAPES = {"\\": "\\", "s": " ", "n": "\n", "r": "\r", "t": "\t"}
-
-
-def _unescape(text: str, as_bytes: bool):
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            nxt = text[i + 1]
-            if nxt == "x":
-                out.append(chr(int(text[i + 2 : i + 4], 16)))
-                i += 4
-            else:
-                out.append(_UNESCAPES[nxt])
-                i += 2
-        else:
-            out.append(ch)
-            i += 1
-    joined = "".join(out)
-    return joined.encode("latin-1") if as_bytes else joined
-
-
 def save_vocab(path, vocab: Vocab) -> None:
+    """One JSON document {"kind", "tokens", "merges"}, BPE byte tokens as
+    latin-1 strings. JSON's default escaping keeps the file plain ASCII, lone
+    surrogates and control characters included."""
+    doc = {"kind": vocab.kind,
+           "tokens": [t if isinstance(t, str) else t.decode("latin-1") for t in vocab.tokens],
+           "merges": [[left.decode("latin-1"), right.decode("latin-1")]
+                      for left, right in vocab.merges]}
     with atomic_write(path, encoding="utf-8") as fh:
-        fh.write(f"{vocab.kind} {len(vocab)}\n")
-        for token in vocab.tokens:
-            fh.write(_escape(token) + "\n")
-        if vocab.kind == "bpe":
-            fh.write("#MERGES\n")
-            for left, right in vocab.merges:
-                fh.write(f"{_escape(left)} {_escape(right)}\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    kind, size_str = lines[0].split()
-    size = int(size_str)
-    n_special = len(RESERVED)
-    tokens: list = []
-    for i, line in enumerate(lines[1 : 1 + size]):
-        if i < n_special:
-            tokens.append(_unescape(line, as_bytes=False))
-        else:
-            tokens.append(_unescape(line, as_bytes=kind == "bpe"))
-    if tuple(tokens[:n_special]) != RESERVED:
-        raise ValueError(f"{path}: special token block does not match")
-    merges: list[tuple[bytes, bytes]] = []
-    rest = lines[1 + size :]
-    if kind == "bpe":
-        if not rest or rest[0] != "#MERGES":
-            raise ValueError(f"{path}: missing #MERGES section")
-        for line in rest[1:]:
-            if not line:
-                continue
-            left, right = line.split(" ")
-            merges.append((_unescape(left, True), _unescape(right, True)))
-    return Vocab(kind=kind, tokens=tokens, merges=merges)
+    """Read `save_vocab`'s file; a malformed one raises ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return _vocab_from_doc(doc)
+    except ValueError as exc:  # also JSONDecodeError and UnicodeError
+        raise ValueError(f"{path}: not a vocabulary file: {exc}") from None
+
+
+def _vocab_from_doc(doc) -> Vocab:
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in ("char", "bpe"):
+        raise ValueError(f"kind {kind!r} is not 'char' or 'bpe'")
+    tokens, merges = doc.get("tokens"), doc.get("merges")
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("tokens are not a list of strings")
+    if tuple(tokens[: len(RESERVED)]) != RESERVED:
+        raise ValueError("special token block does not match")
+    if not isinstance(merges, list) or not all(
+        isinstance(m, list) and len(m) == 2 and all(isinstance(x, str) for x in m) for m in merges
+    ):
+        raise ValueError("merges are not a list of string pairs")
+    if kind == "char":
+        return Vocab(kind=kind, tokens=tokens)
+    merges = [(left.encode("latin-1"), right.encode("latin-1")) for left, right in merges]
+    body = [t.encode("latin-1") for t in tokens[len(RESERVED) :]]
+    if body != [bytes([b]) for b in range(256)] + [left + right for left, right in merges]:
+        raise ValueError("bpe tokens are not the 256 bytes followed by the merged pairs")
+    return Vocab(kind=kind, tokens=list(RESERVED) + body, merges=merges)

@@ -268,6 +268,43 @@ def test_malformed_graph_json_exits_1_with_one_line(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1 and "Traceback" not in err and str(graph) in err
 
 
+MALFORMED_INPUTS = {
+    "truncated-vocab": ("vocab", 1, lambda text: text[:-20]),
+    "wrong-kind-vocab": ("vocab", 1, lambda text: text.replace('"kind": "char"', '"kind": "word"')),
+    "reserved-block-vocab": ("vocab", 1,
+                             lambda text: text.replace('"[PAD]", "[UNK]"', '"[UNK]", "[PAD]"')),
+    "short-labels-row": ("labels", 1, lambda text: text + "alpha,alpha_u0,beta\n"),
+    "config-without-section": ("config", 2, lambda text: "epochs = 1\n" + text),
+    "config-duplicate-key": ("config", 2,
+                             lambda text: text.replace("[train]\n", "[train]\nepochs = 1\n")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_vocab_labels_or_config_exits_with_one_line(workspace, tmp_path, capsys, case):
+    root, _ = workspace
+    paths = {"vocab": tmp_path / "vocab.txt", "labels": tmp_path / "labels.csv",
+             "config": tmp_path / "config.ini"}
+    shutil.copy(root / "vocab" / "vocab.txt", paths["vocab"])
+    shutil.copy(root / "raw" / "labels.csv", paths["labels"])
+    paths["config"].write_text(CONFIG)
+    which, want, corrupt = MALFORMED_INPUTS[case]
+    text = paths[which].read_text()
+    paths[which].write_text(corrupt(text))
+    assert paths[which].read_text() != text
+    common = ["--config", str(paths["config"]), "--processed", str(root / "processed"),
+              "--split", str(root / "split" / "split.csv"), "--vocab", str(paths["vocab"])]
+    commands = [["train", *common, "--seed", "3", "--multitask", "--labels", str(paths["labels"]),
+                 "--out", str(tmp_path / "run")]]
+    if which != "labels":
+        commands.append(["eval", *common, "--run", str(root / "run")])
+    for argv in commands:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == want, (argv[0], err)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err and str(paths[which]) in err
+
+
 def test_non_numeric_context_init_cell_exits_1_naming_its_line(workspace, tmp_path, capsys):
     root, c = workspace
     bad = tmp_path / "context.tsv"

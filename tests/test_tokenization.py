@@ -160,11 +160,27 @@ def test_vocab_file_round_trip_bpe(tmp_path):
     assert encode(loaded, text) == encode(vocab, text)
 
 
-def test_vocab_header_line(tmp_path):
-    vocab = train_char_vocab(["abcdefg"], size=12)
-    path = tmp_path / "v.vocab"
+# Text that an escape codec or a line-based file can get wrong: a backslash,
+# line breaks, tab, NUL, non-ASCII, a literal "[PAD]" (not atomic in running
+# text) and a line that looks like a section marker.
+AWKWARD = "back\\slash [PAD] \\n\n#MERGES\n\ttab\x00nul \u00a3 " * 20
+
+
+@pytest.mark.parametrize("kind", ["char", "bpe"])
+def test_vocab_file_round_trips_awkward_tokens(tmp_path, kind):
+    if kind == "char":
+        text = AWKWARD + "\ud800"  # a lone surrogate, as load_posts accepts
+        vocab = train_char_vocab([text], size=60)
+    else:
+        text = AWKWARD
+        vocab = train_bpe([text], size=256 + N_RESERVED + 60)
+        assert b" [PAD]" in vocab.token_to_id and b"\n#MERGES" in vocab.token_to_id
+    path = tmp_path / "vocab.txt"
     save_vocab(path, vocab)
-    assert path.read_text().splitlines()[0] == "char 12"
+    assert path.read_bytes().isascii()
+    loaded = load_vocab(path)
+    assert (loaded.kind, loaded.tokens, loaded.merges) == (vocab.kind, vocab.tokens, vocab.merges)
+    assert encode(loaded, text) == encode(vocab, text)
 
 
 def test_pad_has_id_zero():
