@@ -11,7 +11,7 @@ import ctypes
 import json
 import logging
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,6 @@ from .corpus import (
     write_labels_csv,
     write_posts,
     write_split_manifest,
-    DEFAULT_IMAGE_PATTERNS,
-    DEFAULT_QUOTE_PATTERNS,
     SplitSpec,
 )
 from .evaluation import (
@@ -74,36 +72,33 @@ from .hetgraph import (
     write_graph,
     write_walks,
 )
-from .model import EpisodeModel, MetricHead, ModelConfig, PostEncoder
+from .model import HEAD_KINDS, POOLINGS, EpisodeModel, ModelConfig, PostEncoder
 from .numcore import Tensor, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_corpus, write_corpus
-from .tokenization import load_vocab, save_vocab, train_bpe, train_char_vocab
+from .tokenization import TOKENIZER_KINDS, load_vocab, save_vocab, train_bpe, train_char_vocab
 from .train import TrainConfig, build_registry, load_best, train_multitask, train_single
 
 log = logging.getLogger("epistyle")
 
-CORPUS_DEFAULTS = dict(
-    markets=("alpha", "beta"), authors_per_market=20, posts_per_author=100,
-    migrant_count=5, distinct_pair_count=5, subforums_per_market=6, communities=3,
-    weeks=20, core_mass=0.85, core_words=25, pool_size=400, community_affinity=False,
-    archetypes=False, late_author_fraction=0.0, min_episodes=2,
-    quote_patterns="", image_patterns="",
-)
+
+def _field_defaults(cls, *filled) -> dict:
+    """The fields of dataclass `cls` with their defaults, less those the CLI
+    fills itself."""
+    return {f.name: f.default for f in fields(cls) if f.name not in filled}
+
+
+# Each config section's keys with their defaults, which also give their types.
+CORPUS_DEFAULTS = _field_defaults(SynthConfig, "seed")
 TOKENIZER_DEFAULTS = dict(kind="bpe", size=30000)
-GRAPH_DEFAULTS = dict(
-    walks_per_user=1000, walk_length=80, dim=128, window=7, negatives=5, epochs=5, lr=0.025,
-)
-MODEL_DEFAULTS = dict(
-    d_token=32, d_text=128, d_time=64, d_context=128, filter_sizes=(2, 3, 4, 5),
-    filters_per_size=32, dropout=0.1, pooling="mean", tf_layers=4, tf_heads=4,
-    tf_ff=128, tf_model_dim=128, tf_out_dim=32, max_tokens=512,
-)
-TRAIN_DEFAULTS = dict(
-    batch_size=256, epochs=30, lr=1e-3, plateau_factor=0.5,
-    plateau_patience=5, val_fraction=0.10, episode_len=5, p_cross=0.01,
-    grad_clip=5.0, loss="sm",
-)
-EVAL_DEFAULTS = dict(kappa=1000, ks=(1, 5, 10))
+GRAPH_DEFAULTS = dict(walks_per_user=1000, walk_length=80, dim=128, window=7, negatives=5, epochs=5)
+MODEL_DEFAULTS = _field_defaults(ModelConfig, "vocab_size", "tokenizer_kind")
+TRAIN_DEFAULTS = _field_defaults(TrainConfig, "seed")
+EVAL_DEFAULTS = dict(kappa=1000)
+SECTION_DEFAULTS = {"corpus": CORPUS_DEFAULTS, "tokenizer": TOKENIZER_DEFAULTS,
+                    "graph": GRAPH_DEFAULTS, "model": MODEL_DEFAULTS, "train": TRAIN_DEFAULTS,
+                    "eval": EVAL_DEFAULTS}
+
+KS = (1, 5, 10)  # the k of each recall@k that eval reports
 
 
 # -------------------------------------------------------------- shared bits
@@ -150,11 +145,6 @@ def _split_posts(posts_by_market: dict[str, list[Post]], spec: SplitSpec):
     return train, test
 
 
-def _patterns(raw: str, fallback):
-    lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
-    return tuple(lines) if lines else fallback
-
-
 def _json_dump(path, obj) -> None:
     with atomic_write(path, encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -195,16 +185,7 @@ def _run_stage(args, stage: str, inputs: list, outputs: list, effective: dict, b
 
 def cmd_synth(args, cfg) -> int:
     values = section_values(cfg, "corpus", CORPUS_DEFAULTS)
-    scfg = SynthConfig(
-        markets=tuple(values["markets"]), authors_per_market=values["authors_per_market"],
-        posts_per_author=values["posts_per_author"], migrant_count=values["migrant_count"],
-        distinct_pair_count=values["distinct_pair_count"],
-        subforums_per_market=values["subforums_per_market"], communities=values["communities"],
-        weeks=values["weeks"], core_mass=values["core_mass"], core_words=values["core_words"],
-        pool_size=values["pool_size"], community_affinity=values["community_affinity"],
-        archetypes=values["archetypes"], late_author_fraction=values["late_author_fraction"],
-        seed=args.seed,
-    )
+    scfg = SynthConfig(**values, seed=args.seed)
     out_dir = Path(args.out)
     outputs = [out_dir / f"{m}.jsonl" for m in scfg.markets] + [out_dir / "labels.csv"]
 
@@ -232,9 +213,6 @@ def cmd_ingest(args, cfg) -> int:
 
 
 def cmd_preprocess(args, cfg) -> int:
-    values = section_values(cfg, "corpus", CORPUS_DEFAULTS)
-    quote = _patterns(values["quote_patterns"], DEFAULT_QUOTE_PATTERNS)
-    image = _patterns(values["image_patterns"], DEFAULT_IMAGE_PATTERNS)
     files = _market_files(args.input)
     out_dir = Path(args.out)
     outputs = {market: out_dir / f"{market}.jsonl" for market in files}
@@ -242,13 +220,10 @@ def cmd_preprocess(args, cfg) -> int:
     def body():
         for market, path in files.items():
             posts, _ = load_posts(path, market)
-            write_posts(outputs[market], [replace(p, body=preprocess_text(p.body, quote, image))
-                                          for p in posts])
+            write_posts(outputs[market], [replace(p, body=preprocess_text(p.body)) for p in posts])
         return None, f"preprocess: {len(outputs)} market files -> {out_dir}"
 
-    effective = {"quote_patterns": quote, "image_patterns": image}
-    return _run_stage(args, "preprocess", list(files.values()), list(outputs.values()),
-                      effective, body)
+    return _run_stage(args, "preprocess", list(files.values()), list(outputs.values()), {}, body)
 
 
 def cmd_split(args, cfg) -> int:
@@ -329,11 +304,9 @@ def cmd_graph_embed(args, cfg) -> int:
     ctx_path = Path(args.out) / "context.tsv"
 
     def body():
-        emb = train_skipgram(
-            read_walks(walks_path), dim=gvals["dim"], window=gvals["window"],
-            negatives=gvals["negatives"], epochs=gvals["epochs"], lr=gvals["lr"],
-            rng_seed=args.seed,
-        )
+        emb = train_skipgram(read_walks(walks_path), dim=gvals["dim"], window=gvals["window"],
+                             negatives=gvals["negatives"], epochs=gvals["epochs"],
+                             rng_seed=args.seed)
         graph = read_graph(graph_path)
         subforums = sorted(key for (t, key) in graph.key_labels if t == "S")
         ctx = export_context_init(emb, graph, subforums)
@@ -347,7 +320,7 @@ def cmd_graph_embed(args, cfg) -> int:
 def cmd_train_tokenizer(args, cfg) -> int:
     tvals = section_values(cfg, "tokenizer", TOKENIZER_DEFAULTS,
                            {"kind": args.kind, "size": args.size})
-    if tvals["kind"] not in ("char", "bpe"):
+    if tvals["kind"] not in TOKENIZER_KINDS:
         raise ValidationError(f"unknown tokenizer kind {tvals['kind']!r}")
     files = _market_files(args.input)
     split_path = _require(args.split, "split manifest")
@@ -385,7 +358,6 @@ def cmd_train(args, cfg) -> int:
         {"episode_len": args.episode_len, "loss": args.loss, "epochs": args.epochs,
          "batch_size": args.batch_size, "p_cross": args.p_cross},
     )
-    cvals = section_values(cfg, "corpus", CORPUS_DEFAULTS)
 
     files = _market_files(args.processed)
     split_path = _require(args.split, "split manifest")
@@ -419,10 +391,8 @@ def cmd_train(args, cfg) -> int:
     if labels_path:
         inputs.append(labels_path)
     inputs.extend(ctx_paths[m] for m in markets if m in ctx_paths)
-    effective = {
-        "markets": markets, "multitask": args.multitask, "graph_init": args.graph_init,
-        "model": mvals, "train": tvals, "min_episodes": cvals["min_episodes"],
-    }
+    effective = {"markets": markets, "multitask": args.multitask, "graph_init": args.graph_init,
+                 "model": mvals, "train": tvals}
     out_dir = Path(args.out)
     ckpt_path, runlog_path = out_dir / "checkpoint.bin", out_dir / "runlog.jsonl"
     meta_path = out_dir / "model_meta.json"
@@ -441,7 +411,7 @@ def cmd_train(args, cfg) -> int:
                                                        target_std)
 
         model_cfg = ModelConfig(**mvals, vocab_size=len(vocab), tokenizer_kind=vocab.kind)
-        train_cfg = TrainConfig(**tvals, seed=args.seed, min_episodes=cvals["min_episodes"])
+        train_cfg = TrainConfig(**tvals, seed=args.seed)
 
         model = EpisodeModel.build(model_cfg, subforums, seed=args.seed, context_init=context_init)
         encoder = PostEncoder(vocab, model_cfg.max_tokens)
@@ -462,7 +432,6 @@ def cmd_train(args, cfg) -> int:
             "multitask": args.multitask,
             "graph_init": args.graph_init,
             "episode_len": train_cfg.episode_len,
-            "min_episodes": train_cfg.min_episodes,
             "loss": train_cfg.loss,
             "seed": args.seed,
             "vocab_sha256": file_sha256(vocab_path),
@@ -495,7 +464,7 @@ def _load_run(run_dir, vocab_path):
     m["filter_sizes"] = tuple(m["filter_sizes"])
     model_cfg = ModelConfig(**m)
     params = load_checkpoint(ckpt_path)
-    tensors = {k: Tensor(v, name=k) for k, v in params.items() if not k.startswith("head.")}
+    tensors = {k: Tensor(v) for k, v in params.items() if not k.startswith("head.")}
     model = EpisodeModel(model_cfg, {m_: dict(v) for m_, v in meta["subforum_maps"].items()}, tensors)
     encoder = PostEncoder(vocab, model_cfg.max_tokens)
     return meta, model, encoder
@@ -507,8 +476,7 @@ def _test_episodes(meta, args, markets=None):
     posts = _load_markets(args.processed, markets or meta["markets"])
     spec = read_split_manifest(_require(args.split, "split manifest"))
     train, test = _split_posts(posts, spec)
-    episodes = {m: assemble_episodes(test[m], meta["episode_len"], meta["min_episodes"])
-                for m in posts}
+    episodes = {m: assemble_episodes(test[m], meta["episode_len"]) for m in posts}
     seen = {m: {(m, p.author) for p in train[m]} for m in posts}
     return episodes, seen
 
@@ -541,7 +509,7 @@ def cmd_eval(args, cfg) -> int:
     meta, model, encoder = _load_run(Path(args.run), Path(args.vocab))
     out_dir = Path(args.out) if args.out else Path(args.run)
     inputs = _embedding_inputs(meta, args)
-    effective = {"kappa": evals["kappa"], "ks": list(evals["ks"]), "seed": args.seed}
+    effective = {"kappa": evals["kappa"], "seed": args.seed}
     emb_files = {m: embeddings_files(out_dir, m) for m in meta["markets"]}
     metrics_path = out_dir / "metrics.json"
 
@@ -560,11 +528,11 @@ def cmd_eval(args, cfg) -> int:
             index = RetrievalIndex.from_episodes(model, encoder, episodes[market],
                                                  seen_authors=seen[market])
             queries = sample_queries(index, evals["kappa"], np.random.default_rng(args.seed))
-            block = {"all": metrics_report(index, kappa=evals["kappa"], seed=args.seed,
-                                           ks=tuple(evals["ks"]), queries=queries).to_dict()}
+            block = {"all": metrics_report(index, kappa=evals["kappa"], ks=KS, seed=args.seed,
+                                           queries=queries).to_dict()}
             block["all"]["random_baseline_mrr"] = random_baseline_mrr(index, queries)
-            for group, rep in seen_novel_report(index, kappa=evals["kappa"], seed=args.seed,
-                                                ks=tuple(evals["ks"])).items():
+            for group, rep in seen_novel_report(index, kappa=evals["kappa"], ks=KS,
+                                                seed=args.seed).items():
                 block[group] = rep.to_dict()
             report["markets"][market] = block
             export_embeddings_tsv(emb_files[market][0], index)
@@ -629,7 +597,20 @@ def cmd_attribute(args, cfg) -> int:
     return 0
 
 
+def _recall_k(metric: str) -> str | None:
+    """The K of --metric recall@K, as metrics files key it; None for mrr."""
+    if metric == "mrr":
+        return None
+    name, _, k = metric.partition("@")
+    if name != "recall" or not (k.isdecimal() and int(k) > 0):
+        raise ValidationError(f"--metric must be mrr or recall@K for a positive integer K, "
+                              f"got {metric!r}")
+    return str(int(k))
+
+
 def cmd_compare(args, cfg) -> int:
+    recall_k = _recall_k(args.metric)
+
     def collect(paths):
         values = {}
         for path in paths:
@@ -637,11 +618,14 @@ def cmd_compare(args, cfg) -> int:
             for market, block in doc["markets"].items():
                 key = (market, doc["config"]["episode_len"], doc["config"]["tokenizer"],
                        doc["config"]["train_seed"])
-                if args.metric == "mrr":
-                    values[key] = block["all"]["mrr"]
+                summary = block["all"]
+                if recall_k is None:
+                    values[key] = summary["mrr"]
+                elif recall_k in summary["recall"]:
+                    values[key] = summary["recall"][recall_k]
                 else:
-                    k = args.metric.split("@", 1)[1]
-                    values[key] = block["all"]["recall"][k]
+                    raise ValidationError(f"{path}: no recall@{recall_k}; it holds recall@k "
+                                          f"for k in {', '.join(summary['recall'])}")
         return values
 
     a_vals = collect([Path(p) for p in args.group_a])
@@ -731,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train-tokenizer", cmd_train_tokenizer, help="train a char or byte-BPE vocabulary")
     p.add_argument("--input", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--kind", choices=["char", "bpe"], default=None)
+    p.add_argument("--kind", choices=TOKENIZER_KINDS, default=None)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--out", required=True)
 
@@ -743,9 +727,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multitask", action="store_true")
     p.add_argument("--labels", default=None, help="migration labels CSV for the cross task")
     p.add_argument("--episode-len", type=int, default=None)
-    p.add_argument("--loss", choices=["sm", "cf", "af", "ms"], default=None)
-    p.add_argument("--pooling", choices=["mean", "transformer"], default=None)
-    p.add_argument("--tokenizer", choices=["char", "bpe"], default=None,
+    p.add_argument("--loss", choices=HEAD_KINDS, default=None)
+    p.add_argument("--pooling", choices=POOLINGS, default=None)
+    p.add_argument("--tokenizer", choices=TOKENIZER_KINDS, default=None,
                    help="assert the vocabulary file is of this kind")
     p.add_argument("--graph-init", choices=["pretrained", "random"], default="random")
     p.add_argument("--context-init", action="append", default=None, metavar="MARKET=TSV")
@@ -821,6 +805,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        try:  # every section, so that each stage fails on a fault in any of them
+            for section, defaults in SECTION_DEFAULTS.items():
+                section_values(cfg, section, defaults)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.config}: {exc}") from None
         return args.fn(args, cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,23 +52,22 @@ def load_config(path=None) -> dict[str, dict[str, str]]:
     return cfg
 
 
+# what a value that fails to parse should have been, by the type of its default
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", tuple: "integers"}
+_BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+             **dict.fromkeys(("false", "0", "no", "off"), False)}
+
+
 def _coerce(raw: str, like):
+    """`raw` read as the type of `like`; KeyError or ValueError when it does
+    not parse."""
     if isinstance(like, bool):
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValidationError(f"expected a boolean, got {raw!r}")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
+        return _BOOLEANS[raw.strip().lower()]
+    if isinstance(like, (int, float)):
+        return type(like)(raw)
     if isinstance(like, tuple):
-        items = [x.strip() for x in raw.replace(",", " ").split()]
-        if like and isinstance(like[0], int):
-            return tuple(int(x) for x in items)
-        return tuple(items)
+        items = raw.replace(",", " ").split()
+        return tuple(map(int, items)) if like and isinstance(like[0], int) else tuple(items)
     return raw
 
 
@@ -79,7 +78,11 @@ def section_values(cfg: dict, section: str, defaults: dict, overrides: dict | No
     for key, raw in cfg.get(section, {}).items():
         if key not in defaults:
             raise ValidationError(f"[{section}] has no key {key!r}")
-        out[key] = _coerce(raw, defaults[key])
+        try:
+            out[key] = _coerce(raw, defaults[key])
+        except (KeyError, ValueError):
+            raise ValidationError(f"[{section}] {key}: expected "
+                                  f"{_EXPECTED[type(defaults[key])]}, got {raw!r}") from None
     for key, val in (overrides or {}).items():
         if val is not None:
             out[key] = val

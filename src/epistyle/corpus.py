@@ -51,8 +51,14 @@ def _pgp_re(kind: str) -> re.Pattern:
 _PGP_RES = [(_pgp_re(kind), token) for kind, token in _PGP_BLOCKS]
 _PUBKEY_RE = _pgp_re("PGP PUBLIC KEY BLOCK")
 
-DEFAULT_QUOTE_PATTERNS = (r"\[quote[^\]]*\].*?\[/quote\]",)
-DEFAULT_IMAGE_PATTERNS = (r"\[img[^\]]*\].*?\[/img\]",)
+# BBCode quote and image blocks, tags matched case-insensitively
+QUOTE_RE = re.compile(r"\[quote[^\]]*\].*?\[/quote\]", re.DOTALL | re.IGNORECASE)
+IMAGE_RE = re.compile(r"\[img[^\]]*\].*?\[/img\]", re.DOTALL | re.IGNORECASE)
+
+# Authors with fewer than MIN_EPISODES episodes' worth of posts are left out
+# of the test episodes and of the training classes; two is the least that
+# gives a test query a same-author episode to find.
+MIN_EPISODES = 2
 
 REQUIRED_POST_FIELDS = (
     "subforum",
@@ -191,22 +197,14 @@ def write_posts(path, posts: list[Post]) -> None:
 # --------------------------------------------------------------- preprocess
 
 
-def preprocess_text(
-    raw: str,
-    quote_patterns=DEFAULT_QUOTE_PATTERNS,
-    image_patterns=DEFAULT_IMAGE_PATTERNS,
-) -> str:
+def preprocess_text(raw: str) -> str:
     """Replace quoted posts, PGP armor blocks, links, and images with special
     tokens. Idempotent: the tokens themselves never re-match."""
-    text = raw
-    for pat in quote_patterns:
-        text = re.sub(pat, QUOTE_TOKEN, text, flags=re.DOTALL | re.IGNORECASE)
+    text = QUOTE_RE.sub(QUOTE_TOKEN, raw)
     for pgp_re, token in _PGP_RES:
         text = pgp_re.sub(token, text)
-    for pat in image_patterns:
-        text = re.sub(pat, IMAGE_TOKEN, text, flags=re.DOTALL | re.IGNORECASE)
-    text = URL_RE.sub(LINK_TOKEN, text)
-    return text
+    text = IMAGE_RE.sub(IMAGE_TOKEN, text)
+    return URL_RE.sub(LINK_TOKEN, text)
 
 
 # -------------------------------------------------------------------- split
@@ -282,16 +280,16 @@ def author_timelines(posts: list[Post]) -> dict[tuple[str, str], list[Post]]:
     return groups
 
 
-def assemble_episodes(posts: list[Post], length: int, min_episodes: int = 2) -> list[Episode]:
+def assemble_episodes(posts: list[Post], length: int) -> list[Episode]:
     """Bundle same-author posts into consecutive non-overlapping episodes of
     exactly `length` posts, dropping the trailing remainder. Authors with
-    fewer than min_episodes*length posts are excluded.
+    fewer than MIN_EPISODES * length posts are excluded.
     """
     if length < 1:
         raise ValueError(f"episode length must be >= 1, got {length}")
     episodes: list[Episode] = []
     for (market, author), group in sorted(author_timelines(posts).items()):
-        if len(group) < min_episodes * length:
+        if len(group) < MIN_EPISODES * length:
             continue
         for s in range(0, len(group) // length * length, length):
             episodes.append(Episode(market=market, author=author, posts=tuple(group[s : s + length])))

@@ -16,7 +16,7 @@ import numpy as np
 from . import numcore as nc
 from .atomic import atomic_write
 from .corpus import Episode
-from .model import EpisodeModel, EpisodeBatch, PostEncoder, make_episode_batch
+from .model import EpisodeModel, PostEncoder, make_episode_batch
 from .numcore import Tensor
 
 log = logging.getLogger(__name__)
@@ -168,8 +168,8 @@ class MetricsReport:
         }
 
 
-def metrics_report(index: RetrievalIndex, kappa: int = 1000, seed: int = 0,
-                   ks=(1, 5, 10), queries=None, group: str = "all") -> MetricsReport:
+def metrics_report(index: RetrievalIndex, kappa: int, ks, seed: int = 0, queries=None,
+                   group: str = "all") -> MetricsReport:
     """MRR and recall@k of the first same-author rank over `queries`, or over
     `kappa` eligible queries sampled with `seed`."""
     rng = np.random.default_rng(seed)
@@ -183,8 +183,8 @@ def metrics_report(index: RetrievalIndex, kappa: int = 1000, seed: int = 0,
     )
 
 
-def seen_novel_report(index: RetrievalIndex, kappa: int = 1000, seed: int = 0,
-                      ks=(1, 5, 10)) -> dict[str, MetricsReport]:
+def seen_novel_report(index: RetrievalIndex, kappa: int, ks,
+                      seed: int = 0) -> dict[str, MetricsReport]:
     """Metrics over the disjoint seen-author and novel-author query samples."""
     rng = np.random.default_rng(seed)
     eligible = index.eligible_queries()
@@ -289,7 +289,7 @@ def si_score(index: RetrievalIndex, market: str, author: str) -> float:
     return total / pairs
 
 
-def topk_sybil(index: RetrievalIndex, market: str, author: str, k: int = 10):
+def topk_sybil(index: RetrievalIndex, market: str, author: str, k: int):
     """Most frequent foreign user among the k nearest cross-market episodes of
     each of the author's episodes; ties prefer higher mean similarity.
 
@@ -343,7 +343,7 @@ def gauss_legendre_unit(steps: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(alphas), np.asarray(weights)
 
 
-def integrated_gradients_fn(fn, x: np.ndarray, baseline: np.ndarray, steps: int = 50):
+def integrated_gradients_fn(fn, x: np.ndarray, baseline: np.ndarray, steps: int):
     """Path-integral attribution of a scalar function from baseline to x.
 
     fn maps a Tensor of x.shape to a scalar Tensor. Returns (attributions,
@@ -394,7 +394,7 @@ def author_centroid(index: RetrievalIndex, market: str, author: str) -> np.ndarr
 
 
 def integrated_gradients(model: EpisodeModel, encoder: PostEncoder, episode: Episode,
-                         target_fn, steps: int = 50):
+                         target_fn, steps: int):
     """Per-token attribution scores for one episode.
 
     The baseline replaces every token embedding with the [PAD] embedding;

@@ -108,13 +108,8 @@ def _walk_rng(seed: int, node: str, walk_index: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def sample_walks(
-    graph: HetGraph,
-    schemes=DEFAULT_SCHEMES,
-    walks_per_user: int = 1000,
-    walk_length: int = 80,
-    rng_seed: int = 0,
-) -> list[list[str]]:
+def sample_walks(graph: HetGraph, schemes=DEFAULT_SCHEMES, *, walks_per_user: int,
+                 walk_length: int, rng_seed: int = 0) -> list[list[str]]:
     """Meta-path guided walks from every user node.
 
     walks_per_user splits evenly across schemes (remainder round-robin); at
@@ -317,17 +312,11 @@ def _walk_pairs(walks: list[list[int]], window: int) -> tuple[np.ndarray, np.nda
 # Pairs per SGD step. Updates within a batch are computed from the same
 # parameters and summed into the tables.
 SKIPGRAM_BATCH = 1024
+SKIPGRAM_LR = 0.025  # initial SGD step, decayed linearly to 1e-4 of it
 
 
-def train_skipgram(
-    walks: list[list[str]],
-    dim: int = 128,
-    window: int = 7,
-    negatives: int = 5,
-    epochs: int = 5,
-    lr: float = 0.025,
-    rng_seed: int = 0,
-) -> NodeEmbeddings:
+def train_skipgram(walks: list[list[str]], dim: int, window: int, negatives: int, epochs: int,
+                   rng_seed: int = 0) -> NodeEmbeddings:
     """Skip-gram with negative sampling over walk windows.
 
     Mini-batched SGD over integer pair arrays: each batch of SKIPGRAM_BATCH
@@ -364,7 +353,7 @@ def train_skipgram(
             ci = centers[lo : lo + SKIPGRAM_BATCH]
             oi = contexts[lo : lo + SKIPGRAM_BATCH]
             ni = sampler.draw(oi, negatives, rng)
-            alpha = lr * max(1e-4, 1.0 - (epoch * n_pairs + lo) / total_updates)
+            alpha = SKIPGRAM_LR * max(1e-4, 1.0 - (epoch * n_pairs + lo) / total_updates)
             loss, g_v, g_uc, g_un = sgns_batch_loss_and_grads(w_in[ci], w_out[oi], w_out[ni])
             loss_sum += loss
             scatter_add(w_in, ci, -alpha * g_v)
@@ -380,7 +369,7 @@ def train_skipgram(
             "window": window,
             "negatives": negatives,
             "epochs": epochs,
-            "lr": lr,
+            "lr": SKIPGRAM_LR,
             "seed": rng_seed,
             "epoch_losses": epoch_losses,
         },

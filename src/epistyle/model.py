@@ -15,6 +15,8 @@ from .numcore import Tensor
 from .tokenization import Vocab, encode
 
 UNK_SUBFORUM_ROW = 0
+POOLINGS = ("mean", "transformer")
+HEAD_KINDS = ("sm", "cf", "af", "ms")  # see MetricHead
 
 
 @dataclass
@@ -27,13 +29,13 @@ class ModelConfig:
     filter_sizes: tuple[int, ...] = (2, 3, 4, 5)
     filters_per_size: int = 32
     dropout: float = 0.1
-    pooling: str = "mean"  # mean | transformer
+    pooling: str = "mean"  # one of POOLINGS
     tf_layers: int = 4
     tf_heads: int = 4
     tf_ff: int = 128
     tf_model_dim: int = 128
     tf_out_dim: int = 32
-    tokenizer_kind: str = "bpe"
+    tokenizer_kind: str = ""  # filled in with vocab_size
     max_tokens: int = 512
 
     def __post_init__(self):
@@ -41,7 +43,7 @@ class ModelConfig:
                 self.filters_per_size, self.tf_model_dim, self.tf_out_dim)
         if any(d <= 0 for d in dims):
             raise ValueError("all model dimensions must be positive")
-        if self.pooling not in ("mean", "transformer"):
+        if self.pooling not in POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling!r}")
 
     @property
@@ -72,7 +74,7 @@ def day_of_week(timestamp: float) -> int:
 class PostEncoder:
     """Caches token-id sequences per post; truncates to the model's cap."""
 
-    def __init__(self, vocab: Vocab, max_tokens: int = 512):
+    def __init__(self, vocab: Vocab, max_tokens: int):
         self.vocab = vocab
         self.max_tokens = max_tokens
         self._cache: dict[tuple[str, str], np.ndarray] = {}
@@ -150,7 +152,7 @@ class EpisodeModel:
         p: dict[str, Tensor] = {}
 
         def param(name, arr):
-            p[name] = Tensor(arr.astype(np.float32), requires_grad=True, name=name)
+            p[name] = Tensor(arr.astype(np.float32), requires_grad=True)
 
         def glorot(*shape):
             fan_in, fan_out = shape[0] if len(shape) == 2 else int(np.prod(shape[:-1])), shape[-1]
@@ -298,16 +300,14 @@ class MetricHead:
 
     @classmethod
     def build(cls, kind: str, name: str, n_labels: int, dim: int, seed: int = 0, **hyper) -> "MetricHead":
-        if kind not in ("sm", "cf", "af", "ms"):
+        if kind not in HEAD_KINDS:
             raise ValueError(f"unknown metric head kind {kind!r}")
         head = cls(kind=kind, name=name, n_labels=n_labels, dim=dim, **hyper)
         if kind != "ms":
             rng = np.random.default_rng(seed)
             std = math.sqrt(2.0 / (n_labels + dim))
-            head.weight = Tensor(
-                rng.normal(0.0, std, size=(n_labels, dim)).astype(np.float32),
-                requires_grad=True, name=f"head.{name}",
-            )
+            head.weight = Tensor(rng.normal(0.0, std, size=(n_labels, dim)).astype(np.float32),
+                                 requires_grad=True)
         return head
 
     def named_params(self) -> dict[str, Tensor]:

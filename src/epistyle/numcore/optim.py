@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+PLATEAU_FACTOR = 0.5  # learning-rate multiplier on a plateau
+PLATEAU_PATIENCE = 5  # consecutive non-improving epochs that make a plateau
 
 
 @dataclass
@@ -68,12 +70,11 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
 
 @dataclass
 class PlateauScheduler:
-    """Halve the learning rate after `patience` consecutive non-improving epochs."""
+    """Scale the learning rate by PLATEAU_FACTOR after PLATEAU_PATIENCE
+    consecutive non-improving epochs."""
 
     lr: float
-    factor: float = 0.5
-    patience: int = 5
-    best: float = field(default=float("inf"))
+    best: float = float("inf")
     since_best: int = 0
 
     def step(self, metric: float) -> float:
@@ -82,7 +83,7 @@ class PlateauScheduler:
             self.since_best = 0
         else:
             self.since_best += 1
-            if self.since_best >= self.patience:
-                self.lr *= self.factor
+            if self.since_best >= PLATEAU_PATIENCE:
+                self.lr *= PLATEAU_FACTOR
                 self.since_best = 0
         return self.lr

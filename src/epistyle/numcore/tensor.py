@@ -59,9 +59,9 @@ class ShapeError(ValueError):
 class Tensor:
     """An n-d array with an optional gradient buffer and backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_DEFAULT_DTYPE)
@@ -70,7 +70,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._backward = None
         self._parents = ()
-        self.name = name
 
     @property
     def shape(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
@@ -20,6 +20,9 @@ from .corpus import MigrationLabel, Post, write_labels_csv, write_posts
 # 2013-01-07 00:00 UTC, a Monday, so week/day arithmetic lands on the
 # intended day of the week.
 DEFAULT_START = 1357516800.0
+POOL_SIZE = 400  # words in the vocabulary all markets share
+CORE_WORDS = 25  # words in each author's core vocabulary
+WORDS_PER_POST = (6, 14)  # inclusive range of a regular post's word count
 
 _CONSONANTS = "bcdfghjklmnpqrstvwz"
 _VOWELS = "aeiou"
@@ -80,11 +83,7 @@ class SynthConfig:
     subforums_per_market: int = 6
     communities: int = 3
     weeks: int = 20
-    start_timestamp: float = DEFAULT_START
-    pool_size: int = 400
-    core_words: int = 25
     core_mass: float = 0.85  # probability mass on the author's core vocabulary
-    words_per_post: tuple[int, int] = (6, 14)
     archetypes: bool = False
     late_author_fraction: float = 0.0  # authors active only in the later weeks
     # authors inherit their community's subforum distribution instead of a
@@ -122,8 +121,8 @@ def _subforums(cfg: SynthConfig, market: str) -> list[str]:
 
 def _make_profile(cfg: SynthConfig, rng: random.Random, market: str, username: str,
                   community: int, archetype: str = "normal") -> AuthorProfile:
-    core = rng.sample(range(cfg.pool_size), cfg.core_words)
-    weights = [(1.0 - cfg.core_mass) / (cfg.pool_size - cfg.core_words)] * cfg.pool_size
+    core = rng.sample(range(POOL_SIZE), CORE_WORDS)
+    weights = [(1.0 - cfg.core_mass) / (POOL_SIZE - CORE_WORDS)] * POOL_SIZE
     core_w = [rng.random() + 0.2 for _ in core]
     total = sum(core_w)
     for idx, w in zip(core, core_w):
@@ -195,14 +194,14 @@ def shared_key_payload(rng: random.Random) -> str:
     return "\n".join("".join(rng.choice(alphabet) for _ in range(48)) for _ in range(3))
 
 
-def _body(cfg: SynthConfig, rng: random.Random, profile: AuthorProfile, word_cum: list[float],
-          pool: list[str], peers: list[str]) -> str:
+def _body(rng: random.Random, profile: AuthorProfile, word_cum: list[float], pool: list[str],
+          peers: list[str]) -> str:
     """One post body; `word_cum` is the running sum of the profile's word weights."""
     q = profile.quirks
     if profile.archetype == "newbie":
         n = rng.randint(1, 50)
         return rng.choice([f"{n}", f"{n} spam to fifty", f"post {n} almost there"])
-    n_words = rng.randint(*cfg.words_per_post)
+    n_words = rng.randint(*WORDS_PER_POST)
     words = [pool[bisect_left(word_cum, rng.random() * word_cum[-1])] for _ in range(n_words)]
     if q.ellipsis and rng.random() < q.ellipsis:
         pos = rng.randrange(len(words))
@@ -232,7 +231,7 @@ def _body(cfg: SynthConfig, rng: random.Random, profile: AuthorProfile, word_cum
 def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     cfg.validate()
     rng = random.Random(cfg.seed)
-    pool = word_pool(cfg.pool_size)
+    pool = word_pool(POOL_SIZE)
 
     # profiles: migrants of market k are cloned into market k+1 under a new
     # username placed at the end of that market's roster
@@ -305,7 +304,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
                     if r < acc:
                         dow = d
                         break
-                ts = cfg.start_timestamp + (week * 7 + dow) * 86400 + rng.randrange(86400)
+                ts = DEFAULT_START + (week * 7 + dow) * 86400 + rng.randrange(86400)
                 r = rng.random()
                 acc = 0.0
                 subforum = next(iter(profile.subforum_weights))
@@ -321,7 +320,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
                     threads[subforum].append(thread_id)
                 else:
                     thread_id = rng.choice(threads[subforum])
-                body = _body(cfg, rng, profile, word_cum, pool, peers)
+                body = _body(rng, profile, word_cum, pool, peers)
                 if pi in key_posts:
                     for lab in labels:
                         if (market, profile.username) in (lab.user_a, lab.user_b):

@@ -27,6 +27,8 @@ RESERVED = (PAD_TOKEN, UNK_TOKEN) + SPECIAL_TOKENS
 # running text must not encode to the padding id.
 _ATOMIC_RE = re.compile("|".join(re.escape(t) for t in SPECIAL_TOKENS))
 
+TOKENIZER_KINDS = ("char", "bpe")
+
 # Chunks are an optional whitespace run glued to the following word, so token
 # boundaries (and therefore round-trips) survive merging.
 _CHUNK_RE = re.compile(r"\s*\S+|\s+")
@@ -34,7 +36,7 @@ _CHUNK_RE = re.compile(r"\s*\S+|\s+")
 
 @dataclass
 class Vocab:
-    kind: str  # "char" | "bpe"
+    kind: str  # one of TOKENIZER_KINDS
     tokens: list  # str for char mode, bytes for bpe body tokens
     merges: list = field(default_factory=list)  # ordered (left, right) byte pairs
 
@@ -67,7 +69,7 @@ def _iter_segments(text: str):
 # ---------------------------------------------------------------- training
 
 
-def train_char_vocab(texts, size: int = 1000) -> Vocab:
+def train_char_vocab(texts, size: int) -> Vocab:
     """Keep the `size - len(specials)` most frequent characters; frequency
     ties break by codepoint order."""
     if size < len(RESERVED):
@@ -94,7 +96,7 @@ def _chunk_counts(texts) -> Counter:
     return chunks
 
 
-def train_bpe(texts, size: int = 30000) -> Vocab:
+def train_bpe(texts, size: int) -> Vocab:
     """Byte-level BPE: 256 base symbols plus greedy highest-frequency merges
     until the vocabulary reaches `size`. Count ties break by lexicographic
     pair order, which makes training deterministic for a fixed corpus."""
@@ -232,8 +234,8 @@ def load_vocab(path) -> Vocab:
 
 def _vocab_from_doc(doc) -> Vocab:
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in ("char", "bpe"):
-        raise ValueError(f"kind {kind!r} is not 'char' or 'bpe'")
+    if kind not in TOKENIZER_KINDS:
+        raise ValueError(f"kind {kind!r} is not {' or '.join(map(repr, TOKENIZER_KINDS))}")
     tokens, merges = doc.get("tokens"), doc.get("merges")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError("tokens are not a list of strings")

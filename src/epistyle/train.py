@@ -22,36 +22,33 @@ from itertools import accumulate
 
 import numpy as np
 
-from .corpus import Episode, MigrationLabel, Post, author_timelines, same_author_classes
-from .model import EpisodeModel, MetricHead, PostEncoder, make_episode_batch
+from .corpus import (MIN_EPISODES, Episode, MigrationLabel, Post, author_timelines,
+                     same_author_classes)
+from .model import HEAD_KINDS, EpisodeModel, MetricHead, PostEncoder, make_episode_batch
 from .numcore import AdamState, PlateauScheduler, Tensor, adam_step, clip_global_norm
 
 log = logging.getLogger(__name__)
+
+LR = 1e-3  # Adam's initial learning rate
+VAL_FRACTION = 0.10  # share of each author's fixed windows held out for validation
+GRAD_CLIP = 5.0  # bound on each step's global gradient norm
 
 
 @dataclass
 class TrainConfig:
     batch_size: int = 256
     epochs: int = 30
-    lr: float = 1e-3
-    plateau_factor: float = 0.5
-    plateau_patience: int = 5
-    val_fraction: float = 0.10
     episode_len: int = 5
     p_cross: float = 0.01
     seed: int = 0
-    grad_clip: float = 5.0
-    min_episodes: int = 2
-    loss: str = "sm"  # sm | cf | af | ms
+    loss: str = "sm"  # one of HEAD_KINDS
 
     def __post_init__(self):
         if not 1 <= self.episode_len <= 9:
             raise ValueError(f"episode_len must be in 1..9, got {self.episode_len}")
         if not 0.0 <= self.p_cross <= 1.0:
             raise ValueError(f"p_cross must be in [0, 1], got {self.p_cross}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.loss not in ("sm", "cf", "af", "ms"):
+        if self.loss not in HEAD_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}")
 
 
@@ -124,12 +121,12 @@ class TaskRegistry:
 # ----------------------------------------------------------- task building
 
 
-def _split_author(group: list[Post], length: int, val_fraction: float,
+def _split_author(group: list[Post], length: int,
                   rng: random.Random) -> tuple[list[list[Post]], list[Episode]]:
-    """Hold out ~val_fraction of an author's fixed windows; the remaining
+    """Hold out ~VAL_FRACTION of an author's fixed windows; the remaining
     posts form contiguous segments for random window sampling."""
     n_windows = len(group) // length
-    val_n = max(1, int(val_fraction * n_windows)) if n_windows >= 2 else 0
+    val_n = max(1, int(VAL_FRACTION * n_windows)) if n_windows >= 2 else 0
     val_idx = sorted(rng.sample(range(n_windows), val_n)) if val_n else []
     val_eps = []
     blocked = set()
@@ -166,7 +163,7 @@ def _build_task(name: str, kind: str, classes: list[tuple[tuple[str, str], ...]]
         segments: list[list[Post]] = []
         class_val: list[Episode] = []
         for user in members:
-            segs, user_val = _split_author(timelines[user], length, cfg.val_fraction, rng)
+            segs, user_val = _split_author(timelines[user], length, rng)
             segments.extend(segs)
             class_val.extend(user_val)
         weight = sum(len(s) // length for s in segments)
@@ -189,7 +186,7 @@ def build_registry(model: EpisodeModel, encoder: PostEncoder,
                    train_posts_by_market: dict[str, list[Post]], cfg: TrainConfig,
                    migration_labels: list[MigrationLabel] | None = None) -> TaskRegistry:
     """One market task per market, a class for each of its authors with at
-    least min_episodes * episode_len posts, and, given labels, one cross task
+    least MIN_EPISODES * episode_len posts, and, given labels, one cross task
     whose classes are the same-author clusters of users with at least one
     window."""
     rng = random.Random(cfg.seed ^ 0x5EED)
@@ -198,7 +195,7 @@ def build_registry(model: EpisodeModel, encoder: PostEncoder,
     tasks = []
     for i, market in enumerate(sorted(train_posts_by_market)):
         classes = [(user,) for user in sorted(timelines)
-                   if user[0] == market and len(timelines[user]) >= cfg.min_episodes * length]
+                   if user[0] == market and len(timelines[user]) >= MIN_EPISODES * length]
         task = _build_task(market, "market", classes, timelines, cfg, dim, rng,
                            head_seed=cfg.seed + 101 + i)
         if task is None:
@@ -272,7 +269,7 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
 
     params = registry.all_params()
     state = {name: AdamState.for_param(t.data) for name, t in params.items()}
-    scheduler = PlateauScheduler(lr=cfg.lr, factor=cfg.plateau_factor, patience=cfg.plateau_patience)
+    scheduler = PlateauScheduler(lr=LR)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     task_rng = random.Random(int(seeds[0].generate_state(1)[0]))
@@ -305,7 +302,7 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
             del emb, loss  # the graph is spent; free it before the next forward
             allowed = registry.allowed_params(task)
             grads = {n: t.grad for n, t in params.items() if n in allowed and t.grad is not None}
-            grad_norms.append(clip_global_norm(grads, cfg.grad_clip))
+            grad_norms.append(clip_global_norm(grads, GRAD_CLIP))
             adam_step({n: params[n].data for n in grads}, grads, state, lr)
             epoch_losses.setdefault(task.name, []).append(value)
 

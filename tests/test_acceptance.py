@@ -419,7 +419,7 @@ def _trained_attribution_setup(seed=1):
     registry = build_registry(model, encoder, {"m1": posts}, tcfg)
     result = train_single(registry, tcfg)
     load_best(registry, result)
-    return model, encoder, assemble_episodes(posts, 2, 2)
+    return model, encoder, assemble_episodes(posts, 2)
 
 
 def test_criterion_7_integrated_gradients_axioms():

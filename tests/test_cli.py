@@ -268,15 +268,25 @@ def test_malformed_graph_json_exits_1_with_one_line(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1 and "Traceback" not in err and str(graph) in err
 
 
+# case -> (file, exit code, corruption, text the error line must hold besides the path)
 MALFORMED_INPUTS = {
-    "truncated-vocab": ("vocab", 1, lambda text: text[:-20]),
-    "wrong-kind-vocab": ("vocab", 1, lambda text: text.replace('"kind": "char"', '"kind": "word"')),
+    "truncated-vocab": ("vocab", 1, lambda text: text[:-20], ""),
+    "wrong-kind-vocab": ("vocab", 1,
+                         lambda text: text.replace('"kind": "char"', '"kind": "word"'), ""),
     "reserved-block-vocab": ("vocab", 1,
-                             lambda text: text.replace('"[PAD]", "[UNK]"', '"[UNK]", "[PAD]"')),
-    "short-labels-row": ("labels", 1, lambda text: text + "alpha,alpha_u0,beta\n"),
-    "config-without-section": ("config", 2, lambda text: "epochs = 1\n" + text),
+                             lambda text: text.replace('"[PAD]", "[UNK]"', '"[UNK]", "[PAD]"'), ""),
+    "short-labels-row": ("labels", 1, lambda text: text + "alpha,alpha_u0,beta\n", ""),
+    "config-without-section": ("config", 2, lambda text: "epochs = 1\n" + text, ""),
     "config-duplicate-key": ("config", 2,
-                             lambda text: text.replace("[train]\n", "[train]\nepochs = 1\n")),
+                             lambda text: text.replace("[train]\n", "[train]\nepochs = 1\n"), ""),
+    "config-non-integer": ("config", 2, lambda text: text.replace("epochs = 2\n", "epochs = x\n"),
+                           "[train] epochs: expected an integer, got 'x'"),
+    "config-fractional-integer": ("config", 2,
+                                  lambda text: text.replace("walk_length = 9", "walk_length = 2.5"),
+                                  "[graph] walk_length: expected an integer, got '2.5'"),
+    "config-deleted-key": ("config", 2,
+                           lambda text: text.replace("[train]\n", "[train]\ngrad_clip = 1\n"),
+                           "[train] has no key 'grad_clip'"),
 }
 
 
@@ -288,7 +298,7 @@ def test_malformed_vocab_labels_or_config_exits_with_one_line(workspace, tmp_pat
     shutil.copy(root / "vocab" / "vocab.txt", paths["vocab"])
     shutil.copy(root / "raw" / "labels.csv", paths["labels"])
     paths["config"].write_text(CONFIG)
-    which, want, corrupt = MALFORMED_INPUTS[case]
+    which, want, corrupt, named = MALFORMED_INPUTS[case]
     text = paths[which].read_text()
     paths[which].write_text(corrupt(text))
     assert paths[which].read_text() != text
@@ -303,6 +313,40 @@ def test_malformed_vocab_labels_or_config_exits_with_one_line(workspace, tmp_pat
         err = capsys.readouterr().err
         assert code == want, (argv[0], err)
         assert len(err.splitlines()) == 1 and "Traceback" not in err and str(paths[which]) in err
+        assert named in err
+
+
+def _metrics_files(directory: Path) -> list[str]:
+    """Five metrics files, one per train seed, each with recall@1, @5 and @10."""
+    paths = []
+    for seed in range(5):
+        path = directory / f"metrics-{seed}.json"
+        path.write_text(json.dumps({
+            "config": {"episode_len": 5, "tokenizer": "char", "train_seed": seed},
+            "markets": {"alpha": {"all": {"mrr": 0.5, "recall": {"1": 0.4, "5": 0.6, "10": 0.7}}}},
+        }))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("metric", ["foo", "recall", "recall@", "recall@x", "recall@0", "mrr@5"])
+def test_compare_rejects_an_unknown_metric_with_one_line(tmp_path, capsys, metric):
+    files = _metrics_files(tmp_path)
+    code = main(["compare", "--metric", metric, "--group-a", *files, "--group-b", *files])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err and repr(metric) in err
+
+
+def test_compare_names_the_file_without_the_asked_recall(tmp_path, capsys):
+    files = _metrics_files(tmp_path)
+    code = main(["compare", "--metric", "recall@7", "--group-a", *files, "--group-b", *files])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert files[0] in err and "recall@7" in err and "1, 5, 10" in err
+    assert main(["compare", "--metric", "recall@5", "--group-a", *files, "--group-b", *files]) == 0
+    assert "mean_a=0.6000" in capsys.readouterr().out
 
 
 def test_non_numeric_context_init_cell_exits_1_naming_its_line(workspace, tmp_path, capsys):

@@ -341,7 +341,7 @@ def test_fixed_episodes_ten_posts_l5():
 
 
 def test_author_below_threshold_excluded():
-    assert assemble_episodes(_author_posts(9), length=5, min_episodes=2) == []
+    assert assemble_episodes(_author_posts(9), length=5) == []
 
 
 def test_unit_windows():

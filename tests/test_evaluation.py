@@ -82,7 +82,7 @@ def test_worked_example_ranks_1_2_4():
     assert idx.first_same_author_rank(0) == 1
     assert idx.first_same_author_rank(2) == 2
     assert idx.first_same_author_rank(5) == 4
-    report = metrics_report(idx, queries=np.array([0, 2, 5]), ks=(3,))
+    report = metrics_report(idx, kappa=1000, ks=(3,), queries=np.array([0, 2, 5]))
     assert math.isclose(report.mrr, (1 + 0.5 + 0.25) / 3, rel_tol=1e-12)
     assert math.isclose(report.mrr, 0.58333, abs_tol=5e-6)
     assert math.isclose(report.recall[3], 2 / 3, rel_tol=1e-12)
@@ -97,7 +97,8 @@ def test_perfect_index_mrr_one():
             emb.append(c + rng.normal(size=8) * 0.01)
             authors.append(f"a{a}")
     idx = make_index(np.array(emb), authors)
-    assert metrics_report(idx, queries=np.arange(len(authors))).mrr == 1.0
+    assert metrics_report(idx, kappa=1000, ks=(1, 5, 10),
+                          queries=np.arange(len(authors))).mrr == 1.0
 
 
 def test_all_queries_excluded_is_error():
@@ -118,7 +119,7 @@ def test_recall_monotone_in_k():
     authors = [f"a{i % 6}" for i in range(30)]
     idx = make_index(emb, authors)
     queries = idx.eligible_queries()
-    recall = metrics_report(idx, queries=queries, ks=(1, 5, 10, 29)).recall
+    recall = metrics_report(idx, kappa=1000, ks=(1, 5, 10, 29), queries=queries).recall
     values = [recall[k] for k in (1, 5, 10, 29)]
     assert values == sorted(values)
     assert values[-1] == 1.0  # k >= n-1 and every author has >= 2 episodes
@@ -220,14 +221,14 @@ def test_seen_novel_disjoint_and_sizes():
             authors.append(f"a{a}")
             seen.append(a >= 3)  # 30% novel authors
     idx = make_index(np.array(emb), authors, seen=seen)
-    reports = seen_novel_report(idx, kappa=1000, seed=0)
+    reports = seen_novel_report(idx, kappa=1000, ks=(1, 5, 10), seed=0)
     assert abs(reports["seen"].n_queries - 28) <= 1
     assert abs(reports["novel"].n_queries - 12) <= 1
 
 
 def test_seen_novel_all_seen_omits_novel():
     idx = make_index(np.eye(4), ["a", "a", "b", "b"])
-    reports = seen_novel_report(idx)
+    reports = seen_novel_report(idx, kappa=1000, ks=(1, 5, 10))
     assert "novel" not in reports and "seen" in reports
 
 
@@ -459,7 +460,7 @@ def test_metrics_report_and_export(tmp_path):
     rng = np.random.default_rng(11)
     emb = rng.normal(size=(20, 4))
     idx = make_index(emb, [f"a{i % 4}" for i in range(20)])
-    report = metrics_report(idx, kappa=10, seed=1)
+    report = metrics_report(idx, kappa=10, ks=(1, 5, 10), seed=1)
     d = report.to_dict()
     assert set(d) >= {"group", "mrr", "recall", "kappa", "n_queries", "seed"}
     path = tmp_path / "emb.npy"

@@ -216,9 +216,10 @@ def test_walks_file_round_trip(tmp_path):
 def test_bad_scheme_rejected():
     g = two_user_graph()
     with pytest.raises(ValueError):
-        sample_walks(g, schemes=("TSU",))
+        sample_walks(g, schemes=("TSU",), walks_per_user=1000, walk_length=80)
     with pytest.raises(ValueError):
-        sample_walks(g, schemes=("USU",))  # U-S edges do not exist
+        # U-S edges do not exist
+        sample_walks(g, schemes=("USU",), walks_per_user=1000, walk_length=80)
 
 
 # --------------------------------------------------------------- skip-gram
@@ -332,9 +333,9 @@ def test_skipgram_loss_decreases():
 
 def test_skipgram_rejects_bad_dims():
     with pytest.raises(ValueError):
-        train_skipgram([["U0", "T0"]], dim=0)
+        train_skipgram([["U0", "T0"]], dim=0, window=7, negatives=5, epochs=5)
     with pytest.raises(ValueError):
-        train_skipgram([["U0", "T0"]], dim=4, window=0)
+        train_skipgram([["U0", "T0"]], dim=4, window=0, negatives=5, epochs=5)
 
 
 def test_skipgram_deterministic():

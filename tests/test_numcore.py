@@ -646,7 +646,7 @@ def test_clip_global_norm_ignores_dict_order():
 
 
 def test_plateau_scheduler_halves_after_patience():
-    sched = PlateauScheduler(lr=1.0, patience=5)
+    sched = PlateauScheduler(lr=1.0)
     sched.step(1.0)
     for _ in range(4):
         assert sched.step(2.0) == 1.0

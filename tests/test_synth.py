@@ -10,7 +10,7 @@ from epistyle.corpus import (
     load_migration_labels,
     preprocess_text,
 )
-from epistyle.synth import SynthConfig, generate_corpus, total_variation, write_corpus
+from epistyle.synth import DEFAULT_START, SynthConfig, generate_corpus, total_variation, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,7 @@ def test_late_authors_post_late():
         by_author: dict[str, list[float]] = {}
         for p in posts:
             by_author.setdefault(p.author, []).append(p.timestamp)
-        late_threshold = cfg.start_timestamp + int(cfg.weeks * 0.55) * 7 * 86400
+        late_threshold = DEFAULT_START + int(cfg.weeks * 0.55) * 7 * 86400
         n_late = sum(1 for ts_list in by_author.values() if min(ts_list) >= late_threshold)
         assert n_late >= 3
 

@@ -55,8 +55,7 @@ def make_setup(loss="sm", pooling="mean", markets=("alpha", "beta"), with_cross=
     model = EpisodeModel.build(mcfg, subforums, seed=seed)
     encoder = PostEncoder(vocab, mcfg.max_tokens)
     tcfg = TrainConfig(batch_size=batch_size, epochs=epochs, episode_len=episode_len,
-                       seed=seed, loss=loss, p_cross=0.25 if with_cross else 0.0,
-                       min_episodes=2)
+                       seed=seed, loss=loss, p_cross=0.25 if with_cross else 0.0)
     labels = corpus.labels if with_cross else None
     registry = build_registry(model, encoder, train_posts, tcfg, labels)
     return registry, tcfg
@@ -72,8 +71,6 @@ def test_train_config_validation():
         TrainConfig(episode_len=10)
     with pytest.raises(ValueError):
         TrainConfig(p_cross=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(val_fraction=0.0)
     TrainConfig(p_cross=0.0)
     TrainConfig(p_cross=1.0)
 
@@ -232,7 +229,7 @@ def test_plateau_halves_lr_after_patience():
     # force the scheduler path deterministically
     from epistyle.numcore import PlateauScheduler
 
-    sched = PlateauScheduler(lr=1e-3, patience=5)
+    sched = PlateauScheduler(lr=1e-3)
     sched.step(0.5)
     lrs = [sched.step(0.6) for _ in range(5)]
     assert lrs[:4] == [1e-3] * 4 and lrs[4] == 5e-4
@@ -304,7 +301,7 @@ def test_training_improves_toy_separable_corpus():
     model = EpisodeModel.build(mcfg, {"m1": ["s1"]}, seed=1)
     encoder = PostEncoder(vocab, mcfg.max_tokens)
     tcfg = TrainConfig(batch_size=8, epochs=30, episode_len=2, seed=1, p_cross=0.0,
-                       loss="sm", min_episodes=2)
+                       loss="sm")
     registry = build_registry(model, encoder, {"m1": posts}, tcfg)
     result = train_single(registry, tcfg)
     assert result.best_val_loss < 0.1 * math.log(2)
