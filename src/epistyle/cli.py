@@ -50,11 +50,8 @@ from .evaluation import (
     embeddings_files,
     export_embeddings_tsv,
     integrated_gradients,
-    metrics_report,
-    random_baseline_mrr,
+    market_metrics,
     read_embeddings_index,
-    sample_queries,
-    seen_novel_report,
     topk_sybil,
     wmw_paired,
 )
@@ -97,6 +94,10 @@ EVAL_DEFAULTS = dict(kappa=1000)
 SECTION_DEFAULTS = {"corpus": CORPUS_DEFAULTS, "tokenizer": TOKENIZER_DEFAULTS,
                     "graph": GRAPH_DEFAULTS, "model": MODEL_DEFAULTS, "train": TRAIN_DEFAULTS,
                     "eval": EVAL_DEFAULTS}
+
+# the config keys that take one of a few names: (section, key) -> the names
+CHOICES = {("tokenizer", "kind"): TOKENIZER_KINDS, ("model", "pooling"): POOLINGS,
+           ("train", "loss"): HEAD_KINDS}
 
 KS = (1, 5, 10)  # the k of each recall@k that eval reports
 
@@ -320,8 +321,6 @@ def cmd_graph_embed(args, cfg) -> int:
 def cmd_train_tokenizer(args, cfg) -> int:
     tvals = section_values(cfg, "tokenizer", TOKENIZER_DEFAULTS,
                            {"kind": args.kind, "size": args.size})
-    if tvals["kind"] not in TOKENIZER_KINDS:
-        raise ValidationError(f"unknown tokenizer kind {tvals['kind']!r}")
     files = _market_files(args.input)
     split_path = _require(args.split, "split manifest")
     out_path = Path(args.out)
@@ -504,7 +503,14 @@ def _eval_indexes(meta, args, markets) -> dict[str, RetrievalIndex] | None:
     return {m: read_embeddings_index(npy) for m, (npy, _) in files.items()}
 
 
+def _check_kappa(kappa: int, name: str) -> None:
+    if kappa < 1:
+        raise ValidationError(f"{name}: expected at least 1, got {kappa}")
+
+
 def cmd_eval(args, cfg) -> int:
+    if args.kappa is not None:
+        _check_kappa(args.kappa, "--kappa")
     evals = section_values(cfg, "eval", EVAL_DEFAULTS, {"kappa": args.kappa})
     meta, model, encoder = _load_run(Path(args.run), Path(args.vocab))
     out_dir = Path(args.out) if args.out else Path(args.run)
@@ -527,14 +533,7 @@ def cmd_eval(args, cfg) -> int:
         for market in meta["markets"]:
             index = RetrievalIndex.from_episodes(model, encoder, episodes[market],
                                                  seen_authors=seen[market])
-            queries = sample_queries(index, evals["kappa"], np.random.default_rng(args.seed))
-            block = {"all": metrics_report(index, kappa=evals["kappa"], ks=KS, seed=args.seed,
-                                           queries=queries).to_dict()}
-            block["all"]["random_baseline_mrr"] = random_baseline_mrr(index, queries)
-            for group, rep in seen_novel_report(index, kappa=evals["kappa"], ks=KS,
-                                                seed=args.seed).items():
-                block[group] = rep.to_dict()
-            report["markets"][market] = block
+            report["markets"][market] = market_metrics(index, evals["kappa"], KS, args.seed)
             export_embeddings_tsv(emb_files[market][0], index)
         _json_dump(metrics_path, report)
         lines = [f"eval {market}: MRR={block['all']['mrr']:.4f} "
@@ -806,8 +805,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         try:  # every section, so that each stage fails on a fault in any of them
-            for section, defaults in SECTION_DEFAULTS.items():
-                section_values(cfg, section, defaults)
+            values = {s: section_values(cfg, s, d) for s, d in SECTION_DEFAULTS.items()}
+            for (section, key), names in CHOICES.items():
+                if values[section][key] not in names:
+                    raise ValidationError(f"[{section}] {key}: expected one of "
+                                          f"{', '.join(names)}, got {values[section][key]!r}")
+            _check_kappa(values["eval"]["kappa"], "[eval] kappa")
         except ValidationError as exc:
             raise ValidationError(f"{args.config}: {exc}") from None
         return args.fn(args, cfg)

@@ -1,13 +1,12 @@
 """Retrieval metrics over episode embeddings, paired signed-rank comparison,
-sybil candidate search, identifiability scores, and integrated-gradients
-token attribution."""
+sybil candidate search, and integrated-gradients token attribution."""
 
 from __future__ import annotations
 
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
 
@@ -29,8 +28,8 @@ class RetrievalIndex:
     """Immutable store of episode embeddings with author labels.
 
     Cosine ranking uses unit-normalized float64 copies; ties break by the
-    stable insertion index. Raw embeddings are kept for distance-based
-    scores.
+    stable insertion index. Raw embeddings are kept for export and author
+    centroids.
     """
 
     def __init__(self, episode_ids, markets, authors, embeddings, seen=None):
@@ -47,8 +46,10 @@ class RetrievalIndex:
         )
         keys = {}
         self.author_ids = np.array(
-            [keys.setdefault((m, a), len(keys)) for m, a in zip(self.markets, self.authors)]
+            [keys.setdefault((m, a), len(keys)) for m, a in zip(self.markets, self.authors)],
+            dtype=np.int64,
         )
+        self.author_sizes = np.bincount(self.author_ids)[self.author_ids]  # its author's episodes
 
     def __len__(self) -> int:
         return len(self.episode_ids)
@@ -81,9 +82,7 @@ class RetrievalIndex:
 
     def eligible_queries(self) -> np.ndarray:
         """Indices whose author has at least one other episode in the index."""
-        _, counts = np.unique(self.author_ids, return_counts=True)
-        per_episode = counts[self.author_ids]
-        return np.flatnonzero(per_episode >= 2)
+        return np.flatnonzero(self.author_sizes >= 2)
 
     def first_same_author_rank(self, i: int) -> int:
         """1-based rank of the first same-author episode among all others,
@@ -103,19 +102,33 @@ class RetrievalIndex:
         return 1 + int(np.count_nonzero(sims > sims[b]) + np.count_nonzero(sims[:b] == sims[b]))
 
 
-def sample_queries(index: RetrievalIndex, kappa: int, rng: np.random.Generator) -> np.ndarray:
+def sample_queries(index: RetrievalIndex, kappa: int, seed: int = 0) -> dict[str, np.ndarray]:
+    """The eval queries by group, each in index order: "all" from every
+    eligible query, then "seen" and "novel" from those of seen and of novel
+    authors, where an empty pool is left out. A group takes `kappa` of its
+    pool at random, or the whole pool when kappa >= its size. "all" draws
+    from one default_rng(seed), seen and then novel from a second one."""
     eligible = index.eligible_queries()
     if len(eligible) == 0:
         raise ValueError("no eligible queries: every author has a single episode")
     excluded = len(index) - len(eligible)
     if excluded:
         log.info("excluding %d single-episode-author queries", excluded)
-    if kappa >= len(eligible):
-        if kappa > len(eligible):
-            log.warning("kappa=%d > %d eligible queries; using all", kappa, len(eligible))
-        return eligible
-    picked = rng.choice(len(eligible), size=kappa, replace=False)
-    return eligible[np.sort(picked)]
+    if kappa > len(eligible):
+        log.warning("kappa=%d > %d eligible queries; using all", kappa, len(eligible))
+    group_rng = np.random.default_rng(seed)
+    pools = {"all": (eligible, np.random.default_rng(seed)),
+             "seen": (eligible[index.seen[eligible]], group_rng),
+             "novel": (eligible[~index.seen[eligible]], group_rng)}
+    groups = {}
+    for group, (pool, rng) in pools.items():
+        if len(pool) == 0:
+            log.warning("%s group is empty; report omitted", group)
+        elif kappa >= len(pool):
+            groups[group] = pool
+        else:
+            groups[group] = pool[np.sort(rng.choice(len(pool), size=kappa, replace=False))]
+    return groups
 
 
 def random_baseline_mrr(index: RetrievalIndex, queries) -> float:
@@ -126,8 +139,7 @@ def random_baseline_mrr(index: RetrievalIndex, queries) -> float:
     once per distinct m.
     """
     n = len(index)
-    _, counts = np.unique(index.author_ids, return_counts=True)
-    ms = [int(counts[index.author_ids[int(i)]]) - 1 for i in queries]
+    ms = (index.author_sizes[queries] - 1).tolist()
     expected = {}
     for m in set(ms):
         total = math.comb(n - 1, m)
@@ -146,7 +158,6 @@ class MetricsReport:
     n_queries: int
     seed: int
     group: str = "all"
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.mrr <= 1.0:
@@ -164,42 +175,39 @@ class MetricsReport:
             "kappa": self.kappa,
             "n_queries": self.n_queries,
             "seed": self.seed,
-            **self.extra,
         }
 
 
-def metrics_report(index: RetrievalIndex, kappa: int, ks, seed: int = 0, queries=None,
-                   group: str = "all") -> MetricsReport:
-    """MRR and recall@k of the first same-author rank over `queries`, or over
-    `kappa` eligible queries sampled with `seed`."""
-    rng = np.random.default_rng(seed)
-    if queries is None:
-        queries = sample_queries(index, kappa, rng)
-    ranks = [index.first_same_author_rank(int(i)) for i in queries]
+def metrics_report(ranks, kappa: int, ks, seed: int = 0, group: str = "all") -> MetricsReport:
+    """MRR and recall@k of a group's first same-author ranks, in its query order."""
     rec = {k: float(np.mean([1.0 if r <= k else 0.0 for r in ranks])) for k in ks}
     return MetricsReport(
         mrr=float(np.mean([1.0 / r for r in ranks])),
-        recall=rec, kappa=kappa, n_queries=len(queries), seed=seed, group=group,
+        recall=rec, kappa=kappa, n_queries=len(ranks), seed=seed, group=group,
     )
 
 
-def seen_novel_report(index: RetrievalIndex, kappa: int, ks,
+def seen_novel_report(ranks: dict[int, int], groups: dict[str, np.ndarray], kappa: int, ks,
                       seed: int = 0) -> dict[str, MetricsReport]:
-    """Metrics over the disjoint seen-author and novel-author query samples."""
-    rng = np.random.default_rng(seed)
-    eligible = index.eligible_queries()
-    out: dict[str, MetricsReport] = {}
-    for group, mask in (("seen", index.seen), ("novel", ~index.seen)):
-        pool = eligible[mask[eligible]]
-        if len(pool) == 0:
-            log.warning("%s group is empty; report omitted", group)
-            continue
-        if kappa < len(pool):
-            picked = rng.choice(len(pool), size=kappa, replace=False)
-            pool = pool[np.sort(picked)]
-        out[group] = metrics_report(index, kappa=kappa, seed=seed, ks=ks,
-                                    queries=pool, group=group)
-    return out
+    """Metrics over the seen-author and novel-author groups that `groups`
+    holds, from the rank table `ranks` (query -> first same-author rank)."""
+    return {group: metrics_report([ranks[i] for i in groups[group].tolist()], kappa, ks, seed,
+                                  group)
+            for group in ("seen", "novel") if group in groups}
+
+
+def market_metrics(index: RetrievalIndex, kappa: int, ks, seed: int = 0) -> dict:
+    """One market's metrics.json block: "all" with its random-ranking MRR,
+    then "seen" and "novel". Each distinct query of the groups is ranked once."""
+    groups = sample_queries(index, kappa, seed)
+    distinct = np.unique(np.concatenate(list(groups.values()))).tolist()
+    ranks = {i: index.first_same_author_rank(i) for i in distinct}
+    block = {"all": metrics_report([ranks[i] for i in groups["all"].tolist()], kappa, ks,
+                                   seed).to_dict()}
+    block["all"]["random_baseline_mrr"] = random_baseline_mrr(index, groups["all"])
+    for group, rep in seen_novel_report(ranks, groups, kappa, ks, seed).items():
+        block[group] = rep.to_dict()
+    return block
 
 
 # ------------------------------------------------------- paired signed-rank
@@ -271,22 +279,7 @@ def wmw_paired(sample_a, sample_b) -> float:
     return min(1.0, 2.0 * (1.0 - NormalDist().cdf(abs(z))))
 
 
-# --------------------------------------------------------- SI & sybil search
-
-
-def si_score(index: RetrievalIndex, market: str, author: str) -> float:
-    """Mean pairwise Euclidean distance between the author's episode
-    embeddings; lower means more identifiable."""
-    mask = (index.markets == market) & (index.authors == author)
-    rows = index.raw[mask]
-    if len(rows) < 2:
-        raise ValueError(f"author {author!r} has {len(rows)} episode(s); need >= 2")
-    total, pairs = 0.0, 0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            total += float(np.linalg.norm(rows[i] - rows[j]))
-            pairs += 1
-    return total / pairs
+# ------------------------------------------------------------ sybil search
 
 
 def topk_sybil(index: RetrievalIndex, market: str, author: str, k: int):

@@ -316,6 +316,54 @@ def test_malformed_vocab_labels_or_config_exits_with_one_line(workspace, tmp_pat
         assert named in err
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("[train]\n", "[train]\nloss = xx\n", "[train] loss: expected one of sm, cf, af, ms, got 'xx'"),
+    ("[model]\n", "[model]\npooling = attention\n",
+     "[model] pooling: expected one of mean, transformer, got 'attention'"),
+    ("kind = char\n", "kind = word\n", "[tokenizer] kind: expected one of char, bpe, got 'word'"),
+    ("kappa = 100\n", "kappa = 0\n", "[eval] kappa: expected at least 1, got 0"),
+], ids=["loss", "pooling", "tokenizer-kind", "kappa"])
+def test_bad_choice_or_kappa_in_config_exits_2_before_any_directory(workspace, tmp_path, capsys,
+                                                                     old, new, named):
+    root, _ = workspace
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG.replace(old, new))
+    c = ["--config", str(config)]
+    for argv in (["train", *c, *_data(root), "--market", "alpha", "--out", tmp_path / "run"],
+                 ["train-tokenizer", *c, "--input", root / "processed",
+                  "--split", root / "split" / "split.csv", "--out", tmp_path / "vocab" / "v.txt"],
+                 ["eval", *c, *_data(root), "--run", root / "run", "--out", tmp_path / "eval"]):
+        assert main(list(map(str, argv))) == 2
+        assert capsys.readouterr().err == f"error: {config}: {named}\n"
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("kappa", ["0", "-1"])
+def test_kappa_flag_below_1_exits_2_before_any_embedding(workspace, tmp_path, capsys,
+                                                         monkeypatch, kappa):
+    root, c = workspace
+    monkeypatch.setattr(RetrievalIndex, "from_episodes", classmethod(_refuse))
+    assert main(["eval", *c, *_data(root, "--run", root / "run", "--kappa", kappa,
+                                    "--out", tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == f"error: --kappa: expected at least 1, got {kappa}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_ranks_each_query_once_per_index(workspace, multitask_run, tmp_path, monkeypatch):
+    root, c = workspace
+    calls = []
+    rank = RetrievalIndex.first_same_author_rank
+    monkeypatch.setattr(RetrievalIndex, "first_same_author_rank",
+                        lambda self, i: calls.append((id(self), i)) or rank(self, i))
+    assert main(["eval", *c, "--seed", "3",
+                 *_data(root, "--run", multitask_run, "--out", tmp_path)]) == 0
+    blocks = json.loads((tmp_path / "metrics.json").read_text())["markets"].values()
+    # the config's kappa exceeds every eligible count: "all" is seen and novel together
+    assert all(b["all"]["n_queries"] == sum(b[g]["n_queries"] for g in ("seen", "novel") if g in b)
+               for b in blocks)
+    assert len(set(calls)) == len(calls) == sum(b["all"]["n_queries"] for b in blocks)
+
+
 def _metrics_files(directory: Path) -> list[str]:
     """Five metrics files, one per train seed, each with recall@1, @5 and @10."""
     paths = []

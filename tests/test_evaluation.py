@@ -14,12 +14,12 @@ from epistyle.evaluation import (
     export_embeddings_tsv,
     gauss_legendre_unit,
     integrated_gradients_fn,
+    market_metrics,
     metrics_report,
     random_baseline_mrr,
     read_embeddings_index,
     sample_queries,
     seen_novel_report,
-    si_score,
     topk_sybil,
     wmw_paired,
 )
@@ -82,7 +82,7 @@ def test_worked_example_ranks_1_2_4():
     assert idx.first_same_author_rank(0) == 1
     assert idx.first_same_author_rank(2) == 2
     assert idx.first_same_author_rank(5) == 4
-    report = metrics_report(idx, kappa=1000, ks=(3,), queries=np.array([0, 2, 5]))
+    report = metrics_report([idx.first_same_author_rank(i) for i in (0, 2, 5)], kappa=1000, ks=(3,))
     assert math.isclose(report.mrr, (1 + 0.5 + 0.25) / 3, rel_tol=1e-12)
     assert math.isclose(report.mrr, 0.58333, abs_tol=5e-6)
     assert math.isclose(report.recall[3], 2 / 3, rel_tol=1e-12)
@@ -97,19 +97,18 @@ def test_perfect_index_mrr_one():
             emb.append(c + rng.normal(size=8) * 0.01)
             authors.append(f"a{a}")
     idx = make_index(np.array(emb), authors)
-    assert metrics_report(idx, kappa=1000, ks=(1, 5, 10),
-                          queries=np.arange(len(authors))).mrr == 1.0
+    assert market_metrics(idx, kappa=1000, ks=(1, 5, 10))["all"]["mrr"] == 1.0
 
 
 def test_all_queries_excluded_is_error():
     idx = make_index(np.eye(3), ["a", "b", "c"])
     with pytest.raises(ValueError, match="eligible"):
-        sample_queries(idx, 10, np.random.default_rng(0))
+        sample_queries(idx, 10)
 
 
 def test_kappa_larger_than_pool_uses_all():
     idx = make_index(np.eye(4), ["a", "a", "b", "b"])
-    q = sample_queries(idx, 1000, np.random.default_rng(0))
+    q = sample_queries(idx, 1000)["all"]
     assert len(q) == 4
 
 
@@ -118,8 +117,8 @@ def test_recall_monotone_in_k():
     emb = rng.normal(size=(30, 6))
     authors = [f"a{i % 6}" for i in range(30)]
     idx = make_index(emb, authors)
-    queries = idx.eligible_queries()
-    recall = metrics_report(idx, kappa=1000, ks=(1, 5, 10, 29), queries=queries).recall
+    ranks = [idx.first_same_author_rank(i) for i in idx.eligible_queries().tolist()]
+    recall = metrics_report(ranks, kappa=1000, ks=(1, 5, 10, 29)).recall
     values = [recall[k] for k in (1, 5, 10, 29)]
     assert values == sorted(values)
     assert values[-1] == 1.0  # k >= n-1 and every author has >= 2 episodes
@@ -221,15 +220,89 @@ def test_seen_novel_disjoint_and_sizes():
             authors.append(f"a{a}")
             seen.append(a >= 3)  # 30% novel authors
     idx = make_index(np.array(emb), authors, seen=seen)
-    reports = seen_novel_report(idx, kappa=1000, ks=(1, 5, 10), seed=0)
-    assert abs(reports["seen"].n_queries - 28) <= 1
-    assert abs(reports["novel"].n_queries - 12) <= 1
+    groups = sample_queries(idx, kappa=1000, seed=0)
+    assert not set(groups["seen"].tolist()) & set(groups["novel"].tolist())
+    ranks = {i: idx.first_same_author_rank(i) for i in groups["all"].tolist()}
+    reports = seen_novel_report(ranks, groups, kappa=1000, ks=(1, 5, 10), seed=0)
+    assert reports["seen"].n_queries == 28
+    assert reports["novel"].n_queries == 12
 
 
 def test_seen_novel_all_seen_omits_novel():
     idx = make_index(np.eye(4), ["a", "a", "b", "b"])
-    reports = seen_novel_report(idx, kappa=1000, ks=(1, 5, 10))
-    assert "novel" not in reports and "seen" in reports
+    block = market_metrics(idx, kappa=1000, ks=(1, 5, 10))
+    assert "novel" not in block and "seen" in block
+
+
+def random_seen_index(seed):
+    """An index of authors with 1 to 5 episodes each, about a third of them novel."""
+    rng = np.random.default_rng(500 + seed)
+    sizes = rng.integers(1, 6, size=int(rng.integers(8, 20)))
+    novel = rng.random(len(sizes)) < 0.35
+    authors = [f"a{a}" for a, size in enumerate(sizes) for _ in range(size)]
+    seen = [not novel[a] for a, size in enumerate(sizes) for _ in range(size)]
+    return make_index(rng.normal(size=(len(authors), 4)), authors, seen=seen)
+
+
+def reference_block(index, kappa, ks, seed):
+    """A market's metrics.json block computed group by group: "all" sampled
+    under one default_rng(seed), seen then novel under a second, and every
+    query of a group ranked anew."""
+    authors = list(index.authors)
+    eligible = np.array([i for i, a in enumerate(authors) if authors.count(a) >= 2])
+
+    def sample(pool, rng):
+        if kappa >= len(pool):
+            return pool
+        return pool[np.sort(rng.choice(len(pool), size=kappa, replace=False))]
+
+    def summary(queries, group):
+        ranks = [index.first_same_author_rank(int(i)) for i in queries]
+        return {"group": group, "mrr": float(np.mean([1.0 / r for r in ranks])),
+                "recall": {str(k): float(np.mean([1.0 if r <= k else 0.0 for r in ranks]))
+                           for k in ks},
+                "kappa": kappa, "n_queries": len(ranks), "seed": seed}
+
+    queries = sample(eligible, np.random.default_rng(seed))
+    n = len(authors)
+    baseline = []
+    for i in queries:
+        m = authors.count(authors[i]) - 1
+        baseline.append(sum((1.0 / r) * math.comb(n - 1 - r, m - 1) / math.comb(n - 1, m)
+                            for r in range(1, n - m + 1)))
+    block = {"all": {**summary(queries, "all"), "random_baseline_mrr": float(np.mean(baseline))}}
+    rng = np.random.default_rng(seed)
+    for group, flag in (("seen", True), ("novel", False)):
+        pool = eligible[index.seen[eligible] == flag]
+        if len(pool):
+            block[group] = summary(sample(pool, rng), group)
+    return block
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_market_metrics_match_per_group_reference_below_and_above_eligible(seed):
+    idx = random_seen_index(seed)
+    n_eligible = len(idx.eligible_queries())
+    for kappa in (1, 3, n_eligible // 2, n_eligible - 1, n_eligible, n_eligible + 7):
+        want = reference_block(idx, kappa, (1, 5, 10), seed)
+        got = market_metrics(idx, kappa, (1, 5, 10), seed)
+        assert json.dumps(got) == json.dumps(want), kappa
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_market_metrics_ranks_each_distinct_query_once(seed, monkeypatch):
+    idx = random_seen_index(seed)
+    calls = []
+    rank = RetrievalIndex.first_same_author_rank
+    monkeypatch.setattr(RetrievalIndex, "first_same_author_rank",
+                        lambda self, i: calls.append(i) or rank(self, i))
+    n_eligible = len(idx.eligible_queries())
+    for kappa in (2, n_eligible // 2, n_eligible + 1):
+        calls.clear()
+        groups = sample_queries(idx, kappa, seed)
+        market_metrics(idx, kappa, (1, 5, 10), seed)
+        union = set().union(*(q.tolist() for q in groups.values()))
+        assert sorted(calls) == sorted(union), kappa
 
 
 # ---------------------------------------------------------------- wilcoxon
@@ -309,32 +382,6 @@ def test_wmw_rejects_short_or_unequal():
         wmw_paired([1.0, 2.0], [0.0, 1.0])
     with pytest.raises(ValueError):
         wmw_paired([1.0] * 6, [1.0] * 5)
-
-
-# ---------------------------------------------------------------------- SI
-
-
-def test_si_identical_embeddings_zero():
-    idx = make_index(np.ones((3, 4)), ["a", "a", "a"])
-    assert si_score(idx, "m1", "a") == 0.0
-
-
-def test_si_two_points():
-    idx = make_index(np.array([[0.0, 0.0], [3.0, 4.0]]), ["a", "a"])
-    assert math.isclose(si_score(idx, "m1", "a"), 5.0, rel_tol=1e-12)
-
-
-def test_si_equilateral_triangle():
-    s = 1.0
-    pts = np.array([[0, 0], [s, 0], [s / 2, s * math.sqrt(3) / 2]])
-    idx = make_index(pts, ["a", "a", "a"])
-    assert math.isclose(si_score(idx, "m1", "a"), 1.0, rel_tol=1e-9)
-
-
-def test_si_needs_two_episodes():
-    idx = make_index(np.eye(2), ["a", "b"])
-    with pytest.raises(ValueError):
-        si_score(idx, "m1", "a")
 
 
 # ------------------------------------------------------------------- sybil
@@ -460,9 +507,10 @@ def test_metrics_report_and_export(tmp_path):
     rng = np.random.default_rng(11)
     emb = rng.normal(size=(20, 4))
     idx = make_index(emb, [f"a{i % 4}" for i in range(20)])
-    report = metrics_report(idx, kappa=10, ks=(1, 5, 10), seed=1)
-    d = report.to_dict()
-    assert set(d) >= {"group", "mrr", "recall", "kappa", "n_queries", "seed"}
+    d = market_metrics(idx, kappa=10, ks=(1, 5, 10), seed=1)["all"]
+    assert set(d) == {"group", "mrr", "recall", "kappa", "n_queries", "seed",
+                      "random_baseline_mrr"}
+    assert d["n_queries"] == 10
     path = tmp_path / "emb.npy"
     export_embeddings_tsv(path, idx)
     rows = json.loads(path.with_suffix(".json").read_text())
