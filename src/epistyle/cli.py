@@ -99,6 +99,16 @@ SECTION_DEFAULTS = {"corpus": CORPUS_DEFAULTS, "tokenizer": TOKENIZER_DEFAULTS,
 CHOICES = {("tokenizer", "kind"): TOKENIZER_KINDS, ("model", "pooling"): POOLINGS,
            ("train", "loss"): HEAD_KINDS}
 
+# the flags that set a config key, by subcommand: flag -> (section, key). A
+# flag's value replaces the file's; every other key is set in the file only.
+KEY_FLAGS = {
+    "walk": {"--walks-per-user": ("graph", "walks_per_user")},
+    "graph-embed": {"--epochs": ("graph", "epochs")},
+    "train": {"--epochs": ("train", "epochs"), "--pooling": ("model", "pooling"),
+              "--p-cross": ("train", "p_cross")},
+    "eval": {"--kappa": ("eval", "kappa")},
+}
+
 KS = (1, 5, 10)  # the k of each recall@k that eval reports
 
 
@@ -184,9 +194,8 @@ def _run_stage(args, stage: str, inputs: list, outputs: list, effective: dict, b
 # ------------------------------------------------------------------- stages
 
 
-def cmd_synth(args, cfg) -> int:
-    values = section_values(cfg, "corpus", CORPUS_DEFAULTS)
-    scfg = SynthConfig(**values, seed=args.seed)
+def cmd_synth(args, values) -> int:
+    scfg = SynthConfig(**values["corpus"], seed=args.seed)
     out_dir = Path(args.out)
     outputs = [out_dir / f"{m}.jsonl" for m in scfg.markets] + [out_dir / "labels.csv"]
 
@@ -197,10 +206,10 @@ def cmd_synth(args, cfg) -> int:
                 f"synth: wrote {corpus.total_posts()} posts across {len(scfg.markets)} "
                 f"markets to {args.out}")
 
-    return _run_stage(args, "synth", [], outputs, {**values, "seed": args.seed}, body)
+    return _run_stage(args, "synth", [], outputs, {**values["corpus"], "seed": args.seed}, body)
 
 
-def cmd_ingest(args, cfg) -> int:
+def cmd_ingest(args, values) -> int:
     src = _require(args.input, "input posts file")
     out_path = Path(args.out) / f"{args.market}.jsonl"
 
@@ -213,7 +222,7 @@ def cmd_ingest(args, cfg) -> int:
     return _run_stage(args, "ingest", [src], [out_path], {"market": args.market}, body)
 
 
-def cmd_preprocess(args, cfg) -> int:
+def cmd_preprocess(args, values) -> int:
     files = _market_files(args.input)
     out_dir = Path(args.out)
     outputs = {market: out_dir / f"{market}.jsonl" for market in files}
@@ -227,7 +236,7 @@ def cmd_preprocess(args, cfg) -> int:
     return _run_stage(args, "preprocess", list(files.values()), list(outputs.values()), {}, body)
 
 
-def cmd_split(args, cfg) -> int:
+def cmd_split(args, values) -> int:
     files = _market_files(args.input)
     out_path = Path(args.out)
 
@@ -249,7 +258,7 @@ def cmd_split(args, cfg) -> int:
     return _run_stage(args, "split", list(files.values()), [out_path], effective, body)
 
 
-def cmd_pgp_pairs(args, cfg) -> int:
+def cmd_pgp_pairs(args, values) -> int:
     files = _market_files(args.input)
     out_path = Path(args.out)
 
@@ -264,7 +273,7 @@ def cmd_pgp_pairs(args, cfg) -> int:
     return _run_stage(args, "pgp-pairs", list(files.values()), [out_path], effective, body)
 
 
-def cmd_build_graph(args, cfg) -> int:
+def cmd_build_graph(args, values) -> int:
     market_path = _market_files(args.input, [args.market])[args.market]
     split_path = _require(args.split, "split manifest")
     out_path = Path(args.out)
@@ -282,24 +291,21 @@ def cmd_build_graph(args, cfg) -> int:
     return _run_stage(args, "build-graph", inputs, [out_path], effective, body)
 
 
-def cmd_walk(args, cfg) -> int:
-    gvals = section_values(cfg, "graph", GRAPH_DEFAULTS,
-                           {"walks_per_user": args.walks_per_user, "walk_length": args.walk_length})
+def cmd_walk(args, values) -> int:
     graph_path = _require(args.graph, "graph file")
     out_path = Path(args.out)
-    effective = {"walks_per_user": gvals["walks_per_user"], "walk_length": gvals["walk_length"]}
+    effective = {k: values["graph"][k] for k in ("walks_per_user", "walk_length")}
 
     def body():
-        walks = sample_walks(read_graph(graph_path), walks_per_user=gvals["walks_per_user"],
-                             walk_length=gvals["walk_length"], rng_seed=args.seed)
+        walks = sample_walks(read_graph(graph_path), **effective, rng_seed=args.seed)
         write_walks(out_path, walks)
         return {"walks": len(walks)}, f"walk: {len(walks)} walks -> {out_path}"
 
     return _run_stage(args, "walk", [graph_path], [out_path], effective, body)
 
 
-def cmd_graph_embed(args, cfg) -> int:
-    gvals = section_values(cfg, "graph", GRAPH_DEFAULTS, {"dim": args.dim, "epochs": args.epochs})
+def cmd_graph_embed(args, values) -> int:
+    gvals = values["graph"]
     walks_path = _require(args.walks, "walks file")
     graph_path = _require(args.graph, "graph file")
     ctx_path = Path(args.out) / "context.tsv"
@@ -318,9 +324,8 @@ def cmd_graph_embed(args, cfg) -> int:
     return _run_stage(args, "graph-embed", [walks_path, graph_path], [ctx_path], gvals, body)
 
 
-def cmd_train_tokenizer(args, cfg) -> int:
-    tvals = section_values(cfg, "tokenizer", TOKENIZER_DEFAULTS,
-                           {"kind": args.kind, "size": args.size})
+def cmd_train_tokenizer(args, values) -> int:
+    tvals = values["tokenizer"]
     files = _market_files(args.input)
     split_path = _require(args.split, "split manifest")
     out_path = Path(args.out)
@@ -349,15 +354,8 @@ def _parse_context_init(pairs: list[str]) -> dict[str, Path]:
     return out
 
 
-def cmd_train(args, cfg) -> int:
-    mvals = section_values(cfg, "model", MODEL_DEFAULTS,
-                           {"pooling": args.pooling, "max_tokens": args.max_tokens})
-    tvals = section_values(
-        cfg, "train", TRAIN_DEFAULTS,
-        {"episode_len": args.episode_len, "loss": args.loss, "epochs": args.epochs,
-         "batch_size": args.batch_size, "p_cross": args.p_cross},
-    )
-
+def cmd_train(args, values) -> int:
+    mvals, tvals = values["model"], values["train"]
     files = _market_files(args.processed)
     split_path = _require(args.split, "split manifest")
     vocab_path = _require(args.vocab, "vocabulary file")
@@ -368,23 +366,19 @@ def cmd_train(args, cfg) -> int:
     else:
         if not args.market:
             raise ValidationError("provide --market NAME or --multitask")
+        if args.labels:
+            raise ValidationError("--labels needs --multitask")
         if args.market not in files:
             raise ValidationError(f"market {args.market!r} not among {sorted(files)}")
         markets = [args.market]
 
-    labels_path = Path(args.labels) if args.labels else None
-    if args.multitask and labels_path is not None:
-        _require(labels_path, "migration labels")
+    labels_path = _require(args.labels, "migration labels") if args.labels else None
     ctx_paths = _parse_context_init(args.context_init)
     if args.graph_init == "pretrained":
         missing = [m for m in markets if m not in ctx_paths]
         if missing:
             raise ValidationError(f"--graph-init pretrained needs --context-init for {missing}")
     vocab = load_vocab(vocab_path)
-    if args.tokenizer is not None and vocab.kind != args.tokenizer:
-        raise ValidationError(
-            f"--tokenizer {args.tokenizer} but {vocab_path} holds a {vocab.kind} vocabulary"
-        )
 
     inputs = [files[m] for m in markets] + [split_path, vocab_path]
     if labels_path:
@@ -414,7 +408,7 @@ def cmd_train(args, cfg) -> int:
 
         model = EpisodeModel.build(model_cfg, subforums, seed=args.seed, context_init=context_init)
         encoder = PostEncoder(vocab, model_cfg.max_tokens)
-        migration = load_migration_labels(labels_path) if (labels_path and args.multitask) else None
+        migration = load_migration_labels(labels_path) if labels_path else None
         registry = build_registry(model, encoder, train_posts, train_cfg, migration)
         result = (
             train_multitask(registry, train_cfg) if args.multitask
@@ -503,19 +497,12 @@ def _eval_indexes(meta, args, markets) -> dict[str, RetrievalIndex] | None:
     return {m: read_embeddings_index(npy) for m, (npy, _) in files.items()}
 
 
-def _check_kappa(kappa: int, name: str) -> None:
-    if kappa < 1:
-        raise ValidationError(f"{name}: expected at least 1, got {kappa}")
-
-
-def cmd_eval(args, cfg) -> int:
-    if args.kappa is not None:
-        _check_kappa(args.kappa, "--kappa")
-    evals = section_values(cfg, "eval", EVAL_DEFAULTS, {"kappa": args.kappa})
+def cmd_eval(args, values) -> int:
+    kappa = values["eval"]["kappa"]
     meta, model, encoder = _load_run(Path(args.run), Path(args.vocab))
     out_dir = Path(args.out) if args.out else Path(args.run)
     inputs = _embedding_inputs(meta, args)
-    effective = {"kappa": evals["kappa"], "seed": args.seed}
+    effective = {"kappa": kappa, "seed": args.seed}
     emb_files = {m: embeddings_files(out_dir, m) for m in meta["markets"]}
     metrics_path = out_dir / "metrics.json"
 
@@ -533,7 +520,7 @@ def cmd_eval(args, cfg) -> int:
         for market in meta["markets"]:
             index = RetrievalIndex.from_episodes(model, encoder, episodes[market],
                                                  seen_authors=seen[market])
-            report["markets"][market] = market_metrics(index, evals["kappa"], KS, args.seed)
+            report["markets"][market] = market_metrics(index, kappa, KS, args.seed)
             export_embeddings_tsv(emb_files[market][0], index)
         _json_dump(metrics_path, report)
         lines = [f"eval {market}: MRR={block['all']['mrr']:.4f} "
@@ -547,10 +534,8 @@ def cmd_eval(args, cfg) -> int:
     return _run_stage(args, "eval", inputs, outputs, effective, body, manifest="eval-manifest.json")
 
 
-def cmd_sybil(args, cfg) -> int:
+def cmd_sybil(args, values) -> int:
     meta, model, encoder = _load_run(Path(args.run), Path(args.vocab))
-    if ":" not in args.user:
-        raise ValidationError("--user expects market:username")
     market, username = args.user.split(":", 1)
     markets = sorted(meta["markets"])
     indexes = _eval_indexes(meta, args, markets)
@@ -570,7 +555,7 @@ def cmd_sybil(args, cfg) -> int:
     return 0
 
 
-def cmd_attribute(args, cfg) -> int:
+def cmd_attribute(args, values) -> int:
     meta, model, encoder = _load_run(Path(args.run), Path(args.vocab))
     if args.market not in meta["markets"]:
         raise ValidationError(f"market {args.market!r} not in run")
@@ -607,7 +592,7 @@ def _recall_k(metric: str) -> str | None:
     return str(int(k))
 
 
-def cmd_compare(args, cfg) -> int:
+def cmd_compare(args, values) -> int:
     recall_k = _recall_k(args.metric)
 
     def collect(paths):
@@ -662,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, manifest=True, **kw):
-        """A subcommand; only those that write a manifest can skip when fresh."""
+        """A subcommand with its KEY_FLAGS; only those that write a manifest
+        can skip when fresh."""
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--config", default=None, help="key-value config file")
@@ -670,6 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
         if manifest:
             p.add_argument("--skip-if-fresh", action="store_true",
                            help="no-op when inputs and config are unchanged")
+        for flag, (section, key) in KEY_FLAGS.get(name, {}).items():
+            p.add_argument(flag, dest=key, type=type(SECTION_DEFAULTS[section][key]),
+                           choices=CHOICES.get((section, key)), help=f"sets [{section}] {key}")
         return p
 
     p = add("synth", cmd_synth, help="generate a synthetic multi-market corpus")
@@ -700,22 +689,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("walk", cmd_walk, help="meta-path guided random walks")
     p.add_argument("--graph", required=True)
-    p.add_argument("--walks-per-user", type=int, default=None)
-    p.add_argument("--walk-length", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("graph-embed", cmd_graph_embed, help="skip-gram node embeddings and context init")
     p.add_argument("--walks", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory (context.tsv)")
 
     p = add("train-tokenizer", cmd_train_tokenizer, help="train a char or byte-BPE vocabulary")
     p.add_argument("--input", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--kind", choices=TOKENIZER_KINDS, default=None)
-    p.add_argument("--size", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("train", cmd_train, help="train a single-market or multitask model")
@@ -724,18 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--market", default=None)
     p.add_argument("--multitask", action="store_true")
-    p.add_argument("--labels", default=None, help="migration labels CSV for the cross task")
-    p.add_argument("--episode-len", type=int, default=None)
-    p.add_argument("--loss", choices=HEAD_KINDS, default=None)
-    p.add_argument("--pooling", choices=POOLINGS, default=None)
-    p.add_argument("--tokenizer", choices=TOKENIZER_KINDS, default=None,
-                   help="assert the vocabulary file is of this kind")
+    p.add_argument("--labels", default=None,
+                   help="migration labels CSV for the cross task (with --multitask)")
     p.add_argument("--graph-init", choices=["pretrained", "random"], default="random")
     p.add_argument("--context-init", action="append", default=None, metavar="MARKET=TSV")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--p-cross", type=float, default=None)
-    p.add_argument("--max-tokens", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("eval", cmd_eval, help="retrieval metrics over the test split")
@@ -743,7 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--processed", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--kappa", type=int, default=None)
     p.add_argument("--out", default=None)
 
     p = add("sybil", cmd_sybil, manifest=False,
@@ -797,23 +771,49 @@ def _keep_freed_memory_mapped() -> None:
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
+def _settings(args) -> dict:
+    """Every config section's typed values with the command's KEY_FLAGS merged
+    in, checked once before any work, so that each stage fails on a fault in
+    any section. A fault names the flag that set the value, or else the file,
+    section and key."""
+    cfg = load_config(args.config)
+    try:
+        values = {s: section_values(cfg, s, d) for s, d in SECTION_DEFAULTS.items()}
+    except ValidationError as exc:
+        raise ValidationError(f"{args.config}: {exc}") from None
+    flags = {}
+    for flag, (section, key) in KEY_FLAGS.get(args.command, {}).items():
+        if getattr(args, key) is not None:
+            values[section][key] = getattr(args, key)
+            flags[section, key] = flag
+
+    def name(section, key):
+        return flags.get((section, key), f"{args.config}: [{section}] {key}")
+
+    for (section, key), names in CHOICES.items():
+        if values[section][key] not in names:
+            raise ValidationError(f"{name(section, key)}: expected one of {', '.join(names)}, "
+                                  f"got {values[section][key]!r}")
+    counts = {name("eval", "kappa"): values["eval"]["kappa"]}
+    if args.command == "sybil":
+        counts["-k"] = args.k
+    if args.command == "attribute":
+        counts["--steps"] = args.steps
+    for what, count in counts.items():
+        if count < 1:
+            raise ValidationError(f"{what}: expected at least 1, got {count}")
+    if args.command == "sybil" and ":" not in args.user:
+        raise ValidationError("--user expects market:username")
+    return values
+
+
 def main(argv=None) -> int:
     _keep_freed_memory_mapped()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        try:  # every section, so that each stage fails on a fault in any of them
-            values = {s: section_values(cfg, s, d) for s, d in SECTION_DEFAULTS.items()}
-            for (section, key), names in CHOICES.items():
-                if values[section][key] not in names:
-                    raise ValidationError(f"[{section}] {key}: expected one of "
-                                          f"{', '.join(names)}, got {values[section][key]!r}")
-            _check_kappa(values["eval"]["kappa"], "[eval] kappa")
-        except ValidationError as exc:
-            raise ValidationError(f"{args.config}: {exc}") from None
-        return args.fn(args, cfg)
+        return args.fn(args, _settings(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

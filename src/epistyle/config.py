@@ -71,9 +71,8 @@ def _coerce(raw: str, like):
     return raw
 
 
-def section_values(cfg: dict, section: str, defaults: dict, overrides: dict | None = None) -> dict:
-    """Merge defaults <- config section <- CLI overrides, with types taken
-    from the defaults."""
+def section_values(cfg: dict, section: str, defaults: dict) -> dict:
+    """Merge defaults <- config section, with types taken from the defaults."""
     out = dict(defaults)
     for key, raw in cfg.get(section, {}).items():
         if key not in defaults:
@@ -83,9 +82,6 @@ def section_values(cfg: dict, section: str, defaults: dict, overrides: dict | No
         except (KeyError, ValueError):
             raise ValidationError(f"[{section}] {key}: expected "
                                   f"{_EXPECTED[type(defaults[key])]}, got {raw!r}") from None
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            out[key] = val
     return out
 
 

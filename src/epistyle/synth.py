@@ -181,10 +181,7 @@ def _remap_profile(cfg: SynthConfig, profile: AuthorProfile, market: str, userna
 
 def _fake_armor(rng: random.Random, kind: str, payload: str | None = None) -> str:
     if payload is None:
-        alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-        payload = "\n".join(
-            "".join(rng.choice(alphabet) for _ in range(48)) for _ in range(3)
-        )
+        payload = shared_key_payload(rng)
     check = "".join(rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdef") for _ in range(4))
     return f"-----BEGIN {kind}-----\nVersion: SynthPG 1.0\n\n{payload}\n={check}\n-----END {kind}-----"
 

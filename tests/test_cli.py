@@ -13,7 +13,7 @@ import pytest
 import epistyle
 from epistyle import cli
 from epistyle.cli import _load_run, _test_episodes, main
-from epistyle.config import file_sha256
+from epistyle.config import file_sha256, load_config
 from epistyle.evaluation import RetrievalIndex, read_embeddings_index
 from epistyle.model import make_episode_batch
 from epistyle.numcore import load_checkpoint, save_checkpoint
@@ -347,6 +347,84 @@ def test_kappa_flag_below_1_exits_2_before_any_embedding(workspace, tmp_path, ca
                                     "--out", tmp_path / "eval")]) == 2
     assert capsys.readouterr().err == f"error: --kappa: expected at least 1, got {kappa}\n"
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sybil", "--user", "alpha:alpha_u00", "-k", "0"], "-k: expected at least 1, got 0"),
+    (["attribute", "--market", "alpha", "--author", "alpha_u00", "--steps", "0"],
+     "--steps: expected at least 1, got 0"),
+    (["sybil", "--user", "alpha_u00"], "--user expects market:username"),
+], ids=["k", "steps", "user"])
+def test_bad_sybil_or_attribute_flag_exits_2_before_loading_the_run(workspace, tmp_path, capsys,
+                                                                    monkeypatch, argv, named):
+    root, c = workspace
+    monkeypatch.setattr(cli, "_load_run", _refuse)
+    assert main([argv[0], *c, *_data(root, "--run", root / "run", *argv[1:],
+                                     "--out", tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("labels", ["missing", "present"])
+def test_labels_without_multitask_exits_2_before_any_work(workspace, tmp_path, capsys, labels):
+    root, c = workspace
+    path = root / "raw" / "labels.csv" if labels == "present" else tmp_path / "nope.csv"
+    assert main(["train", *c, *_data(root, "--market", "alpha", "--labels", path,
+                                     "--out", tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: --labels needs --multitask\n"
+    assert not (tmp_path / "run").exists()
+
+
+# a value for each entry of cli.KEY_FLAGS, unlike the one that CONFIG, with
+# pooling = transformer, sets in the file
+KEY_FLAG_VALUES = {("walk", "--walks-per-user"): 3, ("graph-embed", "--epochs"): 2,
+                   ("train", "--epochs"): 1, ("train", "--pooling"): "mean",
+                   ("train", "--p-cross"): 0.5, ("eval", "--kappa"): 7}
+
+
+def test_key_flag_values_cover_every_key_flag():
+    assert set(KEY_FLAG_VALUES) == {(c, f) for c, flags in cli.KEY_FLAGS.items() for f in flags}
+
+
+@pytest.mark.parametrize("command, flag", sorted(KEY_FLAG_VALUES))
+def test_a_key_flag_overrides_its_config_key_in_the_manifest(workspace, tmp_path, command, flag):
+    root, _ = workspace
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG.replace("[model]\n", "[model]\npooling = transformer\n"))
+    c = ["--config", str(config), "--seed", "3"]
+    section, key = cli.KEY_FLAGS[command][flag]
+    value = KEY_FLAG_VALUES[command, flag]
+    assert cli.section_values(load_config(config), section, cli.SECTION_DEFAULTS[section])[key] != value
+    graph, walks, out = tmp_path / "graph.json", tmp_path / "walks.txt", tmp_path / "out"
+    if command in ("walk", "graph-embed"):
+        assert main(["build-graph", *c, "--input", str(root / "processed"),
+                     "--split", str(root / "split" / "split.csv"), "--market", "alpha",
+                     "--out", str(graph)]) == 0
+        assert main(["walk", *c, "--graph", str(graph), "--out", str(walks)]) == 0
+    argv = {"walk": ["--graph", graph, "--out", out / "walks.txt"],
+            "graph-embed": ["--walks", walks, "--graph", graph, "--out", out],
+            "train": _data(root, "--market", "alpha", "--out", out),
+            "eval": _data(root, "--run", root / "run", "--out", out)}[command]
+    assert main([command, *c, *map(str, argv), flag, str(value)]) == 0
+    manifest = json.loads((out / ("eval-manifest.json" if command == "eval" else "manifest.json"))
+                          .read_text())
+    recorded = manifest["config"][section] if command == "train" else manifest["config"]
+    assert recorded[key] == value
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("walk", "--walk-length"), ("graph-embed", "--dim"), ("train-tokenizer", "--kind"),
+    ("train-tokenizer", "--size"), ("train", "--episode-len"), ("train", "--loss"),
+    ("train", "--batch-size"), ("train", "--max-tokens"), ("train", "--tokenizer"),
+])
+def test_a_deleted_key_flag_exits_2(capsys, command, flag):
+    required = {"walk": ["--graph", "g", "--out", "o"],
+                "graph-embed": ["--walks", "w", "--graph", "g", "--out", "o"],
+                "train-tokenizer": ["--input", "i", "--split", "s", "--out", "o"],
+                "train": ["--processed", "p", "--split", "s", "--vocab", "v", "--out", "o"]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required[command], flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_eval_ranks_each_query_once_per_index(workspace, multitask_run, tmp_path, monkeypatch):
