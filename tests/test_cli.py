@@ -393,7 +393,8 @@ def test_a_key_flag_overrides_its_config_key_in_the_manifest(workspace, tmp_path
     c = ["--config", str(config), "--seed", "3"]
     section, key = cli.KEY_FLAGS[command][flag]
     value = KEY_FLAG_VALUES[command, flag]
-    assert cli.section_values(load_config(config), section, cli.SECTION_DEFAULTS[section])[key] != value
+    in_file = cli.section_values(load_config(config), section, cli.SECTION_DEFAULTS[section])
+    assert in_file[key] != value
     graph, walks, out = tmp_path / "graph.json", tmp_path / "walks.txt", tmp_path / "out"
     if command in ("walk", "graph-embed"):
         assert main(["build-graph", *c, "--input", str(root / "processed"),
