@@ -11,7 +11,7 @@ import ctypes
 import json
 import logging
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +99,11 @@ SECTION_DEFAULTS = {"corpus": CORPUS_DEFAULTS, "tokenizer": TOKENIZER_DEFAULTS,
 CHOICES = {("tokenizer", "kind"): TOKENIZER_KINDS, ("model", "pooling"): POOLINGS,
            ("train", "loss"): HEAD_KINDS}
 
+# the sections whose config class checks their values, each by building one;
+# a check's message starts with the key it is about
+SECTION_CHECKS = {"corpus": lambda v: SynthConfig(**v).validate(),
+                  "model": lambda v: ModelConfig(**v), "train": lambda v: TrainConfig(**v)}
+
 # the flags that set a config key, by subcommand: flag -> (section, key). A
 # flag's value replaces the file's; every other key is set in the file only.
 KEY_FLAGS = {
@@ -110,6 +115,10 @@ KEY_FLAGS = {
 }
 
 KS = (1, 5, 10)  # the k of each recall@k that eval reports
+
+# the keys of model_meta.json that the run readers use
+META_KEYS = ("model", "subforum_maps", "markets", "multitask", "graph_init", "episode_len",
+             "loss", "seed", "vocab_sha256")
 
 
 # -------------------------------------------------------------- shared bits
@@ -154,6 +163,19 @@ def _split_posts(posts_by_market: dict[str, list[Post]], spec: SplitSpec):
         train[market] = [p for p in posts if p.post_id in spec.train_ids.get(market, ())]
         test[market] = [p for p in posts if p.post_id in spec.test_ids.get(market, ())]
     return train, test
+
+
+def _read_json(path, keys: tuple) -> dict:
+    """The JSON object in `path`, which holds every one of `keys`; anything
+    else fails naming the file."""
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+    missing = [k for k in keys if k not in doc] if isinstance(doc, dict) else keys
+    if missing:
+        raise ValueError(f"{path}: not a JSON object with key(s) {', '.join(missing)}")
+    return doc
 
 
 def _json_dump(path, obj) -> None:
@@ -230,7 +252,7 @@ def cmd_preprocess(args, values) -> int:
     def body():
         for market, path in files.items():
             posts, _ = load_posts(path, market)
-            write_posts(outputs[market], [replace(p, body=preprocess_text(p.body)) for p in posts])
+            write_posts(outputs[market], [p._replace(body=preprocess_text(p.body)) for p in posts])
         return None, f"preprocess: {len(outputs)} market files -> {out_dir}"
 
     return _run_stage(args, "preprocess", list(files.values()), list(outputs.values()), {}, body)
@@ -449,13 +471,15 @@ def _load_run(run_dir, vocab_path):
     run_dir = _require(run_dir, "run directory")
     meta_path = _require(run_dir / "model_meta.json", "model metadata")
     ckpt_path = _require(run_dir / "checkpoint.bin", "checkpoint")
-    meta = json.loads(meta_path.read_text())
+    meta = _read_json(meta_path, META_KEYS)
+    try:
+        model_cfg = ModelConfig(**{**meta["model"],
+                                   "filter_sizes": tuple(meta["model"]["filter_sizes"])})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: bad model config ({exc})") from None
     vocab = load_vocab(_require(vocab_path, "vocabulary file"))
     if file_sha256(vocab_path) != meta["vocab_sha256"]:
         raise ValidationError(f"vocabulary {vocab_path} does not match the one used in training")
-    m = dict(meta["model"])
-    m["filter_sizes"] = tuple(m["filter_sizes"])
-    model_cfg = ModelConfig(**m)
     params = load_checkpoint(ckpt_path)
     tensors = {k: Tensor(v) for k, v in params.items() if not k.startswith("head.")}
     model = EpisodeModel(model_cfg, {m_: dict(v) for m_, v in meta["subforum_maps"].items()}, tensors)
@@ -512,7 +536,7 @@ def cmd_eval(args, values) -> int:
             "config": {
                 "markets": meta["markets"], "multitask": meta["multitask"],
                 "graph_init": meta["graph_init"], "episode_len": meta["episode_len"],
-                "tokenizer": meta["model"]["tokenizer_kind"], "pooling": meta["model"]["pooling"],
+                "tokenizer": model.cfg.tokenizer_kind, "pooling": model.cfg.pooling,
                 "loss": meta["loss"], "train_seed": meta["seed"], "eval_seed": args.seed,
             },
             "markets": {},
@@ -598,18 +622,22 @@ def cmd_compare(args, values) -> int:
     def collect(paths):
         values = {}
         for path in paths:
-            doc = json.loads(_require(path, "metrics file").read_text())
-            for market, block in doc["markets"].items():
-                key = (market, doc["config"]["episode_len"], doc["config"]["tokenizer"],
-                       doc["config"]["train_seed"])
-                summary = block["all"]
-                if recall_k is None:
-                    values[key] = summary["mrr"]
-                elif recall_k in summary["recall"]:
-                    values[key] = summary["recall"][recall_k]
-                else:
-                    raise ValidationError(f"{path}: no recall@{recall_k}; it holds recall@k "
-                                          f"for k in {', '.join(summary['recall'])}")
+            doc = _read_json(_require(path, "metrics file"), ("config", "markets"))
+            try:
+                for market, block in doc["markets"].items():
+                    key = (market, doc["config"]["episode_len"], doc["config"]["tokenizer"],
+                           doc["config"]["train_seed"])
+                    summary = block["all"]
+                    if recall_k is None:
+                        values[key] = summary["mrr"]
+                    elif recall_k in summary["recall"]:
+                        values[key] = summary["recall"][recall_k]
+                    else:
+                        raise ValidationError(f"{path}: no recall@{recall_k}; it holds recall@k "
+                                              f"for k in {', '.join(summary['recall'])}")
+            except (KeyError, TypeError, AttributeError) as exc:
+                what = f"no {exc} entry" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}: not an eval metrics file ({what})") from None
         return values
 
     a_vals = collect([Path(p) for p in args.group_a])
@@ -774,8 +802,8 @@ def _keep_freed_memory_mapped() -> None:
 def _settings(args) -> dict:
     """Every config section's typed values with the command's KEY_FLAGS merged
     in, checked once before any work, so that each stage fails on a fault in
-    any section. A fault names the flag that set the value, or else the file,
-    section and key."""
+    any section: the CHOICES, the counts, and the SECTION_CHECKS. A fault
+    names the flag that set the value, or else the file, section and key."""
     cfg = load_config(args.config)
     try:
         values = {s: section_values(cfg, s, d) for s, d in SECTION_DEFAULTS.items()}
@@ -802,6 +830,13 @@ def _settings(args) -> dict:
     for what, count in counts.items():
         if count < 1:
             raise ValidationError(f"{what}: expected at least 1, got {count}")
+    for section, check in SECTION_CHECKS.items():
+        try:
+            check(values[section])
+        except ValueError as exc:
+            flag = flags.get((section, str(exc).split()[0]))
+            raise ValidationError(f"{flag}: {exc}" if flag else
+                                  f"{args.config}: [{section}] {exc}") from None
     if args.command == "sybil" and ":" not in args.user:
         raise ValidationError("--user expects market:username")
     return values

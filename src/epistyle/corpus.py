@@ -10,7 +10,8 @@ import json
 import logging
 import re
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atomic import atomic_write
 
@@ -60,22 +61,12 @@ IMAGE_RE = re.compile(r"\[img[^\]]*\].*?\[/img\]", re.DOTALL | re.IGNORECASE)
 # gives a test query a same-author episode to find.
 MIN_EPISODES = 2
 
-REQUIRED_POST_FIELDS = (
-    "subforum",
-    "thread_id",
-    "post_id",
-    "author",
-    "timestamp",
-    "is_thread_start",
-    "body",
-)
-
-
 MAX_TIMESTAMP = 253402300799  # 9999-12-31T23:59:59Z, the last second `datetime` can hold
 
 
-@dataclass(frozen=True, slots=True)
-class Post:
+class Post(NamedTuple):
+    """One forum post; `load_posts` checks those it reads."""
+
     market: str
     subforum: str
     thread_id: str
@@ -84,16 +75,6 @@ class Post:
     timestamp: float
     is_thread_start: bool
     body: str
-
-    def __post_init__(self):
-        if not self.author:
-            raise ValueError(f"post {self.post_id!r}: author must be nonempty")
-        if not 0 < self.timestamp <= MAX_TIMESTAMP:  # also false for NaN
-            raise ValueError(f"post {self.post_id!r}: timestamp {self.timestamp!r} "
-                             f"not in (0, {MAX_TIMESTAMP}]")
-
-
-POST_FIELDS = tuple(f.name for f in fields(Post))
 
 
 @dataclass(frozen=True)
@@ -123,16 +104,13 @@ class SplitSpec:
     test_ids: dict[str, set[str]]
 
 
-@dataclass(frozen=True)
-class MigrationLabel:
+class MigrationLabel(NamedTuple):
+    """Two users of different markets; `load_migration_labels` checks those it reads."""
+
     user_a: tuple[str, str]  # (market, username)
     user_b: tuple[str, str]
     same_author: bool | None
     evidence: str = ""
-
-    def __post_init__(self):
-        if self.user_a[0] == self.user_b[0]:
-            raise ValueError("migration label must pair users from different markets")
 
     def key(self) -> tuple[tuple[str, str], tuple[str, str]]:
         return (self.user_a, self.user_b) if self.user_a <= self.user_b else (self.user_b, self.user_a)
@@ -150,9 +128,10 @@ def load_posts(path, market: str) -> tuple[list[Post], int]:
     line count).
 
     A line is malformed where `json.loads` would reject it, where it is not
-    an object with every required field, or where `Post` rejects the values.
-    Malformed lines are skipped with a warning; blank lines are skipped
-    silently; an unreadable file raises.
+    an object with every field of `Post` but `market`, where `author` is
+    empty, or where `timestamp` is not in (0, MAX_TIMESTAMP]. Malformed lines
+    are skipped with a warning; blank lines are skipped silently; an
+    unreadable file raises.
     """
     posts: list[Post] = []
     malformed = 0
@@ -163,17 +142,22 @@ def load_posts(path, market: str) -> tuple[list[Post], int]:
                 obj, end = _scan_once(text, 0)
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)
-                posts.append(Post(market, str(obj["subforum"]), str(obj["thread_id"]),
-                                  str(obj["post_id"]), str(obj["author"]),
-                                  float(obj["timestamp"]), bool(obj["is_thread_start"]),
-                                  str(obj["body"])))
+                p = Post(market, str(obj["subforum"]), str(obj["thread_id"]),
+                         str(obj["post_id"]), str(obj["author"]), float(obj["timestamp"]),
+                         bool(obj["is_thread_start"]), str(obj["body"]))
+                if not p.author:
+                    raise ValueError(f"post {p.post_id!r}: author must be nonempty")
+                if not 0 < p.timestamp <= MAX_TIMESTAMP:  # also false for NaN
+                    raise ValueError(f"post {p.post_id!r}: timestamp {p.timestamp!r} "
+                                     f"not in (0, {MAX_TIMESTAMP}]")
+                posts.append(p)
                 continue
             except StopIteration as exc:
                 if line.isspace():
                     continue
                 error = json.JSONDecodeError("Expecting value", text, exc.value)
             except KeyError:
-                error = KeyError(", ".join(k for k in REQUIRED_POST_FIELDS if k not in obj))
+                error = KeyError(", ".join(k for k in Post._fields[1:] if k not in obj))
             except (TypeError, ValueError, OverflowError) as exc:
                 error = exc
             malformed += 1
@@ -190,8 +174,7 @@ def write_posts(path, posts: list[Post]) -> None:
     """One JSON object per line with sorted keys: the format `load_posts` reads."""
     with atomic_write(path, encoding="utf-8") as fh:
         for p in posts:
-            fh.write(json.dumps({name: getattr(p, name) for name in POST_FIELDS},
-                                sort_keys=True) + "\n")
+            fh.write(json.dumps(p._asdict(), sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------- preprocess
@@ -369,7 +352,8 @@ def write_labels_csv(path, labels: list[MigrationLabel]) -> None:
 
 def load_migration_labels(path) -> list[MigrationLabel]:
     """Read adjudicated labels; duplicates collapse, conflicts are fatal.
-    Every row but a blank one has the header's field count."""
+    Every row but a blank one has the header's field count and pairs two
+    different markets."""
     by_key: dict = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -385,6 +369,9 @@ def load_migration_labels(path) -> list[MigrationLabel]:
             if flag_raw not in ("true", "false"):
                 raise ValueError(f"{path}:{reader.line_num}: bad same_author value "
                                  f"{row['same_author']!r}")
+            if row["market_a"] == row["market_b"]:
+                raise ValueError(f"{path}:{reader.line_num}: migration label must pair users "
+                                 f"from different markets")
             label = MigrationLabel(
                 user_a=(row["market_a"], row["user_a"]),
                 user_b=(row["market_b"], row["user_b"]),

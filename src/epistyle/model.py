@@ -39,10 +39,14 @@ class ModelConfig:
     max_tokens: int = 512
 
     def __post_init__(self):
-        dims = (self.d_token, self.d_text, self.d_time, self.d_context,
-                self.filters_per_size, self.tf_model_dim, self.tf_out_dim)
-        if any(d <= 0 for d in dims):
-            raise ValueError("all model dimensions must be positive")
+        for name in ("d_token", "d_text", "d_time", "d_context", "filters_per_size",
+                     "tf_model_dim", "tf_out_dim"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.filter_sizes or min(self.filter_sizes) < 1:
+            raise ValueError(f"filter_sizes must be positive, got {self.filter_sizes}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.pooling not in POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling!r}")
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
-from .corpus import MigrationLabel, Post, write_labels_csv, write_posts
+from .corpus import MAX_TIMESTAMP, MigrationLabel, Post, write_labels_csv, write_posts
 
 # 2013-01-07 00:00 UTC, a Monday, so week/day arithmetic lands on the
 # intended day of the week.
 DEFAULT_START = 1357516800.0
+MAX_WEEKS = int(MAX_TIMESTAMP + 1 - DEFAULT_START) // (7 * 86400)  # keeps every timestamp valid
 POOL_SIZE = 400  # words in the vocabulary all markets share
 CORE_WORDS = 25  # words in each author's core vocabulary
 WORDS_PER_POST = (6, 14)  # inclusive range of a regular post's word count
@@ -94,6 +95,15 @@ class SynthConfig:
     def validate(self):
         if len(self.markets) < 1:
             raise ValueError("need at least one market")
+        if len(set(self.markets)) != len(self.markets):
+            raise ValueError(f"markets must be distinct, got {', '.join(self.markets)}")
+        if self.subforums_per_market < 1:
+            raise ValueError(f"subforums_per_market must be at least 1, "
+                             f"got {self.subforums_per_market}")
+        if self.communities < 1:
+            raise ValueError(f"communities must be at least 1, got {self.communities}")
+        if not 1 <= self.weeks <= MAX_WEEKS:
+            raise ValueError(f"weeks must be in 1..{MAX_WEEKS}, got {self.weeks}")
         if self.migrant_count > self.authors_per_market:
             raise ValueError("migrant_count exceeds authors_per_market")
         if self.migrant_count and len(self.markets) < 2:

@@ -44,6 +44,10 @@ class TrainConfig:
     loss: str = "sm"  # one of HEAD_KINDS
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if not 1 <= self.episode_len <= 9:
             raise ValueError(f"episode_len must be in 1..9, got {self.episode_len}")
         if not 0.0 <= self.p_cross <= 1.0:

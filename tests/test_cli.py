@@ -249,6 +249,22 @@ def test_truncated_checkpoint_exits_1_with_one_line(workspace, tmp_path, capsys)
     assert len(err.splitlines()) == 1 and "checkpoint.bin" in err
 
 
+@pytest.mark.parametrize("damage, named", [
+    (lambda meta: json.dumps({k: v for k, v in json.loads(meta).items() if k != "episode_len"}),
+     "not a JSON object with key(s) episode_len"),
+    (lambda meta: meta[: len(meta) // 2], "not JSON ("),
+], ids=["missing-key", "truncated"])
+def test_damaged_model_meta_exits_1_naming_the_file(workspace, tmp_path, capsys, damage, named):
+    root, c = workspace
+    run = tmp_path / "run"
+    shutil.copytree(root / "run", run)
+    meta = run / "model_meta.json"
+    meta.write_text(damage(meta.read_text()))
+    assert main(["eval", *c, *_data(root, "--run", run, "--out", tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {meta}: {named}")
+
+
 @pytest.mark.parametrize("doc", [
     "[]",
     '{"neighbors": [], "node_keys": {}}',
@@ -374,6 +390,37 @@ def test_labels_without_multitask_exits_2_before_any_work(workspace, tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("old, new, flags, named", [
+    ("", "", ["--p-cross", "2"], "--p-cross: p_cross must be in [0, 1], got 2.0"),
+    ("episode_len = 2\n", "episode_len = 0\n", [], "[train] episode_len must be in 1..9, got 0"),
+    ("batch_size = 16\n", "batch_size = 0\n", [], "[train] batch_size must be at least 1, got 0"),
+    ("d_text = 16\n", "d_text = 0\n", [], "[model] d_text must be positive, got 0"),
+    ("[model]\n", "[model]\ndropout = 1.5\n", [], "[model] dropout must be in [0, 1), got 1.5"),
+    ("", "", ["--epochs", "0"], "--epochs: epochs must be at least 1, got 0"),
+    ("filter_sizes = 2, 3\n", "filter_sizes = 0\n", [],
+     "[model] filter_sizes must be positive, got (0,)"),
+    ("communities = 2\n", "communities = 0\n", [],
+     "[corpus] communities must be at least 1, got 0"),
+    ("subforums_per_market = 4\n", "subforums_per_market = 0\n", [],
+     "[corpus] subforums_per_market must be at least 1, got 0"),
+    ("weeks = 8\n", "weeks = 0\n", [], "[corpus] weeks must be in 1..416740, got 0"),
+], ids=["p-cross-flag", "episode-len", "batch-size", "d-text", "dropout", "epochs-flag",
+        "filter-sizes", "communities", "subforums", "weeks"])
+def test_a_bad_config_class_value_exits_2_before_any_directory(workspace, tmp_path, capsys,
+                                                               old, new, flags, named):
+    root, _ = workspace
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG.replace(old, new))
+    c = ["--config", str(config)]
+    commands = [["train", *c, *_data(root), "--market", "alpha", "--out", tmp_path / "run", *flags]]
+    if not flags:  # a fault in the file fails every stage
+        commands.append(["synth", *c, "--out", tmp_path / "raw"])
+    for argv in commands:
+        assert main(list(map(str, argv))) == 2
+        assert capsys.readouterr().err == f"error: {'' if flags else f'{config}: '}{named}\n"
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
 # a value for each entry of cli.KEY_FLAGS, unlike the one that CONFIG, with
 # pooling = transformer, sets in the file
 KEY_FLAG_VALUES = {("walk", "--walks-per-user"): 3, ("graph-embed", "--epochs"): 2,
@@ -474,6 +521,17 @@ def test_compare_names_the_file_without_the_asked_recall(tmp_path, capsys):
     assert files[0] in err and "recall@7" in err and "1, 5, 10" in err
     assert main(["compare", "--metric", "recall@5", "--group-a", *files, "--group-b", *files]) == 0
     assert "mean_a=0.6000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["markets", "config"])
+def test_compare_names_a_metrics_file_without_markets_or_config(tmp_path, capsys, key):
+    files = _metrics_files(tmp_path)
+    doc = json.loads(Path(files[2]).read_text())
+    del doc[key]
+    Path(files[2]).write_text(json.dumps(doc))
+    assert main(["compare", "--group-a", *files, "--group-b", *files]) == 1
+    assert capsys.readouterr().err == (f"error: {files[2]}: not a JSON object with key(s) "
+                                       f"{key}\n")
 
 
 def test_non_numeric_context_init_cell_exits_1_naming_its_line(workspace, tmp_path, capsys):

@@ -123,14 +123,17 @@ def _reference_load_posts(path, market):
                 continue
             try:
                 obj = json.loads(line)
-                missing = [k for k in corpus.REQUIRED_POST_FIELDS if k not in obj]
+                missing = [k for k in Post._fields[1:] if k not in obj]
                 if missing:
                     raise KeyError(", ".join(missing))
-                posts.append(Post(
+                post = Post(
                     market=market, subforum=str(obj["subforum"]),
                     thread_id=str(obj["thread_id"]), post_id=str(obj["post_id"]),
                     author=str(obj["author"]), timestamp=float(obj["timestamp"]),
-                    is_thread_start=bool(obj["is_thread_start"]), body=str(obj["body"])))
+                    is_thread_start=bool(obj["is_thread_start"]), body=str(obj["body"]))
+                if not post.author or not 0 < post.timestamp <= 253402300799:
+                    raise ValueError("empty author or timestamp out of range")
+                posts.append(post)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 malformed += 1
                 warned.append(lineno)
@@ -157,14 +160,14 @@ def _fuzz_line(rng: random.Random, pid: str) -> str:
         cut = rng.randrange(1, len(text))
         return text[:cut] + "\n" + text[cut:]
     if kind == 4:
-        return rng.choice(["[1, 2]", "[]", json.dumps(list(corpus.REQUIRED_POST_FIELDS)),
-                           '"x"', json.dumps(" ".join(corpus.REQUIRED_POST_FIELDS)),
+        return rng.choice(["[1, 2]", "[]", json.dumps(Post._fields[1:]),
+                           '"x"', json.dumps(" ".join(Post._fields[1:])),
                            "null", "12", "true"])
     if kind == 5:
         row["timestamp"] = rng.choice([math.nan, math.inf, -math.inf, 1e20, 0, -3, "12.5", "x"])
         return json.dumps(row)
     if kind == 6:
-        del row[rng.choice(corpus.REQUIRED_POST_FIELDS)]
+        del row[rng.choice(Post._fields[1:])]
         return json.dumps(row)
     if kind == 7:
         row["author"] = ""
@@ -191,9 +194,7 @@ def test_load_posts_matches_the_per_line_json_loads_parser(tmp_path, caplog):
         with caplog.at_level("WARNING", logger="epistyle.corpus"):
             posts, malformed = load_posts(path, "m1")
         ref_posts, ref_malformed, ref_warned = _reference_load_posts(path, "m1")
-        fields = corpus.POST_FIELDS
-        assert ([tuple(getattr(p, f) for f in fields) for p in posts]
-                == [tuple(getattr(p, f) for f in fields) for p in ref_posts]), trial
+        assert posts == ref_posts, trial
         assert malformed == ref_malformed, trial
         assert _warned_lines(caplog) == ref_warned, trial
 
@@ -441,6 +442,14 @@ def test_load_migration_labels_conflict_fatal(tmp_path):
     rows = [("M1", "a", "M2", "b", "true"), ("M2", "b", "M1", "a", "false")]
     with pytest.raises(ValueError, match="conflict"):
         load_migration_labels(_labels_csv(tmp_path, rows))
+
+
+def test_load_migration_labels_same_market_row_fails_naming_its_line(tmp_path):
+    rows = [("M1", "a", "M2", "b", "true"), ("M1", "a", "M1", "c", "false")]
+    path = _labels_csv(tmp_path, rows)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: migration label must pair users "
+                                                   f"from different markets")):
+        load_migration_labels(path)
 
 
 def test_load_migration_labels_duplicates_collapse(tmp_path):
