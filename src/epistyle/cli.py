@@ -56,6 +56,7 @@ from .evaluation import (
     wmw_paired,
 )
 from .hetgraph import (
+    GraphConfig,
     NodeEmbeddings,
     build_graph,
     export_context_init,
@@ -72,7 +73,8 @@ from .hetgraph import (
 from .model import HEAD_KINDS, POOLINGS, EpisodeModel, ModelConfig, PostEncoder
 from .numcore import Tensor, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_corpus, write_corpus
-from .tokenization import TOKENIZER_KINDS, load_vocab, save_vocab, train_bpe, train_char_vocab
+from .tokenization import (TOKENIZER_KINDS, TokenizerConfig, load_vocab, save_vocab, train_bpe,
+                           train_char_vocab)
 from .train import TrainConfig, build_registry, load_best, train_multitask, train_single
 
 log = logging.getLogger("epistyle")
@@ -86,8 +88,8 @@ def _field_defaults(cls, *filled) -> dict:
 
 # Each config section's keys with their defaults, which also give their types.
 CORPUS_DEFAULTS = _field_defaults(SynthConfig, "seed")
-TOKENIZER_DEFAULTS = dict(kind="bpe", size=30000)
-GRAPH_DEFAULTS = dict(walks_per_user=1000, walk_length=80, dim=128, window=7, negatives=5, epochs=5)
+TOKENIZER_DEFAULTS = _field_defaults(TokenizerConfig)
+GRAPH_DEFAULTS = _field_defaults(GraphConfig)
 MODEL_DEFAULTS = _field_defaults(ModelConfig, "vocab_size", "tokenizer_kind")
 TRAIN_DEFAULTS = _field_defaults(TrainConfig, "seed")
 EVAL_DEFAULTS = dict(kappa=1000)
@@ -102,6 +104,7 @@ CHOICES = {("tokenizer", "kind"): TOKENIZER_KINDS, ("model", "pooling"): POOLING
 # the sections whose config class checks their values, each by building one;
 # a check's message starts with the key it is about
 SECTION_CHECKS = {"corpus": lambda v: SynthConfig(**v).validate(),
+                  "tokenizer": lambda v: TokenizerConfig(**v), "graph": lambda v: GraphConfig(**v),
                   "model": lambda v: ModelConfig(**v), "train": lambda v: TrainConfig(**v)}
 
 # the flags that set a config key, by subcommand: flag -> (section, key). A

@@ -33,6 +33,24 @@ _EDGE_TYPES = {("U", "T"), ("U", "P"), ("T", "P"), ("S", "T")}
 
 
 @dataclass
+class GraphConfig:
+    """The walk and skip-gram settings; a walk needs two nodes to give a pair."""
+
+    walks_per_user: int = 1000
+    walk_length: int = 80
+    dim: int = 128
+    window: int = 7
+    negatives: int = 5
+    epochs: int = 5
+
+    def __post_init__(self):
+        for name in ("walks_per_user", "walk_length", "dim", "window", "negatives", "epochs"):
+            least = 2 if name == "walk_length" else 1
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+
+
+@dataclass
 class HetGraph:
     node_keys: dict[str, str] = field(default_factory=dict)  # label -> original key
     key_labels: dict[tuple[str, str], str] = field(default_factory=dict)  # (type, key) -> label

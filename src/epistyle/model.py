@@ -49,6 +49,9 @@ class ModelConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.pooling not in POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling!r}")
+        if self.max_tokens < self.max_filter:
+            raise ValueError(f"max_tokens must be at least the widest filter, "
+                             f"{self.max_filter}, got {self.max_tokens}")
 
     @property
     def conv_width(self) -> int:
@@ -97,8 +100,8 @@ class EpisodeBatch:
     token_ids: np.ndarray  # (B*L, n_max), padded with the pad id
     pad_lengths: np.ndarray  # (B*L,), after padding to the max filter width
     dow: np.ndarray  # (B*L,)
-    ctx_rows: np.ndarray  # (B*L,), market-local rows, 0 = unknown subforum
-    market_groups: list[tuple[str, np.ndarray]]  # market -> flat post indices
+    ctx_rows: np.ndarray  # (B*L,), rows of the ctx_markets' context tables stacked
+    ctx_markets: list[str]  # the batch's markets, sorted
     size: int
     episode_len: int
 
@@ -118,15 +121,15 @@ def make_episode_batch(episodes: list[Episode], encoder: PostEncoder, model: "Ep
     for i, s in enumerate(seqs):
         ids[i, : len(s)] = s
     dow = np.array([day_of_week(p.timestamp) for p in flat_posts], dtype=np.int64)
-    ctx = np.zeros(len(flat_posts), dtype=np.int64)
-    groups: dict[str, list[int]] = {}
-    for i, p in enumerate(flat_posts):
-        ctx[i] = model.subforum_maps[p.market].get(p.subforum, UNK_SUBFORUM_ROW)
-        groups.setdefault(p.market, []).append(i)
-    market_groups = [(m, np.array(ix, dtype=np.int64)) for m, ix in sorted(groups.items())]
+    ctx_markets = sorted({p.market for p in flat_posts})
+    # a market's rows follow the context tables of the markets sorted before it
+    sizes = [len(model.subforum_maps[m]) + 1 for m in ctx_markets]
+    offsets = dict(zip(ctx_markets, np.cumsum([0] + sizes).tolist()))
+    ctx = np.array([offsets[p.market] + model.subforum_maps[p.market].get(p.subforum, UNK_SUBFORUM_ROW)
+                    for p in flat_posts], dtype=np.int64)
     return EpisodeBatch(
         token_ids=ids, pad_lengths=pad_lengths, dow=dow, ctx_rows=ctx,
-        market_groups=market_groups, size=len(episodes), episode_len=length,
+        ctx_markets=ctx_markets, size=len(episodes), episode_len=length,
     )
 
 
@@ -227,16 +230,6 @@ class EpisodeModel:
         x = nc.dropout(x, cfg.dropout, train, rng)
         return nc.linear(x, self.params["text_fc.w"], self.params["text_fc.b"])
 
-    def _context_rows(self, batch: EpisodeBatch) -> Tensor:
-        pieces = []
-        for market, idx in batch.market_groups:
-            rows = nc.embedding_lookup(self.params[f"context.{market}"], batch.ctx_rows[idx])
-            pieces.append((idx, rows))
-        n = batch.token_ids.shape[0]
-        if len(pieces) == 1 and len(pieces[0][0]) == n:
-            return pieces[0][1]
-        return nc.scatter_rows(pieces, n, self.cfg.d_context)
-
     def _transformer(self, posts: Tensor, train: bool, rng) -> Tensor:
         cfg = self.cfg
         p = self.params
@@ -269,7 +262,9 @@ class EpisodeModel:
             token_embeddings = nc.embedding_lookup(self.params["token_emb"], batch.token_ids)
         text = self._text_from_token_embeddings(token_embeddings, batch.pad_lengths, train, rng)
         time = nc.embedding_lookup(self.params["time_emb"], batch.dow)
-        ctx = self._context_rows(batch)
+        # only the batch's markets are stacked, so no other table gets a gradient
+        tables = [self.params[f"context.{m}"] for m in batch.ctx_markets]
+        ctx = nc.embedding_lookup(nc.concat(tables, axis=0), batch.ctx_rows)
         post = nc.concat([text, time, ctx], axis=-1)
         post = nc.reshape(post, (batch.size, batch.episode_len, self.cfg.post_dim))
         if self.cfg.pooling == "mean":
@@ -378,21 +373,16 @@ class MetricHead:
         pos = same & ~eye
         neg = ~same
 
-        mined_pos = np.zeros((n, n), dtype=np.float32)
-        mined_neg = np.zeros((n, n), dtype=np.float32)
-        contributes = np.zeros(n, dtype=bool)
+        # an anchor without a negative has max_neg -inf and one without a
+        # positive min_pos +inf, so it mines nothing; s and the thresholds
+        # stay float32 (NEP 50), the bits a per-anchor loop compares
         eps = self.ms_mining_eps
-        for i in range(n):
-            if not pos[i].any() or not neg[i].any():
-                continue
-            max_neg = s[i, neg[i]].max()
-            min_pos = s[i, pos[i]].min()
-            mp = pos[i] & (s[i] < max_neg + eps)
-            mn = neg[i] & (s[i] > min_pos - eps)
-            if mp.any() or mn.any():
-                contributes[i] = True
-                mined_pos[i, mp] = 1.0
-                mined_neg[i, mn] = 1.0
+        max_neg = np.where(neg, s, -np.inf).max(axis=1, keepdims=True)
+        min_pos = np.where(pos, s, np.inf).min(axis=1, keepdims=True)
+        mp = pos & (s < max_neg + eps)
+        mn = neg & (s > min_pos - eps)
+        contributes = mp.any(axis=1) | mn.any(axis=1)
+        mined_pos, mined_neg = mp.astype(np.float32), mn.astype(np.float32)
         if not contributes.any():
             return Tensor(np.float32(0.0))
 

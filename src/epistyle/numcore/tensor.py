@@ -393,31 +393,6 @@ def embedding_lookup(table, ids) -> Tensor:
     return out
 
 
-def scatter_rows(pieces, n_rows: int, dim: int) -> Tensor:
-    """Assemble (n_rows, dim) from (row-index array, Tensor rows) pieces.
-
-    The integer row indices of all pieces together must cover every output
-    row exactly once, else `ShapeError`; used to stitch per-market lookups
-    into one batch.
-    """
-    rows = np.concatenate([np.asarray(idx).ravel() for idx, _ in pieces] or [np.zeros(0, int)])
-    if rows.dtype.kind not in "iu" or not np.array_equal(np.sort(rows), np.arange(n_rows)):
-        raise ShapeError(f"scatter_rows: the pieces must cover each of the {n_rows} rows "
-                         "exactly once")
-    dt = np.result_type(*[t.dtype for _, t in pieces]) if pieces else _DEFAULT_DTYPE
-    data = np.zeros((n_rows, dim), dtype=dt)
-    for idx, t in pieces:
-        data[idx] = t.data
-
-    def backward(out):
-        for idx, t in pieces:
-            if t.requires_grad:
-                t._accumulate(out.grad[idx])
-
-    out = _result(data, tuple(t for _, t in pieces), backward)
-    return out
-
-
 # ---------------------------------------------------------------- reductions
 
 
@@ -494,9 +469,8 @@ def _mask_time_suffix(x: np.ndarray, axis: int, lengths) -> np.ndarray:
     if n.size and (n.min() < 1 or n.max() > t):
         raise ShapeError(f"max_over_time: lengths must be in 1..{t}, got [{n.min()}, {n.max()}]")
     masked = x.copy()
-    steps = np.moveaxis(masked, axis, 1)  # a view: filling it fills the copy
-    for i in np.flatnonzero(n < t):
-        steps[i, n[i]:] = -np.inf
+    # moveaxis gives a view, so filling it fills the copy
+    np.moveaxis(masked, axis, 1)[np.arange(t) >= n[:, None]] = -np.inf
     return masked
 
 

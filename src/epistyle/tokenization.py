@@ -29,6 +29,23 @@ _ATOMIC_RE = re.compile("|".join(re.escape(t) for t in SPECIAL_TOKENS))
 
 TOKENIZER_KINDS = ("char", "bpe")
 
+
+@dataclass
+class TokenizerConfig:
+    """A vocabulary holds the specials, and for bpe also the 256 bytes."""
+
+    kind: str = "bpe"  # one of TOKENIZER_KINDS
+    size: int = 30000
+
+    def __post_init__(self):
+        if self.kind not in TOKENIZER_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(TOKENIZER_KINDS)}, got {self.kind!r}")
+        least = len(RESERVED) + (256 if self.kind == "bpe" else 0)
+        if self.size < least:
+            raise ValueError(f"size must be at least {least} for a {self.kind} vocabulary, "
+                             f"got {self.size}")
+
+
 # Chunks are an optional whitespace run glued to the following word, so token
 # boundaries (and therefore round-trips) survive merging.
 _CHUNK_RE = re.compile(r"\s*\S+|\s+")

@@ -404,8 +404,23 @@ def test_labels_without_multitask_exits_2_before_any_work(workspace, tmp_path, c
     ("subforums_per_market = 4\n", "subforums_per_market = 0\n", [],
      "[corpus] subforums_per_market must be at least 1, got 0"),
     ("weeks = 8\n", "weeks = 0\n", [], "[corpus] weeks must be in 1..416740, got 0"),
+    ("dim = 12\n", "dim = 0\n", [], "[graph] dim must be at least 1, got 0"),
+    ("walks_per_user = 10\n", "walks_per_user = 0\n", [],
+     "[graph] walks_per_user must be at least 1, got 0"),
+    ("walk_length = 9\n", "walk_length = 1\n", [], "[graph] walk_length must be at least 2, got 1"),
+    ("negatives = 2\n", "negatives = 0\n", [], "[graph] negatives must be at least 1, got 0"),
+    ("epochs = 1\n", "epochs = 0\n", [], "[graph] epochs must be at least 1, got 0"),
+    ("", "", ["--walks-per-user", "0"], "--walks-per-user: walks_per_user must be at least 1, got 0"),
+    ("max_tokens = 96\n", "max_tokens = 2\n", [],
+     "[model] max_tokens must be at least the widest filter, 3, got 2"),
+    ("size = 120\n", "size = 7\n", [],
+     "[tokenizer] size must be at least 8 for a char vocabulary, got 7"),
+    ("kind = char\n", "kind = bpe\n", [],
+     "[tokenizer] size must be at least 264 for a bpe vocabulary, got 120"),
 ], ids=["p-cross-flag", "episode-len", "batch-size", "d-text", "dropout", "epochs-flag",
-        "filter-sizes", "communities", "subforums", "weeks"])
+        "filter-sizes", "communities", "subforums", "weeks", "graph-dim", "walks-per-user",
+        "walk-length", "negatives", "graph-epochs", "walks-per-user-flag", "max-tokens",
+        "char-size", "bpe-size"])
 def test_a_bad_config_class_value_exits_2_before_any_directory(workspace, tmp_path, capsys,
                                                                old, new, flags, named):
     root, _ = workspace
@@ -413,6 +428,8 @@ def test_a_bad_config_class_value_exits_2_before_any_directory(workspace, tmp_pa
     config.write_text(CONFIG.replace(old, new))
     c = ["--config", str(config)]
     commands = [["train", *c, *_data(root), "--market", "alpha", "--out", tmp_path / "run", *flags]]
+    if "--walks-per-user" in flags:  # a flag of walk only
+        commands = [["walk", *c, "--graph", root / "graph.json", "--out", tmp_path / "walks", *flags]]
     if not flags:  # a fault in the file fails every stage
         commands.append(["synth", *c, "--out", tmp_path / "raw"])
     for argv in commands:

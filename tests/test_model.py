@@ -58,6 +58,8 @@ def test_config_rejects_bad_values():
         ModelConfig(vocab_size=10, d_text=0)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, pooling="attention")
+    with pytest.raises(ValueError, match="max_tokens"):
+        ModelConfig(vocab_size=10, max_tokens=4)  # below the widest default filter, 5
 
 
 def episode(*posts):
@@ -176,6 +178,36 @@ def test_context_same_subforum_equal(setup):
     out = embed(model, encoder, episode(make_post("hello", subforum="s2", pid="a")),
                 episode(make_post("other text", subforum="s2", pid="b")))
     assert np.array_equal(out[0, -cfg.d_context :], out[1, -cfg.d_context :])
+
+
+def test_context_mixed_markets_take_their_own_rows_and_gradients():
+    # one lookup over the batch's stacked tables: each post reads its own
+    # market's row, and each table's gradient is its posts' rows added in
+    # batch order; m3, absent from the batch, gets no gradient
+    vocab = train_char_vocab(["hello world abc"], size=30)
+    cfg = tiny_config(vocab_size=len(vocab))
+    model = EpisodeModel.build(cfg, markets={"m1": ["s1", "s2"], "m2": ["s1", "s2", "s3"],
+                                             "m3": ["s1"]}, seed=4)
+    encoder = PostEncoder(vocab, cfg.max_tokens)
+    keys = [("m2", "s3"), ("m1", "s2"), ("m2", "never-seen"), ("m1", "s2"), ("m2", "s3"),
+            ("m1", "s1"), ("m2", "s1")]
+    posts = [make_post("hello world"[i:], market=m, subforum=sf, pid=f"p{i}")
+             for i, (m, sf) in enumerate(keys)]
+    batch = make_episode_batch([episode(p) for p in posts], encoder, model)
+    assert batch.ctx_markets == ["m1", "m2"]
+    out = model.embed_episodes(batch)
+    g = np.random.default_rng(0).normal(size=out.shape).astype(np.float32)
+    nc.sum_(nc.mul(out, Tensor(g))).backward()
+
+    want = {m: np.zeros_like(model.params[f"context.{m}"].data) for m in ("m1", "m2")}
+    for i, (m, sf) in enumerate(keys):
+        row = model.subforum_maps[m].get(sf, 0)
+        assert np.array_equal(out.data[i, -cfg.d_context:], model.params[f"context.{m}"].data[row])
+        np.add.at(want[m], row, g[i, -cfg.d_context:])
+    for m, w in want.items():
+        got = model.params[f"context.{m}"].grad
+        assert (got.dtype, got.tobytes()) == (w.dtype, w.tobytes())
+    assert model.params["context.m3"].grad is None
 
 
 # ------------------------------------------------------------------- post
@@ -370,6 +402,66 @@ def test_ms_scale_invariance():
     a = head.loss(Tensor(emb), labels).item()
     b = head.loss(Tensor(emb * 7.3), labels).item()
     assert abs(a - b) < 1e-5
+
+
+def _ms_loss_per_anchor(head, embeddings, labels):
+    """multisimilarity_loss with its mining written as a loop over anchors."""
+    n = len(labels)
+    xn = nc.l2_normalize(embeddings, axis=-1)
+    sims = nc.matmul(xn, nc.transpose(xn, (1, 0)))
+    s = sims.data
+    same = labels[:, None] == labels[None, :]
+    pos = same & ~np.eye(n, dtype=bool)
+    neg = ~same
+    mined_pos = np.zeros((n, n), dtype=np.float32)
+    mined_neg = np.zeros((n, n), dtype=np.float32)
+    contributes = np.zeros(n, dtype=bool)
+    eps = head.ms_mining_eps
+    for i in range(n):
+        if not pos[i].any() or not neg[i].any():
+            continue
+        mp = pos[i] & (s[i] < s[i, neg[i]].max() + eps)
+        mn = neg[i] & (s[i] > s[i, pos[i]].min() - eps)
+        if mp.any() or mn.any():
+            contributes[i] = True
+            mined_pos[i, mp] = 1.0
+            mined_neg[i, mn] = 1.0
+    if not contributes.any():
+        return Tensor(np.float32(0.0))
+    lam = head.ms_lambda
+    pos_e = nc.mul(nc.exp(nc.scale(nc.sub(sims, lam), -head.ms_alpha)), Tensor(mined_pos))
+    neg_e = nc.mul(nc.exp(nc.scale(nc.sub(sims, lam), head.ms_beta)), Tensor(mined_neg))
+    pos_term = nc.scale(nc.log(nc.add(nc.sum_(pos_e, axis=1), 1.0)), 1.0 / head.ms_alpha)
+    neg_term = nc.scale(nc.log(nc.add(nc.sum_(neg_e, axis=1), 1.0)), 1.0 / head.ms_beta)
+    total = nc.sum_(nc.mul(nc.add(pos_term, neg_term), Tensor(contributes.astype(np.float32))))
+    return nc.scale(total, 1.0 / float(contributes.sum()))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+def test_ms_mining_matches_a_per_anchor_loop_bit_for_bit(eps):
+    # small integer embeddings and repeated rows give tied similarities;
+    # few labels over small batches give anchors without a positive or a
+    # negative, and batches where no anchor has both
+    rng = np.random.default_rng(17)
+    head = _head("ms", n=4, dim=3, ms_mining_eps=eps)
+    for _ in range(100):
+        n = int(rng.integers(2, 10))
+        emb = rng.integers(-2, 3, size=(n, 3)).astype(np.float32)
+        emb[rng.random(n) < 0.3] = emb[0]
+        emb[~emb.any(axis=1)] = 1.0
+        if rng.random() < 0.5:
+            emb += rng.normal(scale=0.3, size=emb.shape).astype(np.float32)
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
+        got = []
+        for loss_fn in (head.multisimilarity_loss, lambda e, y: _ms_loss_per_anchor(head, e, y)):
+            x = Tensor(emb.copy(), requires_grad=True)
+            loss = loss_fn(x, labels)
+            if loss.requires_grad:
+                loss.backward()
+            # dtype and raw bytes: equal bits, zeros by sign and NaNs by payload
+            got.append([(a.dtype, a.tobytes()) for a in (np.asarray(loss.data), x.grad)
+                        if a is not None])
+        assert got[0] == got[1]
 
 
 # ------------------------------------------------- end-to-end grad checks

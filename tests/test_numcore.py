@@ -247,29 +247,6 @@ def test_embedding_backward_equals_row_wise_add_at_bit_for_bit(dtype, chunk, pre
     assert np.array_equal(_bits(table.grad), _bits(want))
 
 
-@pytest.mark.parametrize("pieces, n_rows", [
-    ([[0, 1], [1, 2]], 3),  # row 1 twice
-    ([[0, 1], [1, 2]], 4),  # row 1 twice and row 3 never
-    ([[0], [2]], 3),  # row 1 never
-    ([[0, 1], [2, 3]], 3),  # a row past the end
-    ([[0, -1], [1]], 2),  # a negative row
-], ids=["overlap", "overlap-and-gap", "gap", "past-the-end", "negative"])
-def test_scatter_rows_rejects_pieces_that_do_not_cover_each_row_once(pieces, n_rows):
-    tensors = [(np.array(rows), Tensor(np.ones((len(rows), 2)), requires_grad=True))
-               for rows in pieces]
-    with pytest.raises(nc.ShapeError, match="exactly once"):
-        nc.scatter_rows(tensors, n_rows, 2)
-
-
-def test_scatter_rows_routes_each_row_gradient_to_its_piece():
-    a = Tensor(np.ones((2, 2)), requires_grad=True)
-    b = Tensor(np.ones((1, 2)), requires_grad=True)
-    out = nc.scatter_rows([(np.array([2, 0]), a), (np.array([1]), b)], 3, 2)
-    nc.sum_(nc.mul(out, Tensor(np.arange(6.0).reshape(3, 2)))).backward()
-    assert np.array_equal(a.grad, [[4.0, 5.0], [0.0, 1.0]])
-    assert np.array_equal(b.grad, [[2.0, 3.0]])
-
-
 # ------------------------------------------------------------- grad checks
 
 

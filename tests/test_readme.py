@@ -1,14 +1,18 @@
 """Every `epistyle` command that README.md shows parses with the CLI's own
 parser, naming each option exactly: the README counterpart of
 test_bench_contract, so that a flag the docs still show cannot be deleted
+unnoticed. Every ini block it shows passes the CLI's whole-file config check,
+so that a key the docs still show cannot be renamed, deleted or made invalid
 unnoticed."""
 
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from epistyle import cli
 from epistyle.cli import build_parser
 from test_bench_contract import _subcommands
 
@@ -48,3 +52,18 @@ def test_every_readme_command_parses(command):
     options = _subcommands()[argv[0]]._option_string_actions
     assert {a for a in argv if a.startswith("-")} <= set(options)
     build_parser().parse_args(argv)
+
+
+INI_BLOCKS = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_shows_an_ini_block():
+    assert INI_BLOCKS
+
+
+@pytest.mark.parametrize("block", INI_BLOCKS, ids=[str(i) for i in range(len(INI_BLOCKS))])
+def test_every_readme_ini_block_passes_the_config_check(block, tmp_path):
+    path = tmp_path / "config.ini"
+    path.write_text(block, encoding="utf-8")
+    # synth sets no config key by flag, so the check sees the file as written
+    cli._settings(SimpleNamespace(config=str(path), command="synth"))
