@@ -393,8 +393,11 @@ def integrated_gradients(model: EpisodeModel, encoder: PostEncoder, episode: Epi
     The baseline replaces every token embedding with the [PAD] embedding;
     time and context inputs are held at their actual values. Returns
     (records, completeness) with one {post_id, token, score} record per
-    real token.
+    real token. The path integral runs on gradient-free views of the
+    parameters, so it leaves no gradient on `model`.
     """
+    model = EpisodeModel(model.cfg, model.subforum_maps,
+                         {name: Tensor(p.data) for name, p in model.params.items()})
     batch = make_episode_batch([episode], encoder, model)
     table = model.params["token_emb"].data
     x = table[batch.token_ids]  # (L, n_max, d_token)

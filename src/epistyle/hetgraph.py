@@ -244,23 +244,40 @@ def sgns_pair_loss_and_grads(v_center: np.ndarray, u_context: np.ndarray, u_negs
     return loss, grad_v, grad_uc, grad_un
 
 
-def sgns_batch_loss_and_grads(v_center: np.ndarray, u_context: np.ndarray, u_negs: np.ndarray):
-    """Summed loss and per-row gradients for a batch of pairs.
+def sgns_batch_loss_and_grads(v_center: np.ndarray, u_context: np.ndarray, u_negs: np.ndarray,
+                              mask: np.ndarray, share: int):
+    """Summed loss and gradients for a batch of pairs that share negatives.
 
-    v_center and u_context are (B, d), u_negs is (B, k, d); row i of every
-    gradient is what sgns_pair_loss_and_grads returns for row i, and the loss
-    is the sum of the pair losses.
+    v_center and u_context are (B, d). Pairs i // share form group g, whose
+    shared negatives are u_negs[g], (G, N, d) over all groups; mask is (B, N),
+    true where pair i scores negative j of its group. Pair i's loss and its
+    center and context gradients are what sgns_pair_loss_and_grads returns
+    for the negatives it scores, and row (g, j) of the negatives' gradient
+    sums that function's rows for negative j over the pairs of group g.
+    Returns (loss, grad_v (B, d), grad_u_context (B, d), grad_u_negs (G, N, d)).
     """
+    b, d = v_center.shape
+    groups, n, _ = u_negs.shape
     pos = np.einsum("bd,bd->b", u_context, v_center)
-    neg = np.einsum("bkd,bd->bk", u_negs, v_center)
+    # a short last group is padded with rows that score no negative
+    v = _padded(v_center, groups * share).reshape(groups, share, d)
+    m = _padded(mask, groups * share).reshape(groups, share, n)
+    neg = v @ u_negs.transpose(0, 2, 1)  # (G, share, N): one GEMM per group
     loss = np.sum(np.log1p(np.exp(-np.abs(pos))) + np.maximum(-pos, 0.0))
-    loss += np.sum(np.log1p(np.exp(-np.abs(neg))) + np.maximum(neg, 0.0))
+    loss += np.sum(np.log1p(np.exp(-np.abs(neg[m]))) + np.maximum(neg[m], 0.0))
     g_pos = (_sigmoid(pos) - 1.0)[:, None]
-    g_neg = _sigmoid(neg)
-    grad_v = g_pos * u_context + np.einsum("bk,bkd->bd", g_neg, u_negs)
+    g_neg = np.where(m, _sigmoid(neg), 0.0)
+    grad_v = g_pos * u_context + (g_neg @ u_negs).reshape(-1, d)[:b]
     grad_uc = g_pos * v_center
-    grad_un = g_neg[:, :, None] * v_center[:, None, :]
+    grad_un = g_neg.transpose(0, 2, 1) @ v
     return float(loss), grad_v, grad_uc, grad_un
+
+
+def _padded(a: np.ndarray, rows: int) -> np.ndarray:
+    """a with zero rows appended up to `rows`; a itself when it has them."""
+    if len(a) == rows:
+        return a
+    return np.concatenate([a, np.zeros((rows - len(a),) + a.shape[1:], dtype=a.dtype)])
 
 
 def _sigmoid(x):
@@ -275,8 +292,8 @@ class NodeEmbeddings:
 
 
 class _TypedNegativeSampler:
-    """Unigram^(3/4) negative sampling over node indices, restricted to the
-    context node's type (the typed-context normalization).
+    """Unigram^(3/4) negative sampling over node indices, one table per node
+    type (the typed-context normalization).
 
     groups[i] is the sampling table of node i, one per node type.
     """
@@ -290,24 +307,23 @@ class _TypedNegativeSampler:
             cdf = np.cumsum(weights / weights.sum())
             cdf[-1] = 1.0  # rounding must not leave a draw past the last member
             self.tables.append((members, cdf))
-        # a one-member table has nothing else to draw, so it returns its member
-        self.redraw = np.array([len(members) > 1 for members, _ in self.tables])
+        # a one-member table has nothing else to draw, so its member stays a negative
+        self.single = np.array([len(members) == 1 for members, _ in self.tables])
 
-    def draw(self, context: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-        """(len(context), k) negatives, each from its context's table; a draw
-        equal to its context is drawn again."""
-        out = np.empty((len(context), k), dtype=np.int64)
-        todo = np.ones(out.shape, dtype=bool)
-        while todo.any():
-            rows, cols = np.nonzero(todo)
-            table = self.groups[context[rows]]
-            for g in np.unique(table):
-                sel = table == g
-                members, cdf = self.tables[g]
-                u = rng.random(int(sel.sum()))
-                out[rows[sel], cols[sel]] = members[np.searchsorted(cdf, u, side="right")]
-            todo = (out == context[:, None]) & self.redraw[self.groups[context]][:, None]
-        return out
+    def draw(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+        """(n, T * k) nodes: each row holds k draws from each of the T tables
+        in turn."""
+        u = rng.random((n, len(self.tables), k))
+        out = np.empty(u.shape, dtype=np.int64)
+        for g, (members, cdf) in enumerate(self.tables):
+            out[:, g] = members[np.searchsorted(cdf, u[:, g], side="right")]
+        return out.reshape(n, -1)
+
+    def mask(self, context: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+        """True where drawn[i, j] is a negative of context[i]: a node of its
+        type other than itself, unless it is its type's only member."""
+        types = self.groups[context][:, None]
+        return (self.groups[drawn] == types) & ((drawn != context[:, None]) | self.single[types])
 
 
 def _walk_pairs(walks: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -330,6 +346,8 @@ def _walk_pairs(walks: list[list[int]], window: int) -> tuple[np.ndarray, np.nda
 # Pairs per SGD step. Updates within a batch are computed from the same
 # parameters and summed into the tables.
 SKIPGRAM_BATCH = 1024
+# Consecutive pairs of a batch that share one draw of negatives per node type.
+SKIPGRAM_SHARE = 64
 SKIPGRAM_LR = 0.025  # initial SGD step, decayed linearly to 1e-4 of it
 
 
@@ -337,12 +355,13 @@ def train_skipgram(walks: list[list[str]], dim: int, window: int, negatives: int
                    rng_seed: int = 0) -> NodeEmbeddings:
     """Skip-gram with negative sampling over walk windows.
 
-    Mini-batched SGD over integer pair arrays: each batch of SKIPGRAM_BATCH
-    (center, context) pairs draws its negatives in bulk, scores them with
-    batched dot products and applies one scatter-add per table, with a
-    learning rate decayed linearly per batch. Deterministic for a fixed
-    seed. Records the mean per-pair loss of each epoch in
-    meta["epoch_losses"].
+    Mini-batched SGD over integer pair arrays. Each group of SKIPGRAM_SHARE
+    consecutive pairs in a batch of SKIPGRAM_BATCH shares `negatives` draws
+    from each node type's table; a pair scores the draws that
+    `_TypedNegativeSampler.mask` gives it, with one GEMM per group. Each
+    batch applies one scatter-add per table, with a learning rate decayed
+    linearly per batch. Deterministic for a fixed seed. Records the mean
+    per-pair loss of each epoch in meta["epoch_losses"].
     """
     if dim <= 0 or window <= 0:
         raise ValueError(f"dim and window must be positive, got {dim}, {window}")
@@ -353,6 +372,9 @@ def train_skipgram(walks: list[list[str]], dim: int, window: int, negatives: int
     index = {n: i for i, n in enumerate(nodes)}
     walk_ids = [[index[n] for n in walk] for walk in walks]
     centers, contexts = _walk_pairs(walk_ids, window)
+    if len(centers) == 0:
+        raise ValueError("train_skipgram: the walks give no (center, context) pair; "
+                         "every walk has one node")
     counts = np.bincount(np.fromiter((i for w in walk_ids for i in w), dtype=np.int64),
                          minlength=len(nodes))
     groups = np.unique([n[0] for n in nodes], return_inverse=True)[1]
@@ -363,21 +385,23 @@ def train_skipgram(walks: list[list[str]], dim: int, window: int, negatives: int
     w_out = np.zeros((len(nodes), dim), dtype=np.float64)
 
     n_pairs = len(centers)
-    total_updates = max(1, n_pairs * epochs)
+    total_updates = n_pairs * epochs
     epoch_losses: list[float] = []
     for epoch in range(epochs):
         loss_sum = 0.0
         for lo in range(0, n_pairs, SKIPGRAM_BATCH):
             ci = centers[lo : lo + SKIPGRAM_BATCH]
             oi = contexts[lo : lo + SKIPGRAM_BATCH]
-            ni = sampler.draw(oi, negatives, rng)
+            drawn = sampler.draw(-(-len(ci) // SKIPGRAM_SHARE), negatives, rng)
+            mask = sampler.mask(oi, drawn[np.arange(len(ci)) // SKIPGRAM_SHARE])
             alpha = SKIPGRAM_LR * max(1e-4, 1.0 - (epoch * n_pairs + lo) / total_updates)
-            loss, g_v, g_uc, g_un = sgns_batch_loss_and_grads(w_in[ci], w_out[oi], w_out[ni])
+            loss, g_v, g_uc, g_un = sgns_batch_loss_and_grads(
+                w_in[ci], w_out[oi], w_out[drawn], mask, SKIPGRAM_SHARE)
             loss_sum += loss
             scatter_add(w_in, ci, -alpha * g_v)
-            scatter_add(w_out, np.concatenate([oi, ni.ravel()]),
+            scatter_add(w_out, np.concatenate([oi, drawn.ravel()]),
                         -alpha * np.concatenate([g_uc, g_un.reshape(-1, dim)]))
-        epoch_losses.append(loss_sum / max(1, n_pairs))
+        epoch_losses.append(loss_sum / n_pairs)
 
     vectors = {n: w_in[i].astype(np.float32) for i, n in enumerate(nodes)}
     return NodeEmbeddings(
@@ -440,11 +464,14 @@ def write_embeddings_tsv(path, embeddings: NodeEmbeddings, key: str = "node") ->
 
 
 def read_embeddings_tsv(path) -> NodeEmbeddings:
-    """Read `write_embeddings_tsv` output; a row whose width differs from the
-    header's, or with a cell that is not a number, raises ValueError naming
-    the path and line."""
+    """Read `write_embeddings_tsv` output. A file without the `key dim0 ...`
+    header or without rows raises ValueError naming the path; a row whose
+    width differs from the header's, or with a cell that is not a number,
+    raises ValueError naming the path and line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
+        if len(header) < 2 or header[1:] != [f"dim{i}" for i in range(len(header) - 1)]:
+            raise ValueError(f"{path}: expected a `key dim0 dim1 ...` header")
         vectors: dict[str, np.ndarray] = {}
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split("\t")
@@ -455,4 +482,6 @@ def read_embeddings_tsv(path) -> NodeEmbeddings:
                 vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float32)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not vectors:
+        raise ValueError(f"{path}: no rows under the header")
     return NodeEmbeddings(vectors=vectors, dim=len(header) - 1)

@@ -14,6 +14,7 @@ import pytest
 from epistyle import cli
 from epistyle.cli import build_parser
 from epistyle.config import SECTIONS, load_config, section_values
+from epistyle.hetgraph import _walk_pairs, train_skipgram
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -81,3 +82,14 @@ def test_every_key_of_a_workload_config_is_one_the_cli_reads(path):
     cfg = load_config(path)
     for section in SECTIONS:
         section_values(cfg, section, defaults[section])  # raises on an unknown key
+
+
+@pytest.mark.parametrize("window", [1, 3, 7])
+def test_traced_skipgram_pairs_equal_the_pairs_trained(window):
+    # us_per_pair divides the skip-gram span by this count
+    lengths = (1, 2, 5, 9, 13)
+    walks = [[f"U{i}" if i % 2 == 0 else f"T{i}" for i in range(n)] for n in lengths]
+    emb = train_skipgram(walks, dim=4, window=window, negatives=2, epochs=3, rng_seed=0)
+    ids = [list(range(n)) for n in lengths]
+    counts = tracer._skipgram_counts((walks, 4, window, 2, 3), emb, None)
+    assert counts == {"pairs": len(_walk_pairs(ids, window)[0]) * 3}

@@ -563,6 +563,35 @@ def test_non_numeric_context_init_cell_exits_1_naming_its_line(workspace, tmp_pa
     assert len(err.splitlines()) == 1 and "Traceback" not in err and f"{bad}:2:" in err
 
 
+@pytest.mark.parametrize("text", ["", "subforum\tdim0\tdim1\n"])
+def test_empty_context_init_exits_1_naming_the_file(workspace, tmp_path, capsys, text):
+    root, c = workspace
+    empty = tmp_path / "context.tsv"
+    empty.write_text(text)
+    code = main(["train", *c, "--seed", "3", *_data(root), "--market", "alpha",
+                 "--graph-init", "pretrained", "--context-init", f"alpha={empty}",
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {empty}: ")
+
+
+def test_graph_embed_on_walks_without_pairs_exits_1_without_output(workspace, tmp_path, capsys):
+    root, c = workspace
+    graph = tmp_path / "graph.json"
+    assert main(["build-graph", *c, "--input", str(root / "processed"),
+                 "--split", str(root / "split" / "split.csv"), "--market", "alpha",
+                 "--out", str(graph)]) == 0
+    walks = tmp_path / "walks.txt"
+    walks.write_text("U0\nU1\nU2\n")
+    capsys.readouterr()
+    assert main(["graph-embed", *c, "--seed", "3", "--walks", str(walks), "--graph", str(graph),
+                 "--out", str(tmp_path / "emb")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "no (center, context) pair" in err
+    assert not (tmp_path / "emb" / "context.tsv").exists()
+
+
 def test_graph_stages_and_multitask(workspace, capsys):
     root, c = workspace
     for market in ("alpha", "beta"):

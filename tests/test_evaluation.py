@@ -13,6 +13,7 @@ from epistyle.evaluation import (
     cosine_target,
     export_embeddings_tsv,
     gauss_legendre_unit,
+    integrated_gradients,
     integrated_gradients_fn,
     market_metrics,
     metrics_report,
@@ -23,7 +24,11 @@ from epistyle.evaluation import (
     topk_sybil,
     wmw_paired,
 )
+from epistyle.corpus import Episode
+from epistyle.model import EpisodeModel, PostEncoder
 from epistyle.numcore import Tensor
+from epistyle.tokenization import train_char_vocab
+from test_model import make_post, tiny_config
 
 
 def make_index(embeddings, authors, markets=None, seen=None):
@@ -482,6 +487,24 @@ def test_ig_zero_baseline_input_gets_zero_attribution():
 
     attr, _ = integrated_gradients_fn(fn, x, baseline, steps=5)
     assert np.array_equal(attr, np.zeros_like(x))
+
+
+def test_integrated_gradients_leaves_no_gradient_on_the_model():
+    vocab = train_char_vocab(["hello world this is text abcdef"], size=40)
+    cfg = tiny_config(vocab_size=len(vocab))
+    model = EpisodeModel.build(cfg, markets={"m1": ["s1", "s2"]}, seed=0)
+    encoder = PostEncoder(vocab, cfg.max_tokens)
+    episode = Episode(market="m1", author="alice",
+                      posts=(make_post("hello world", pid="p1"),
+                             make_post("this is text", subforum="s2", pid="p2")))
+    target = cosine_target(np.random.default_rng(3).normal(size=cfg.episode_dim))
+    # a model loaded without gradients, as the CLI loads a run
+    loaded = EpisodeModel(cfg, model.subforum_maps,
+                          {name: Tensor(p.data) for name, p in model.params.items()})
+    want = integrated_gradients(loaded, encoder, episode, target, steps=4)
+    got = integrated_gradients(model, encoder, episode, target, steps=4)
+    assert [name for name, p in model.params.items() if p.grad is not None] == []
+    assert got == want
 
 
 def test_cosine_target_gradient_sane():

@@ -9,6 +9,8 @@ from epistyle import hetgraph
 from epistyle.corpus import Post
 from epistyle.hetgraph import (
     DEFAULT_SCHEMES,
+    SKIPGRAM_BATCH,
+    SKIPGRAM_SHARE,
     HetGraph,
     _TypedNegativeSampler,
     _walk_pairs,
@@ -268,18 +270,25 @@ def test_pair_loss_gradients_match_finite_differences():
 
 
 def test_batch_loss_and_grads_equal_summed_pair_reference():
+    # 11 pairs in groups of 4 (the last group has 3), each group sharing 6 negatives
     rng = np.random.default_rng(4)
-    v = rng.normal(size=(9, 6))
-    uc = rng.normal(size=(9, 6))
-    un = rng.normal(size=(9, 4, 6))
-    loss, gv, guc, gun = sgns_batch_loss_and_grads(v, uc, un)
+    v = rng.normal(size=(11, 6))
+    uc = rng.normal(size=(11, 6))
+    un = rng.normal(size=(3, 6, 6))
+    mask = rng.random((11, 6)) < 0.6
+    mask[5] = False  # a pair that scores no negative
+    loss, gv, guc, gun = sgns_batch_loss_and_grads(v, uc, un, mask, 4)
+    assert gv.shape == guc.shape == (11, 6) and gun.shape == (3, 6, 6)
     ref_loss = 0.0
-    for i in range(9):
-        pl, pgv, pguc, pgun = sgns_pair_loss_and_grads(v[i], uc[i], un[i])
+    ref_gun = np.zeros_like(un)
+    for i in range(11):
+        g = i // 4
+        pl, pgv, pguc, pgun = sgns_pair_loss_and_grads(v[i], uc[i], un[g][mask[i]])
         ref_loss += pl
+        ref_gun[g][mask[i]] += pgun
         assert np.max(np.abs(gv[i] - pgv)) < 1e-12
         assert np.max(np.abs(guc[i] - pguc)) < 1e-12
-        assert np.max(np.abs(gun[i] - pgun)) < 1e-12
+    assert np.max(np.abs(gun - ref_gun)) < 1e-12
     assert abs(loss - ref_loss) < 1e-12
 
 
@@ -288,20 +297,27 @@ def test_typed_negatives_match_context_type_and_differ_from_it():
     groups = np.unique([lab[0] for lab in labels], return_inverse=True)[1]
     counts = np.array([5, 1, 9, 2, 1, 3, 7, 4], dtype=np.float64)
     sampler = _TypedNegativeSampler(counts, groups)
-    context = np.array([0, 1, 2, 3, 4, 5, 6] * 50)
-    negs = sampler.draw(context, 6, np.random.default_rng(0))
-    assert negs.shape == (len(context), 6)
-    assert np.all(groups[negs] == groups[context][:, None])
-    assert not np.any(negs == context[:, None])
+    drawn = sampler.draw(50, 6, np.random.default_rng(0))
+    assert drawn.shape == (50, 4 * 6)
+    # row r holds 6 draws from each type's table in turn
+    assert np.array_equal(groups[drawn], np.broadcast_to(np.repeat(np.arange(4), 6), drawn.shape))
+    context = np.arange(7).repeat(50)  # every node but the one-member type's U0
+    rows = drawn[np.tile(np.arange(50), 7)]
+    mask = sampler.mask(context, rows)
+    assert np.array_equal(mask, (groups[rows] == groups[context][:, None])
+                          & (rows != context[:, None]))
 
 
 def test_single_member_type_returns_that_member():
     labels = ["S0", "U0", "U1"]
     groups = np.unique([lab[0] for lab in labels], return_inverse=True)[1]
     sampler = _TypedNegativeSampler(np.array([3.0, 1.0, 1.0]), groups)
-    negs = sampler.draw(np.array([0, 0, 1]), 4, np.random.default_rng(1))
-    assert np.array_equal(negs[:2], np.zeros((2, 4), dtype=np.int64))
-    assert np.array_equal(negs[2], np.full(4, 2))
+    drawn = sampler.draw(3, 4, np.random.default_rng(1))
+    assert np.array_equal(drawn[:, :4], np.zeros((3, 4), dtype=np.int64))
+    # S0 keeps its type's only member as its negatives; U0 scores the U1 draws
+    mask = sampler.mask(np.array([0, 1]), drawn[:2])
+    assert np.array_equal(mask[0], np.arange(8) < 4)
+    assert np.array_equal(mask[1], (np.arange(8) >= 4) & (drawn[1] == 2))
 
 
 def test_pair_count_matches_window_formula():
@@ -319,16 +335,72 @@ def test_pair_count_matches_window_formula():
         assert list(zip(centers.tolist(), contexts.tolist())) == expected
 
 
-def test_skipgram_loss_decreases():
+def _expected_objective(w_in, w_out, walks, window, negatives):
+    """Mean over all walk pairs of the loss expected under train_skipgram's
+    negatives: `negatives` draws from the context's type by unigram^0.75,
+    where drawing the context itself scores nothing unless it is its type's
+    only member."""
+    nodes = sorted({n for walk in walks for n in walk})
+    index = {n: i for i, n in enumerate(nodes)}
+    walk_ids = [[index[n] for n in walk] for walk in walks]
+    centers, contexts = _walk_pairs(walk_ids, window)
+    types = np.array([n[0] for n in nodes])
+    same = types[:, None] == types[None, :]
+    weights = np.bincount(np.concatenate(walk_ids), minlength=len(nodes)) ** 0.75
+    prob = same * weights / (same @ weights)[:, None]  # prob[o, n]: n drawn for context o
+    prob[np.diag_indices(len(nodes))] *= same.sum(axis=1) == 1
+    scores = w_in[centers] @ w_out.T
+    pos = scores[np.arange(len(centers)), contexts]
+    neg = (prob[contexts] * np.logaddexp(0.0, scores)).sum(axis=1)
+    return float(np.mean(np.logaddexp(0.0, -pos) + negatives * neg))
+
+
+def test_skipgram_loss_decreases(monkeypatch):
+    # one epoch's recorded loss is an estimate from a few shared draws per
+    # type, so the test follows the exact expected objective of the tables
     posts = [
         make_post(f"p{i}", f"u{i % 2}", f"t{i % 2}", start=i < 2, ts=i + 1) for i in range(8)
     ]
     g = build_graph(posts)
     walks = sample_walks(g, walks_per_user=10, walk_length=9, rng_seed=7)
-    emb = train_skipgram(walks, dim=8, window=3, negatives=3, epochs=3, rng_seed=7)
-    losses = emb.meta["epoch_losses"]
+    scatter = hetgraph.scatter_add
+    tables, snapshots = [], []
+
+    def recording(table, rows, values):
+        scatter(table, rows, values)
+        tables.append(table)
+        if len(tables) % 2 == 0:  # w_in, then w_out, once per batch
+            snapshots.append((tables[-2].copy(), table.copy()))
+
+    monkeypatch.setattr(hetgraph, "scatter_add", recording)
+    train_skipgram(walks, dim=8, window=3, negatives=3, epochs=3, rng_seed=7)
+    batches = len(snapshots) // 3
+    losses = [_expected_objective(*snapshots[(e + 1) * batches - 1], walks, 3, 3)
+              for e in range(3)]
     assert losses[1] <= losses[0]
     assert losses[2] <= losses[1]
+
+
+def test_skipgram_scatters_each_pair_and_the_shared_draws_into_w_out(monkeypatch):
+    walks = [["U0", "T0", "P0", "S0", "T1", "U1", "P1"], ["U1", "T1", "P2"]] * 60
+    centers, _ = _walk_pairs([[0] * len(w) for w in walks], 2)
+    rows = []
+
+    def recording(table, r, values):
+        rows.append(len(r))
+
+    monkeypatch.setattr(hetgraph, "scatter_add", recording)
+    train_skipgram(walks, dim=4, window=2, negatives=3, epochs=2, rng_seed=0)
+    sizes = [min(SKIPGRAM_BATCH, len(centers) - lo)
+             for lo in range(0, len(centers), SKIPGRAM_BATCH)]
+    assert len(sizes) > 1 and sizes[-1] % SKIPGRAM_SHARE  # a short last batch and group
+    per_batch = [[b, b + -(-b // SKIPGRAM_SHARE) * 4 * 3] for b in sizes]  # 4 node types
+    assert rows == [n for _ in range(2) for batch in per_batch for n in batch]
+
+
+def test_skipgram_rejects_walks_without_pairs():
+    with pytest.raises(ValueError, match="no \\(center, context\\) pair"):
+        train_skipgram([["U0"], ["U1"]], dim=4, window=2, negatives=2, epochs=2)
 
 
 def test_skipgram_rejects_bad_dims():
@@ -434,3 +506,16 @@ def test_embeddings_tsv_round_trip(tmp_path):
         fh.write("T0\t0.5\n")
     with pytest.raises(ValueError, match=r"nodes\.tsv:4: 2 fields, header has 3"):
         read_embeddings_tsv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "expected a `key dim0 dim1 ...` header"),
+    ("s0\t0.5\t0.25\n", "expected a `key dim0 dim1 ...` header"),
+    ("subforum\tdim0\tdim1\n", "no rows under the header"),
+])
+def test_embeddings_tsv_without_header_or_rows_names_the_file(tmp_path, text, message):
+    path = tmp_path / "context.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_embeddings_tsv(path)
+    assert str(exc.value) == f"{path}: {message}"
