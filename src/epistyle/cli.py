@@ -63,19 +63,19 @@ from .hetgraph import (
     read_embeddings_tsv,
     read_graph,
     read_walks,
-    rescale_context_init,
     sample_walks,
     train_skipgram,
     write_embeddings_tsv,
     write_graph,
     write_walks,
 )
-from .model import HEAD_KINDS, POOLINGS, EpisodeModel, ModelConfig, PostEncoder
+from .model import (HEAD_KINDS, POOLINGS, EpisodeModel, ModelConfig, PostEncoder,
+                    rescale_context_init)
 from .numcore import Tensor, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_corpus, write_corpus
 from .tokenization import (TOKENIZER_KINDS, TokenizerConfig, load_vocab, save_vocab, train_bpe,
                            train_char_vocab)
-from .train import TrainConfig, build_registry, load_best, train_multitask, train_single
+from .train import TrainConfig, build_registry, train_multitask, train_single
 
 log = logging.getLogger("epistyle")
 
@@ -422,11 +422,8 @@ def cmd_train(args, values) -> int:
 
         context_init = None
         if args.graph_init == "pretrained":
-            context_init = {}
-            target_std = 0.1 / np.sqrt(3.0)  # matches the random uniform(-0.1, 0.1) table
-            for m in markets:
-                context_init[m] = rescale_context_init(read_embeddings_tsv(ctx_paths[m]).vectors,
-                                                       target_std)
+            context_init = {m: rescale_context_init(read_embeddings_tsv(ctx_paths[m]).vectors)
+                            for m in markets}
 
         model_cfg = ModelConfig(**mvals, vocab_size=len(vocab), tokenizer_kind=vocab.kind)
         train_cfg = TrainConfig(**tvals, seed=args.seed)
@@ -439,8 +436,6 @@ def cmd_train(args, values) -> int:
             train_multitask(registry, train_cfg) if args.multitask
             else train_single(registry, train_cfg)
         )
-        load_best(registry, result)
-
         save_checkpoint(ckpt_path, {n: t.data for n, t in registry.all_params().items()})
         _json_lines(runlog_path, result.log)
         meta = {
@@ -855,7 +850,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

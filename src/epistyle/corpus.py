@@ -110,7 +110,6 @@ class MigrationLabel(NamedTuple):
     user_a: tuple[str, str]  # (market, username)
     user_b: tuple[str, str]
     same_author: bool | None
-    evidence: str = ""
 
     def key(self) -> tuple[tuple[str, str], tuple[str, str]]:
         return (self.user_a, self.user_b) if self.user_a <= self.user_b else (self.user_b, self.user_a)
@@ -328,12 +327,7 @@ def extract_pgp_candidate_pairs(posts: list[Post]) -> list[MigrationLabel]:
             for j in range(i + 1, len(owners)):
                 if owners[i][0] == owners[j][0]:
                     continue  # same market
-                label = MigrationLabel(
-                    user_a=owners[i],
-                    user_b=owners[j],
-                    same_author=None,
-                    evidence=f"pgp:{fp[:12]}",
-                )
+                label = MigrationLabel(user_a=owners[i], user_b=owners[j], same_author=None)
                 candidates.setdefault(label.key(), label)
     return [candidates[k] for k in sorted(candidates)]
 

@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import json
 import logging
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -225,35 +224,16 @@ def read_walks(path) -> list[list[str]]:
 # --------------------------------------------------------------- skip-gram
 
 
-def sgns_pair_loss_and_grads(v_center: np.ndarray, u_context: np.ndarray, u_negs: np.ndarray):
-    """Loss and gradients for one positive pair plus its negative samples.
-
-    loss = -log sigmoid(u_c . v_w) - sum_n log sigmoid(-u_n . v_w)
-    Returns (loss, grad_v_center, grad_u_context, grad_u_negs).
-    """
-    pos_score = float(u_context @ v_center)
-    neg_scores = u_negs @ v_center
-    # log sigmoid via softplus for stability
-    loss = math.log1p(math.exp(-abs(pos_score))) + max(-pos_score, 0.0)
-    loss += float(np.sum(np.log1p(np.exp(-np.abs(neg_scores))) + np.maximum(neg_scores, 0.0)))
-    g_pos = _sigmoid(pos_score) - 1.0
-    g_negs = _sigmoid(neg_scores)
-    grad_v = g_pos * u_context + g_negs @ u_negs
-    grad_uc = g_pos * v_center
-    grad_un = np.outer(g_negs, v_center)
-    return loss, grad_v, grad_uc, grad_un
-
-
 def sgns_batch_loss_and_grads(v_center: np.ndarray, u_context: np.ndarray, u_negs: np.ndarray,
                               mask: np.ndarray, share: int):
     """Summed loss and gradients for a batch of pairs that share negatives.
 
     v_center and u_context are (B, d). Pairs i // share form group g, whose
     shared negatives are u_negs[g], (G, N, d) over all groups; mask is (B, N),
-    true where pair i scores negative j of its group. Pair i's loss and its
-    center and context gradients are what sgns_pair_loss_and_grads returns
-    for the negatives it scores, and row (g, j) of the negatives' gradient
-    sums that function's rows for negative j over the pairs of group g.
+    true where pair i scores negative j of its group. Pair i's loss is
+    -log sigmoid(u_c . v) - sum over the negatives n it scores of
+    log sigmoid(-u_n . v), and row (g, j) of the negatives' gradient sums
+    negative j's gradient over the pairs of group g.
     Returns (loss, grad_v (B, d), grad_u_context (B, d), grad_u_negs (G, N, d)).
     """
     b, d = v_center.shape
@@ -282,6 +262,12 @@ def _padded(a: np.ndarray, rows: int) -> np.ndarray:
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def _finite_float32(a: np.ndarray) -> bool:
+    """Whether every value of `a` casts to a finite float32: NaN compares
+    false, and a finite float64 past float32's range casts to inf."""
+    return bool((np.abs(a) <= np.finfo(np.float32).max).all())
 
 
 @dataclass
@@ -361,7 +347,9 @@ def train_skipgram(walks: list[list[str]], dim: int, window: int, negatives: int
     `_TypedNegativeSampler.mask` gives it, with one GEMM per group. Each
     batch applies one scatter-add per table, with a learning rate decayed
     linearly per batch. Deterministic for a fixed seed. Records the mean
-    per-pair loss of each epoch in meta["epoch_losses"].
+    per-pair loss of each epoch in meta["epoch_losses"]. Raises ValueError
+    naming the epoch after which a table holds a value that is not a finite
+    float32.
     """
     if dim <= 0 or window <= 0:
         raise ValueError(f"dim and window must be positive, got {dim}, {window}")
@@ -402,6 +390,10 @@ def train_skipgram(walks: list[list[str]], dim: int, window: int, negatives: int
             scatter_add(w_out, np.concatenate([oi, drawn.ravel()]),
                         -alpha * np.concatenate([g_uc, g_un.reshape(-1, dim)]))
         epoch_losses.append(loss_sum / n_pairs)
+        if not (_finite_float32(w_in) and _finite_float32(w_out)):
+            raise ValueError(f"train_skipgram: diverged in epoch {epoch}, a table holds a value "
+                             f"that is not a finite float32 (mean pair loss "
+                             f"{epoch_losses[-1]:.4g})")
 
     vectors = {n: w_in[i].astype(np.float32) for i, n in enumerate(nodes)}
     return NodeEmbeddings(
@@ -437,22 +429,6 @@ def export_context_init(
     return out
 
 
-def rescale_context_init(init: dict[str, np.ndarray], target_std: float) -> dict[str, np.ndarray]:
-    """Scale a set of context-init vectors so their global standard deviation
-    matches the model's random-init scale.
-
-    Skip-gram vectors come out with much larger norms than a fresh embedding
-    table; transplanted unscaled they dominate the concatenated post vector.
-    Relative geometry is preserved.
-    """
-    mat = np.stack([init[k] for k in sorted(init)])
-    std = float(mat.std())
-    if std == 0.0:
-        return {k: v.copy() for k, v in init.items()}
-    factor = target_std / std
-    return {k: (v * factor).astype(np.float32) for k, v in init.items()}
-
-
 def write_embeddings_tsv(path, embeddings: NodeEmbeddings, key: str = "node") -> None:
     """One row per vector in sorted key order, under a `key dim0 dim1 ...`
     header; floats are written as their shortest round-trip repr."""
@@ -466,8 +442,8 @@ def write_embeddings_tsv(path, embeddings: NodeEmbeddings, key: str = "node") ->
 def read_embeddings_tsv(path) -> NodeEmbeddings:
     """Read `write_embeddings_tsv` output. A file without the `key dim0 ...`
     header or without rows raises ValueError naming the path; a row whose
-    width differs from the header's, or with a cell that is not a number,
-    raises ValueError naming the path and line."""
+    width differs from the header's, or with a cell that is not a finite
+    float32 number, raises ValueError naming the path and line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) < 2 or header[1:] != [f"dim{i}" for i in range(len(header) - 1)]:
@@ -479,9 +455,12 @@ def read_embeddings_tsv(path) -> NodeEmbeddings:
                 raise ValueError(f"{path}:{lineno}: {len(parts)} fields, "
                                  f"header has {len(header)}")
             try:
-                vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float32)
+                vec = np.array([float(x) for x in parts[1:]])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not _finite_float32(vec):
+                raise ValueError(f"{path}:{lineno}: a value is not a finite float32")
+            vectors[parts[0]] = vec.astype(np.float32)
     if not vectors:
         raise ValueError(f"{path}: no rows under the header")
     return NodeEmbeddings(vectors=vectors, dim=len(header) - 1)

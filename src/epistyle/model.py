@@ -15,6 +15,7 @@ from .numcore import Tensor
 from .tokenization import Vocab, encode
 
 UNK_SUBFORUM_ROW = 0
+CONTEXT_INIT_RANGE = 0.1  # a random context table is uniform(-0.1, 0.1)
 POOLINGS = ("mean", "transformer")
 HEAD_KINDS = ("sm", "cf", "af", "ms")  # see MetricHead
 
@@ -178,7 +179,8 @@ class EpisodeModel:
         for market, subforums in sorted(markets.items()):
             ordered = sorted(subforums)
             subforum_maps[market] = {sf: i + 1 for i, sf in enumerate(ordered)}
-            table = rng.uniform(-0.1, 0.1, size=(len(ordered) + 1, cfg.d_context))
+            table = rng.uniform(-CONTEXT_INIT_RANGE, CONTEXT_INIT_RANGE,
+                                size=(len(ordered) + 1, cfg.d_context))
             init = (context_init or {}).get(market)
             if init is not None:
                 for sf, row in subforum_maps[market].items():
@@ -270,6 +272,23 @@ class EpisodeModel:
         if self.cfg.pooling == "mean":
             return nc.mean(post, axis=1)
         return self._transformer(post, train, rng)
+
+
+def rescale_context_init(init: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Scale a set of context-init vectors so their global standard deviation
+    is a random context table's, CONTEXT_INIT_RANGE / sqrt(3).
+
+    Skip-gram vectors come out with much larger norms than a fresh embedding
+    table; transplanted unscaled they dominate the concatenated post vector.
+    Relative geometry is preserved.
+    """
+    mat = np.stack([init[k] for k in sorted(init)])
+    std = float(mat.std())
+    if std == 0.0:
+        return {k: v.copy() for k, v in init.items()}
+    # a NumPy float64 factor makes the float32 vectors scale in float64 (NEP 50)
+    factor = CONTEXT_INIT_RANGE / np.sqrt(3.0) / std
+    return {k: (v * factor).astype(np.float32) for k, v in init.items()}
 
 
 # ------------------------------------------------------------- metric heads

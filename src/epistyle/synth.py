@@ -63,15 +63,12 @@ class AuthorProfile:
     thread_start_rate: float
     quirks: QuirkRates
     archetype: str = "normal"  # normal | newbie | referral
-    alias: tuple[str, str] | None = None  # (market, username) of the migrant twin
 
     def __post_init__(self):
         for dist in (self.word_weights, self.dow_weights, list(self.subforum_weights.values())):
             total = sum(dist)
             if abs(total - 1.0) > 1e-6:
                 raise ValueError(f"profile {self.username}: distribution sums to {total}")
-        if self.alias is not None and self.alias[0] == self.market:
-            raise ValueError("migrant alias must live on a different market")
 
 
 @dataclass
@@ -185,7 +182,7 @@ def _remap_profile(cfg: SynthConfig, profile: AuthorProfile, market: str, userna
         username=username, market=market, word_weights=list(profile.word_weights),
         dow_weights=list(profile.dow_weights), subforum_weights=sub_w,
         thread_start_rate=profile.thread_start_rate, quirks=profile.quirks,
-        archetype=profile.archetype, alias=(profile.market, profile.username),
+        archetype=profile.archetype,
     )
 
 
@@ -263,7 +260,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
                 src = f"{market}_u{k:02d}"
                 dst = f"{nxt}_u{cfg.authors_per_market - 1 - k:02d}"
                 profiles[(nxt, dst)] = _remap_profile(cfg, profiles[(market, src)], nxt, dst)
-                labels.append(MigrationLabel((market, src), (nxt, dst), True, evidence="synth"))
+                labels.append(MigrationLabel((market, src), (nxt, dst), True))
 
     # distinct-author pairs across neighboring markets, labeled false; drawn
     # from the index band that holds neither outgoing migrants nor incoming
@@ -276,7 +273,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
             ib = cfg.migrant_count + ((k + 3) % span)
             a = f"{a_mkt}_u{ia:02d}"
             b = f"{b_mkt}_u{ib:02d}"
-            labels.append(MigrationLabel((a_mkt, a), (b_mkt, b), False, evidence="synth"))
+            labels.append(MigrationLabel((a_mkt, a), (b_mkt, b), False))
 
     # posts
     posts: dict[str, list[Post]] = {m: [] for m in cfg.markets}
@@ -344,10 +341,6 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
                 post_counter += 1
         posts[market].sort(key=lambda p: (p.timestamp, p.post_id))
     return SynthCorpus(posts=posts, labels=labels, profiles=profiles)
-
-
-def total_variation(p: AuthorProfile, q: AuthorProfile) -> float:
-    return 0.5 * sum(abs(a - b) for a, b in zip(p.word_weights, q.word_weights))
 
 
 def write_corpus(corpus: SynthCorpus, out_dir) -> dict[str, str]:

@@ -6,10 +6,11 @@ One builder makes every task from a list of classes, each class the
 class per author of that market, the cross-market task one class per
 same-author cluster of labeled users.
 
-Parameter partition: every step updates only the parameters the sampled
-task's loss actually touched (shared trunk + that task's context tables +
-its head), each with its own Adam state, so a step for one market never
-moves another market's context rows.
+Parameter partition: a step updates exactly the parameters that hold a
+gradient, each with its own Adam state. The model's graph makes the
+partition: a batch stacks only its own markets' context tables and a loss
+reads only its task's head, so a step for one market never moves another
+market's context rows or head.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import logging
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -58,9 +59,8 @@ class TrainConfig:
 
 @dataclass
 class _LabelPool:
-    """Sampling state for one label: post segments to draw windows from."""
+    """Sampling state for one label, the pool's index: post segments to draw windows from."""
 
-    label: int
     segments: list[list[Post]]
     weight: int  # fixed-window episode count, for proportional sampling
     window_ends: list[int]  # running count of each segment's sliding windows
@@ -69,7 +69,6 @@ class _LabelPool:
 @dataclass
 class Task:
     name: str
-    kind: str  # "market" | "cross"
     head: MetricHead
     pools: list[_LabelPool]
     val_episodes: list[Episode]
@@ -82,12 +81,13 @@ class Task:
         self._cum = list(accumulate(p.weight for p in self.pools))
 
     def sample_episode(self, rng: random.Random) -> tuple[Episode, int]:
-        pool = self.pools[bisect_right(self._cum, rng.random() * self._cum[-1])]
+        label = bisect_right(self._cum, rng.random() * self._cum[-1])
+        pool = self.pools[label]
         pick = rng.randrange(pool.window_ends[-1])
         i = bisect_right(pool.window_ends, pick)
         start = pick - (pool.window_ends[i - 1] if i else 0)
         posts = tuple(pool.segments[i][start : start + self.episode_len])
-        return Episode(market=posts[0].market, author=posts[0].author, posts=posts), pool.label
+        return Episode(market=posts[0].market, author=posts[0].author, posts=posts), label
 
 
 @dataclass
@@ -109,18 +109,6 @@ class TaskRegistry:
             params.update(task.head.named_params())
         return params
 
-    def shared_param_names(self) -> set[str]:
-        return {n for n in self.model.params if not n.startswith("context.")}
-
-    def allowed_params(self, task: Task) -> set[str]:
-        allowed = set(self.shared_param_names())
-        if task.kind == "market":
-            allowed.add(f"context.{task.name}")
-        else:
-            allowed.update(n for n in self.model.params if n.startswith("context."))
-        allowed.update(task.head.named_params())
-        return allowed
-
 
 # ----------------------------------------------------------- task building
 
@@ -132,28 +120,17 @@ def _split_author(group: list[Post], length: int,
     n_windows = len(group) // length
     val_n = max(1, int(VAL_FRACTION * n_windows)) if n_windows >= 2 else 0
     val_idx = sorted(rng.sample(range(n_windows), val_n)) if val_n else []
-    val_eps = []
-    blocked = set()
+    val_eps, segments, start = [], [], 0
     for wi in val_idx:
         window = group[wi * length : (wi + 1) * length]
         val_eps.append(Episode(market=window[0].market, author=window[0].author, posts=tuple(window)))
-        blocked.update(range(wi * length, (wi + 1) * length))
-    segments: list[list[Post]] = []
-    current: list[Post] = []
-    for i, p in enumerate(group):
-        if i in blocked:
-            if current:
-                segments.append(current)
-                current = []
-        else:
-            current.append(p)
-    if current:
-        segments.append(current)
-    segments = [s for s in segments if len(s) >= length]
-    return segments, val_eps
+        segments.append(group[start : wi * length])
+        start = (wi + 1) * length
+    segments.append(group[start:])
+    return [s for s in segments if len(s) >= length], val_eps
 
 
-def _build_task(name: str, kind: str, classes: list[tuple[tuple[str, str], ...]],
+def _build_task(name: str, classes: list[tuple[tuple[str, str], ...]],
                 timelines: dict[tuple[str, str], list[Post]], cfg: TrainConfig,
                 episode_dim: int, rng: random.Random, head_seed: int) -> Task | None:
     """One label per class, pooling the timelines of the class's (market,
@@ -173,15 +150,14 @@ def _build_task(name: str, kind: str, classes: list[tuple[tuple[str, str], ...]]
         weight = sum(len(s) // length for s in segments)
         if weight == 0:
             continue
-        label = len(pools)
-        ends = list(accumulate(len(s) - length + 1 for s in segments))
-        pools.append(_LabelPool(label=label, segments=segments, weight=weight, window_ends=ends))
         val_eps.extend(class_val)
-        val_labels.extend([label] * len(class_val))
+        val_labels.extend([len(pools)] * len(class_val))
+        ends = list(accumulate(len(s) - length + 1 for s in segments))
+        pools.append(_LabelPool(segments=segments, weight=weight, window_ends=ends))
     if not pools:
         return None
     head = MetricHead.build(cfg.loss, name, n_labels=len(pools), dim=episode_dim, seed=head_seed)
-    return Task(name=name, kind=kind, head=head, pools=pools,
+    return Task(name=name, head=head, pools=pools,
                 val_episodes=val_eps, val_labels=np.array(val_labels, dtype=np.int64),
                 episode_len=length)
 
@@ -200,7 +176,7 @@ def build_registry(model: EpisodeModel, encoder: PostEncoder,
     for i, market in enumerate(sorted(train_posts_by_market)):
         classes = [(user,) for user in sorted(timelines)
                    if user[0] == market and len(timelines[user]) >= MIN_EPISODES * length]
-        task = _build_task(market, "market", classes, timelines, cfg, dim, rng,
+        task = _build_task(market, classes, timelines, cfg, dim, rng,
                            head_seed=cfg.seed + 101 + i)
         if task is None:
             raise ValueError(f"market {market!r}: no author has enough posts to train on")
@@ -208,7 +184,7 @@ def build_registry(model: EpisodeModel, encoder: PostEncoder,
     cross = None
     if migration_labels:
         users = {user for user, posts in timelines.items() if len(posts) >= length}
-        cross = _build_task("cross", "cross", same_author_classes(migration_labels, users),
+        cross = _build_task("cross", same_author_classes(migration_labels, users),
                             timelines, cfg, dim, rng, head_seed=cfg.seed + 997)
     return TaskRegistry(model=model, encoder=encoder, market_tasks=tasks, cross_task=cross)
 
@@ -243,7 +219,7 @@ class TrainResult:
     best_params: dict[str, np.ndarray]
     best_epoch: int
     best_val_loss: float
-    log: list[dict] = field(default_factory=list)
+    log: list[dict]
 
 
 def _validation_loss(registry: TaskRegistry, task: Task, batch_size: int) -> float:
@@ -258,13 +234,18 @@ def _validation_loss(registry: TaskRegistry, task: Task, batch_size: int) -> flo
         batch = make_episode_batch(eps, registry.encoder, registry.model)
         emb = registry.model.embed_episodes(batch, train=False)
         loss = task.head.loss(emb, labels)
-        total += loss.item() * len(eps)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise FloatingPointError(f"non-finite validation loss {value} (task={task.name})")
+        total += value * len(eps)
         count += len(eps)
         del emb, loss  # the graph is spent; free it before the next forward
     return total / max(count, 1)
 
 
 def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
+    """Train, then load a copy of the selected epoch's parameters into the
+    live model and heads."""
     model = registry.model
     p_cross = cfg.p_cross
     if registry.cross_task is None and p_cross > 0:
@@ -283,7 +264,7 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
     steps_per_epoch = max(1, total_episodes // cfg.batch_size)
 
     best_val, best_epoch, best_params = float("inf"), -1, None
-    result = TrainResult(best_params={}, best_epoch=-1, best_val_loss=float("inf"))
+    records = []
 
     for epoch in range(cfg.epochs):
         lr = scheduler.lr
@@ -299,13 +280,12 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
             loss = task.head.loss(emb, labels)
             value = loss.item()
             if not np.isfinite(value):
-                raise RuntimeError(
+                raise FloatingPointError(
                     f"non-finite loss {value} (task={task.name}, epoch={epoch}, step={step})"
                 )
             loss.backward()
             del emb, loss  # the graph is spent; free it before the next forward
-            allowed = registry.allowed_params(task)
-            grads = {n: t.grad for n, t in params.items() if n in allowed and t.grad is not None}
+            grads = {n: t.grad for n, t in params.items() if t.grad is not None}
             grad_norms.append(clip_global_norm(grads, GRAD_CLIP))
             adam_step({n: params[n].data for n in grads}, grads, state, lr)
             epoch_losses.setdefault(task.name, []).append(value)
@@ -315,7 +295,7 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
         }
         finite = [v for v in val_losses.values() if np.isfinite(v)]
         val_loss = float(np.mean(finite)) if finite else float("nan")
-        record = {
+        records.append({
             "epoch": epoch,
             "task_losses": {
                 t.name: (float(np.mean(epoch_losses[t.name])) if t.name in epoch_losses else None)
@@ -325,21 +305,18 @@ def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
             "lr": lr,
             # each step's global gradient norm, before clipping
             "grad_norm": {"mean": float(np.mean(grad_norms)), "max": max(grad_norms)},
-        }
-        result.log.append(record)
+        })
         if np.isfinite(val_loss) and val_loss < best_val:
             best_val, best_epoch = val_loss, epoch
             best_params = {n: t.data.copy() for n, t in params.items()}
         scheduler.step(val_loss)
 
-    if best_params is None:
+    if best_params is None:  # no task has a validation loss: keep the last epoch
         best_params = {n: t.data.copy() for n, t in params.items()}
-        best_epoch = cfg.epochs - 1
-        best_val = float("nan")
-    result.best_params = best_params
-    result.best_epoch = best_epoch
-    result.best_val_loss = best_val
-    return result
+        best_epoch, best_val = cfg.epochs - 1, float("nan")
+    for name, arr in best_params.items():
+        params[name].data = arr.copy()
+    return TrainResult(best_params, best_epoch, best_val, records)
 
 
 def train_single(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
@@ -347,10 +324,3 @@ def train_single(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
     if len(registry.market_tasks) != 1 or registry.cross_task is not None:
         raise ValueError("train_single expects exactly one market task and no cross task")
     return train_multitask(registry, cfg)
-
-
-def load_best(registry: TaskRegistry, result: TrainResult) -> None:
-    """Write the selected checkpoint back into the live model and heads."""
-    params = registry.all_params()
-    for name, arr in result.best_params.items():
-        params[name].data = arr.copy()

@@ -1,10 +1,15 @@
-"""Central-difference verification of reverse-mode gradients."""
+"""Reference code that only the tests use: a central-difference gradient
+checker, the per-pair skip-gram loss the batched one is tested against, and
+the total-variation distance between two synthetic authors' word
+distributions."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .tensor import Tensor
+from epistyle.numcore import Tensor
 
 
 def grad_check(fn, inputs, eps: float = 1e-5) -> float:
@@ -53,3 +58,31 @@ def grad_check(fn, inputs, eps: float = 1e-5) -> float:
             denom = max(abs(a), abs(numeric), 1e-8)
             max_err = max(max_err, abs(a - numeric) / denom)
     return max_err
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def sgns_pair_loss_and_grads(v_center: np.ndarray, u_context: np.ndarray, u_negs: np.ndarray):
+    """Loss and gradients for one positive pair plus its negative samples.
+
+    loss = -log sigmoid(u_c . v_w) - sum_n log sigmoid(-u_n . v_w)
+    Returns (loss, grad_v_center, grad_u_context, grad_u_negs).
+    """
+    pos_score = float(u_context @ v_center)
+    neg_scores = u_negs @ v_center
+    # log sigmoid via softplus for stability
+    loss = math.log1p(math.exp(-abs(pos_score))) + max(-pos_score, 0.0)
+    loss += float(np.sum(np.log1p(np.exp(-np.abs(neg_scores))) + np.maximum(neg_scores, 0.0)))
+    g_pos = _sigmoid(pos_score) - 1.0
+    g_negs = _sigmoid(neg_scores)
+    grad_v = g_pos * u_context + g_negs @ u_negs
+    grad_uc = g_pos * v_center
+    grad_un = np.outer(g_negs, v_center)
+    return loss, grad_v, grad_uc, grad_un
+
+
+def total_variation(p, q) -> float:
+    """Total-variation distance between two `AuthorProfile`s' word weights."""
+    return 0.5 * sum(abs(a - b) for a, b in zip(p.word_weights, q.word_weights))

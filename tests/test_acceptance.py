@@ -25,12 +25,13 @@ from epistyle.evaluation import (
 )
 from epistyle.hetgraph import build_graph, sample_walks
 from epistyle.model import EpisodeModel, MetricHead, ModelConfig, PostEncoder
-from epistyle.numcore import Tensor, grad_check
+from epistyle.numcore import Tensor
 from epistyle.tokenization import train_char_vocab
-from epistyle.train import TrainConfig, build_registry, load_best, train_single
+from epistyle.train import TrainConfig, build_registry, train_single
 
 import test_model
 import test_numcore
+from reference import grad_check
 from test_evaluation import brute_force_ranks, wmw_enumeration_oracle
 
 
@@ -417,8 +418,7 @@ def _trained_attribution_setup(seed=1):
     encoder = PostEncoder(vocab, cfg.max_tokens)
     tcfg = TrainConfig(batch_size=8, epochs=20, episode_len=2, seed=seed, p_cross=0.0, loss="sm")
     registry = build_registry(model, encoder, {"m1": posts}, tcfg)
-    result = train_single(registry, tcfg)
-    load_best(registry, result)
+    train_single(registry, tcfg)  # leaves the selected epoch's parameters in the model
     return model, encoder, assemble_episodes(posts, 2)
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import epistyle
-from epistyle import cli
+from epistyle import cli, hetgraph
+from epistyle import train as train_mod
 from epistyle.cli import _load_run, _test_episodes, main
 from epistyle.config import file_sha256, load_config
 from epistyle.evaluation import RetrievalIndex, read_embeddings_index
@@ -574,6 +575,67 @@ def test_empty_context_init_exits_1_naming_the_file(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {empty}: ")
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e39"])
+def test_non_finite_context_init_cell_exits_1_naming_its_line(workspace, tmp_path, capsys, cell):
+    root, c = workspace
+    bad = tmp_path / "context.tsv"
+    header = "subforum\t" + "\t".join(f"dim{i}" for i in range(12))
+    bad.write_text(f"{header}\nalpha_s0" + "\t0.5" * 12 + "\nalpha_s1" + "\t0.25" * 11
+                   + f"\t{cell}\n")
+    code = main(["train", *c, "--seed", "3", *_data(root), "--market", "alpha",
+                 "--graph-init", "pretrained", "--context-init", f"alpha={bad}",
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {bad}:3: a value is not a finite float32\n"
+
+
+def _diverging_train(root, c, tmp_path, monkeypatch, capsys, batch_size):
+    """Exit code, stderr and run directory of a one-epoch train at Adam rate
+    1e30, which drives the loss non-finite after the first step."""
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(CONFIG.replace("batch_size = 16", f"batch_size = {batch_size}"))
+    monkeypatch.setattr(train_mod, "LR", 1e30)
+    run = tmp_path / "run"
+    code = main(["train", "--config", str(cfg), "--seed", "3", *_data(root),
+                 "--market", "alpha", "--epochs", "1", "--out", str(run)])
+    return code, capsys.readouterr().err, run
+
+
+def test_non_finite_validation_loss_exits_1_without_a_checkpoint(workspace, tmp_path,
+                                                                 monkeypatch, capsys):
+    # one step per epoch: the step loss is finite, every validation loss is not
+    code, err, run = _diverging_train(*workspace, tmp_path, monkeypatch, capsys, batch_size=512)
+    assert code == 1
+    assert err == "error: non-finite validation loss nan (task=alpha)\n"
+    assert not (run / "checkpoint.bin").exists() and not (run / "manifest.json").exists()
+
+
+def test_non_finite_step_loss_exits_1_with_one_line(workspace, tmp_path, monkeypatch, capsys):
+    code, err, run = _diverging_train(*workspace, tmp_path, monkeypatch, capsys, batch_size=16)
+    assert code == 1
+    assert err == "error: non-finite loss nan (task=alpha, epoch=0, step=1)\n"
+    assert not (run / "checkpoint.bin").exists() and not (run / "manifest.json").exists()
+
+
+def test_diverged_graph_embed_exits_1_without_output(workspace, tmp_path, monkeypatch, capsys):
+    root, c = workspace
+    graph, walks = tmp_path / "graph.json", tmp_path / "walks.txt"
+    assert main(["build-graph", *c, "--input", str(root / "processed"),
+                 "--split", str(root / "split" / "split.csv"), "--market", "alpha",
+                 "--out", str(graph)]) == 0
+    assert main(["walk", *c, "--seed", "3", "--graph", str(graph), "--out", str(walks)]) == 0
+    monkeypatch.setattr(hetgraph, "SKIPGRAM_LR", 1e30)
+    capsys.readouterr()
+    code = main(["graph-embed", *c, "--seed", "3", "--walks", str(walks), "--graph", str(graph),
+                 "--out", str(tmp_path / "emb")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "diverged in epoch 0" in err
+    assert not (tmp_path / "emb" / "context.tsv").exists()
+    assert not (tmp_path / "emb" / "manifest.json").exists()
 
 
 def test_graph_embed_on_walks_without_pairs_exits_1_without_output(workspace, tmp_path, capsys):

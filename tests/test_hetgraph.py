@@ -21,13 +21,13 @@ from epistyle.hetgraph import (
     read_walks,
     sample_walks,
     sgns_batch_loss_and_grads,
-    sgns_pair_loss_and_grads,
     train_skipgram,
     write_embeddings_tsv,
     write_graph,
     write_walks,
 )
 from epistyle.synth import SynthConfig, generate_corpus
+from reference import sgns_pair_loss_and_grads
 
 
 def make_post(pid, author, thread, subforum="s1", start=False, ts=100.0, market="m1"):
@@ -401,6 +401,18 @@ def test_skipgram_scatters_each_pair_and_the_shared_draws_into_w_out(monkeypatch
 def test_skipgram_rejects_walks_without_pairs():
     with pytest.raises(ValueError, match="no \\(center, context\\) pair"):
         train_skipgram([["U0"], ["U1"]], dim=4, window=2, negatives=2, epochs=2)
+
+
+@pytest.mark.parametrize("lr, epoch", [(1e30, 1), (1e300, 0)])
+def test_skipgram_rejects_a_diverged_table_naming_the_epoch(monkeypatch, lr, epoch):
+    # at 1e30 the tables stay finite in float64 but overflow the float32 vectors
+    posts = [
+        make_post(f"p{i}", f"u{i % 2}", f"t{i % 2}", start=i < 2, ts=i + 1) for i in range(8)
+    ]
+    walks = sample_walks(build_graph(posts), walks_per_user=10, walk_length=9, rng_seed=7)
+    monkeypatch.setattr(hetgraph, "SKIPGRAM_LR", lr)
+    with pytest.raises(ValueError, match=f"diverged in epoch {epoch}"):
+        train_skipgram(walks, dim=8, window=3, negatives=3, epochs=3, rng_seed=7)
 
 
 def test_skipgram_rejects_bad_dims():

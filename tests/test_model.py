@@ -13,8 +13,9 @@ from epistyle.model import (
     day_of_week,
     make_episode_batch,
 )
-from epistyle.numcore import Tensor, grad_check
+from epistyle.numcore import Tensor
 from epistyle.tokenization import train_char_vocab
+from reference import grad_check
 
 
 def tiny_config(pooling="mean", **kw):

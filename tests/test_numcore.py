@@ -6,8 +6,9 @@ import pytest
 
 import epistyle.numcore as nc
 from epistyle.numcore import (
-    AdamState, PlateauScheduler, Tensor, adam_step, clip_global_norm, grad_check,
+    AdamState, PlateauScheduler, Tensor, adam_step, clip_global_norm,
 )
+from reference import grad_check
 
 
 def test_max_over_time_forward_and_grad_routing():

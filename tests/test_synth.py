@@ -10,7 +10,8 @@ from epistyle.corpus import (
     load_migration_labels,
     preprocess_text,
 )
-from epistyle.synth import DEFAULT_START, SynthConfig, generate_corpus, total_variation, write_corpus
+from epistyle.synth import DEFAULT_START, SynthConfig, generate_corpus, write_corpus
+from reference import total_variation
 
 
 @pytest.fixture(scope="module")
