@@ -12,7 +12,8 @@ from pathlib import Path
 def atomic_write(path, mode: str = "w", **open_kwargs):
     """Open a new sibling temp file of `path` for writing and move it over
     `path` when the block ends without error; on error delete it. `path` thus
-    holds either its old bytes or all the new ones, never a part.
+    holds either its old bytes or all the new ones, never a part. A missing
+    parent directory is made first.
 
     The temp file is made by a plain `open(..., "x")`, so it gets the same
     permissions as any other output (`mkstemp` would make it 0600). It is
@@ -20,6 +21,7 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     against power loss.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
     try:

@@ -69,43 +69,27 @@ from .hetgraph import (
     write_graph,
     write_walks,
 )
-from .model import (HEAD_KINDS, POOLINGS, EpisodeModel, ModelConfig, PostEncoder,
-                    rescale_context_init)
+from .model import EpisodeModel, ModelConfig, PostEncoder, rescale_context_init
 from .numcore import Tensor, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_corpus, write_corpus
-from .tokenization import (TOKENIZER_KINDS, TokenizerConfig, load_vocab, save_vocab, train_bpe,
-                           train_char_vocab)
+from .tokenization import TokenizerConfig, load_vocab, save_vocab, train_bpe, train_char_vocab
 from .train import TrainConfig, build_registry, train_multitask, train_single
 
 log = logging.getLogger("epistyle")
 
 
-def _field_defaults(cls, *filled) -> dict:
-    """The fields of dataclass `cls` with their defaults, less those the CLI
-    fills itself."""
-    return {f.name: f.default for f in fields(cls) if f.name not in filled}
+# the config class of each section but [eval]: its fields are the section's
+# keys, and building one checks their values, with a message that starts with
+# the key it is about
+SECTION_CLASSES = {"corpus": SynthConfig, "tokenizer": TokenizerConfig, "graph": GraphConfig,
+                   "model": ModelConfig, "train": TrainConfig}
 
-
-# Each config section's keys with their defaults, which also give their types.
-CORPUS_DEFAULTS = _field_defaults(SynthConfig, "seed")
-TOKENIZER_DEFAULTS = _field_defaults(TokenizerConfig)
-GRAPH_DEFAULTS = _field_defaults(GraphConfig)
-MODEL_DEFAULTS = _field_defaults(ModelConfig, "vocab_size", "tokenizer_kind")
-TRAIN_DEFAULTS = _field_defaults(TrainConfig, "seed")
-EVAL_DEFAULTS = dict(kappa=1000)
-SECTION_DEFAULTS = {"corpus": CORPUS_DEFAULTS, "tokenizer": TOKENIZER_DEFAULTS,
-                    "graph": GRAPH_DEFAULTS, "model": MODEL_DEFAULTS, "train": TRAIN_DEFAULTS,
-                    "eval": EVAL_DEFAULTS}
-
-# the config keys that take one of a few names: (section, key) -> the names
-CHOICES = {("tokenizer", "kind"): TOKENIZER_KINDS, ("model", "pooling"): POOLINGS,
-           ("train", "loss"): HEAD_KINDS}
-
-# the sections whose config class checks their values, each by building one;
-# a check's message starts with the key it is about
-SECTION_CHECKS = {"corpus": lambda v: SynthConfig(**v).validate(),
-                  "tokenizer": lambda v: TokenizerConfig(**v), "graph": lambda v: GraphConfig(**v),
-                  "model": lambda v: ModelConfig(**v), "train": lambda v: TrainConfig(**v)}
+# Each config section's keys with their defaults, which also give their types:
+# a class's fields less those the CLI fills itself, and [eval]'s kappa.
+SECTION_DEFAULTS = {**{section: {f.name: f.default for f in fields(cls)
+                                 if f.name not in ("seed", "vocab_size", "tokenizer_kind")}
+                       for section, cls in SECTION_CLASSES.items()},
+                    "eval": {"kappa": 1000}}
 
 # the flags that set a config key, by subcommand: flag -> (section, key). A
 # flag's value replaces the file's; every other key is set in the file only.
@@ -208,7 +192,6 @@ def _run_stage(args, stage: str, inputs: list, outputs: list, effective: dict, b
                                        manifest):
         print(f"{stage}: fresh, skipping ({out_dir})")
         return 0
-    out_dir.mkdir(parents=True, exist_ok=True)
     extra, message = body()
     write_manifest(out_dir, stage, inputs, effective, args.seed, outputs, extra=extra,
                    name=manifest)
@@ -398,7 +381,12 @@ def cmd_train(args, values) -> int:
         markets = [args.market]
 
     labels_path = _require(args.labels, "migration labels") if args.labels else None
+    if args.context_init and args.graph_init != "pretrained":
+        raise ValidationError("--context-init needs --graph-init pretrained")
     ctx_paths = _parse_context_init(args.context_init)
+    unused = sorted(set(ctx_paths) - set(markets))
+    if unused:
+        raise ValidationError(f"--context-init for {unused}: not a market this run trains")
     if args.graph_init == "pretrained":
         missing = [m for m in markets if m not in ctx_paths]
         if missing:
@@ -408,7 +396,7 @@ def cmd_train(args, values) -> int:
     inputs = [files[m] for m in markets] + [split_path, vocab_path]
     if labels_path:
         inputs.append(labels_path)
-    inputs.extend(ctx_paths[m] for m in markets if m in ctx_paths)
+    inputs.extend(ctx_paths.values())
     effective = {"markets": markets, "multitask": args.multitask, "graph_init": args.graph_init,
                  "model": mvals, "train": tvals}
     out_dir = Path(args.out)
@@ -684,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="no-op when inputs and config are unchanged")
         for flag, (section, key) in KEY_FLAGS.get(name, {}).items():
             p.add_argument(flag, dest=key, type=type(SECTION_DEFAULTS[section][key]),
-                           choices=CHOICES.get((section, key)), help=f"sets [{section}] {key}")
+                           help=f"sets [{section}] {key}")
         return p
 
     p = add("synth", cmd_synth, help="generate a synthetic multi-market corpus")
@@ -783,9 +771,11 @@ def _keep_freed_memory_mapped() -> None:
 
     A forward pass allocates and frees arrays of up to a few hundred MB. By
     default glibc returns freed blocks above its mmap threshold to the kernel
-    and trims the heap top, so the next batch faults the same pages in again;
-    on the desk training pipeline that costs about 8% of wall time. Reused
-    memory does not raise the peak resident set.
+    and trims the heap top, so the next batch maps fresh pages. It stays for
+    the peak resident set: in alternating A/B runs of the desk-train benchmark
+    (seed 5, 15 s runs, 2 cores, 1 BLAS thread), leaving it out raised
+    peak_rss_mb from 168 to 181 MB in every pair. Its wall-time effect is
+    within the noise of those runs.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -800,9 +790,9 @@ def _keep_freed_memory_mapped() -> None:
 def _settings(args) -> dict:
     """Every config section's typed values with the command's KEY_FLAGS merged
     in, checked once before any work, so that each stage fails on a fault in
-    any section: the CHOICES, the counts, and the SECTION_CHECKS. A fault
-    names the flag that set the value, or else the file, section and key."""
-    cfg = load_config(args.config)
+    any section: the counts, and each of SECTION_CLASSES built. A fault names
+    the flag that set the value, or else the file, section and key."""
+    cfg = load_config(args.config, SECTION_DEFAULTS)
     try:
         values = {s: section_values(cfg, s, d) for s, d in SECTION_DEFAULTS.items()}
     except ValidationError as exc:
@@ -812,15 +802,8 @@ def _settings(args) -> dict:
         if getattr(args, key) is not None:
             values[section][key] = getattr(args, key)
             flags[section, key] = flag
-
-    def name(section, key):
-        return flags.get((section, key), f"{args.config}: [{section}] {key}")
-
-    for (section, key), names in CHOICES.items():
-        if values[section][key] not in names:
-            raise ValidationError(f"{name(section, key)}: expected one of {', '.join(names)}, "
-                                  f"got {values[section][key]!r}")
-    counts = {name("eval", "kappa"): values["eval"]["kappa"]}
+    kappa = flags.get(("eval", "kappa"), f"{args.config}: [eval] kappa")
+    counts = {kappa: values["eval"]["kappa"]}
     if args.command == "sybil":
         counts["-k"] = args.k
     if args.command == "attribute":
@@ -828,11 +811,11 @@ def _settings(args) -> dict:
     for what, count in counts.items():
         if count < 1:
             raise ValidationError(f"{what}: expected at least 1, got {count}")
-    for section, check in SECTION_CHECKS.items():
+    for section, cls in SECTION_CLASSES.items():
         try:
-            check(values[section])
+            cls(**values[section])
         except ValueError as exc:
-            flag = flags.get((section, str(exc).split()[0]))
+            flag = flags.get((section, str(exc).split()[0].rstrip(":")))
             raise ValidationError(f"{flag}: {exc}" if flag else
                                   f"{args.config}: [{section}] {exc}") from None
     if args.command == "sybil" and ":" not in args.user:

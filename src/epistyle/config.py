@@ -17,17 +17,15 @@ from pathlib import Path
 from . import __version__
 from .atomic import atomic_write
 
-SECTIONS = ("corpus", "tokenizer", "graph", "model", "train", "eval")
-
 
 class ValidationError(Exception):
     """User-facing input problem: exit code 2."""
 
 
-def load_config(path=None) -> dict[str, dict[str, str]]:
-    """Raw string config: section -> key -> value. Missing file is an error;
-    no file at all yields empty sections."""
-    cfg: dict[str, dict[str, str]] = {s: {} for s in SECTIONS}
+def load_config(path, sections) -> dict[str, dict[str, str]]:
+    """Raw string config: section -> key -> value, for `sections` only. A
+    missing file is an error; no file at all yields empty sections."""
+    cfg: dict[str, dict[str, str]] = {s: {} for s in sections}
     if path is None:
         return cfg
     path = Path(path)
@@ -123,7 +121,6 @@ def write_manifest(out_dir, stage: str, inputs: list, effective_config: dict,
     }
     if extra:
         manifest["extra"] = extra
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     with atomic_write(path, encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)

@@ -39,6 +39,8 @@ class RetrievalIndex:
         self.raw = np.asarray(embeddings, dtype=np.float64)
         if self.raw.ndim != 2 or len(self.raw) != len(self.episode_ids):
             raise ValueError("embeddings must be (n_episodes, dim)")
+        if not np.isfinite(self.raw).all():
+            raise ValueError("embeddings hold a non-finite value")
         norms = np.linalg.norm(self.raw, axis=1)
         self.unit = self.raw / np.maximum(norms, 1e-12)[:, None]
         self.seen = (

@@ -49,7 +49,7 @@ class ModelConfig:
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.pooling not in POOLINGS:
-            raise ValueError(f"unknown pooling {self.pooling!r}")
+            raise ValueError(f"pooling: expected one of {', '.join(POOLINGS)}, got {self.pooling!r}")
         if self.max_tokens < self.max_filter:
             raise ValueError(f"max_tokens must be at least the widest filter, "
                              f"{self.max_filter}, got {self.max_tokens}")

@@ -29,7 +29,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; a truncated file or trailing bytes raise ValueError."""
+    """Read a checkpoint; a truncated file, trailing bytes or a non-finite
+    value raise ValueError."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:5] != MAGIC:
@@ -56,6 +57,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         n = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f4", count=n, offset=take(4 * n)).reshape(shape)
         params[name] = np.array(arr, dtype=np.float32)
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"{path}: block {name!r} holds a non-finite value")
     if pos != len(raw):
         raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last block")
     return params

@@ -89,7 +89,7 @@ class SynthConfig:
     community_affinity: bool = False
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if len(self.markets) < 1:
             raise ValueError("need at least one market")
         if len(set(self.markets)) != len(self.markets):
@@ -233,7 +233,6 @@ def _body(rng: random.Random, profile: AuthorProfile, word_cum: list[float], poo
 
 
 def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
-    cfg.validate()
     rng = random.Random(cfg.seed)
     pool = word_pool(POOL_SIZE)
 
@@ -346,7 +345,6 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
 def write_corpus(corpus: SynthCorpus, out_dir) -> dict[str, str]:
     """JSONL per market plus the ground-truth label CSV; returns paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written: dict[str, str] = {}
     for market, plist in sorted(corpus.posts.items()):
         path = out / f"{market}.jsonl"

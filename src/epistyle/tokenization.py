@@ -39,7 +39,7 @@ class TokenizerConfig:
 
     def __post_init__(self):
         if self.kind not in TOKENIZER_KINDS:
-            raise ValueError(f"kind must be one of {', '.join(TOKENIZER_KINDS)}, got {self.kind!r}")
+            raise ValueError(f"kind: expected one of {', '.join(TOKENIZER_KINDS)}, got {self.kind!r}")
         least = len(RESERVED) + (256 if self.kind == "bpe" else 0)
         if self.size < least:
             raise ValueError(f"size must be at least {least} for a {self.kind} vocabulary, "

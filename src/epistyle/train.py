@@ -54,7 +54,9 @@ class TrainConfig:
         if not 0.0 <= self.p_cross <= 1.0:
             raise ValueError(f"p_cross must be in [0, 1], got {self.p_cross}")
         if self.loss not in HEAD_KINDS:
-            raise ValueError(f"unknown loss {self.loss!r}")
+            raise ValueError(f"loss: expected one of {', '.join(HEAD_KINDS)}, got {self.loss!r}")
+        if self.loss == "ms" and self.batch_size < 2:
+            raise ValueError(f"batch_size must be at least 2 for the ms loss, got {self.batch_size}")
 
 
 @dataclass
@@ -223,8 +225,7 @@ class TrainResult:
 
 
 def _validation_loss(registry: TaskRegistry, task: Task, batch_size: int) -> float:
-    if not task.val_episodes:
-        return float("nan")
+    """The mean loss over the scored episodes; NaN when no batch is scored."""
     total, count = 0.0, 0
     for i in range(0, len(task.val_episodes), batch_size):
         eps = task.val_episodes[i : i + batch_size]
@@ -240,7 +241,7 @@ def _validation_loss(registry: TaskRegistry, task: Task, batch_size: int) -> flo
         total += value * len(eps)
         count += len(eps)
         del emb, loss  # the graph is spent; free it before the next forward
-    return total / max(count, 1)
+    return total / count if count else float("nan")
 
 
 def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:

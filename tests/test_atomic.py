@@ -25,3 +25,11 @@ def test_a_new_file_gets_the_mode_of_a_plain_open(tmp_path):
     assert (os.stat(tmp_path / "new.bin").st_mode
             == os.stat(tmp_path / "plain.bin").st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new.bin", "plain.bin"]
+
+
+def test_a_missing_parent_directory_is_made(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    with atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in path.parent.iterdir()] == ["out.txt"]

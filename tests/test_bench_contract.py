@@ -13,7 +13,7 @@ import pytest
 
 from epistyle import cli
 from epistyle.cli import build_parser
-from epistyle.config import SECTIONS, load_config, section_values
+from epistyle.config import load_config, section_values
 from epistyle.hetgraph import _walk_pairs, train_skipgram
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -75,13 +75,9 @@ def test_every_planned_stage_is_a_subcommand_that_parses(name, tmp_path):
 @pytest.mark.parametrize("path", sorted({w.config_path for w in workloads.WORKLOADS.values()}),
                          ids=lambda p: p.name)
 def test_every_key_of_a_workload_config_is_one_the_cli_reads(path):
-    defaults = {"corpus": cli.CORPUS_DEFAULTS, "tokenizer": cli.TOKENIZER_DEFAULTS,
-                "graph": cli.GRAPH_DEFAULTS, "model": cli.MODEL_DEFAULTS,
-                "train": cli.TRAIN_DEFAULTS, "eval": cli.EVAL_DEFAULTS}
-    assert set(defaults) == set(SECTIONS)
-    cfg = load_config(path)
-    for section in SECTIONS:
-        section_values(cfg, section, defaults[section])  # raises on an unknown key
+    cfg = load_config(path, cli.SECTION_DEFAULTS)  # raises on an unknown section
+    for section, defaults in cli.SECTION_DEFAULTS.items():
+        section_values(cfg, section, defaults)  # raises on an unknown key
 
 
 @pytest.mark.parametrize("window", [1, 3, 7])

@@ -391,6 +391,23 @@ def test_labels_without_multitask_exits_2_before_any_work(workspace, tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--market", "alpha", "--context-init", "alpha={ctx}"],
+     "--context-init needs --graph-init pretrained"),
+    (["--market", "alpha", "--graph-init", "pretrained", "--context-init", "alpha={ctx}",
+      "--context-init", "beta={ctx}"], "--context-init for ['beta']: not a market this run trains"),
+], ids=["random-init", "untrained-market"])
+def test_a_context_init_that_nothing_reads_exits_2_before_any_directory(workspace, tmp_path,
+                                                                        capsys, argv, named):
+    root, c = workspace
+    ctx = tmp_path / "context.tsv"
+    ctx.write_text("subforum\tdim0\n")
+    argv = [a.format(ctx=ctx) for a in argv]
+    assert main(["train", *c, *_data(root, *argv, "--out", tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert sorted(tmp_path.iterdir()) == [ctx]
+
+
 @pytest.mark.parametrize("old, new, flags, named", [
     ("", "", ["--p-cross", "2"], "--p-cross: p_cross must be in [0, 1], got 2.0"),
     ("episode_len = 2\n", "episode_len = 0\n", [], "[train] episode_len must be in 1..9, got 0"),
@@ -439,6 +456,25 @@ def test_a_bad_config_class_value_exits_2_before_any_directory(workspace, tmp_pa
     assert sorted(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("command, flag", [(command, flag)
+                                           for command, flags in cli.KEY_FLAGS.items()
+                                           for flag in flags])
+def test_a_bad_key_flag_value_exits_2_with_one_line_naming_the_flag(tmp_path, capsys, command,
+                                                                    flag):
+    section, key = cli.KEY_FLAGS[command][flag]
+    bad = "nonsense" if isinstance(cli.SECTION_DEFAULTS[section][key], str) else "-1"
+    out = tmp_path / "out"
+    required = {"walk": ["--graph", "g", "--out", out],
+                "graph-embed": ["--walks", "w", "--graph", "g", "--out", out],
+                "train": ["--processed", "p", "--split", "s", "--vocab", "v", "--out", out],
+                "eval": ["--run", "r", "--processed", "p", "--split", "s", "--vocab", "v",
+                         "--out", out]}[command]
+    assert main([command, *map(str, required), flag, bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and len(err.splitlines()) == 1 and bad in err
+    assert not out.exists()
+
+
 # a value for each entry of cli.KEY_FLAGS, unlike the one that CONFIG, with
 # pooling = transformer, sets in the file
 KEY_FLAG_VALUES = {("walk", "--walks-per-user"): 3, ("graph-embed", "--epochs"): 2,
@@ -458,7 +494,8 @@ def test_a_key_flag_overrides_its_config_key_in_the_manifest(workspace, tmp_path
     c = ["--config", str(config), "--seed", "3"]
     section, key = cli.KEY_FLAGS[command][flag]
     value = KEY_FLAG_VALUES[command, flag]
-    in_file = cli.section_values(load_config(config), section, cli.SECTION_DEFAULTS[section])
+    in_file = cli.section_values(load_config(config, cli.SECTION_DEFAULTS), section,
+                                 cli.SECTION_DEFAULTS[section])
     assert in_file[key] != value
     graph, walks, out = tmp_path / "graph.json", tmp_path / "walks.txt", tmp_path / "out"
     if command in ("walk", "graph-embed"):
@@ -617,7 +654,21 @@ def test_non_finite_step_loss_exits_1_with_one_line(workspace, tmp_path, monkeyp
     code, err, run = _diverging_train(*workspace, tmp_path, monkeypatch, capsys, batch_size=16)
     assert code == 1
     assert err == "error: non-finite loss nan (task=alpha, epoch=0, step=1)\n"
-    assert not (run / "checkpoint.bin").exists() and not (run / "manifest.json").exists()
+    assert not run.exists()  # no checkpoint, no manifest, no empty directory
+
+
+def test_a_checkpoint_holding_nan_makes_eval_exit_1_naming_the_block(workspace, tmp_path,
+                                                                     capsys):
+    root, c = workspace
+    run = tmp_path / "run"
+    shutil.copytree(root / "run", run)
+    params = load_checkpoint(run / "checkpoint.bin")
+    params["text_fc.w"][:] = np.nan
+    save_checkpoint(run / "checkpoint.bin", params)
+    assert main(["eval", *c, *_data(root, "--run", run, "--out", tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err == (f"error: {run / 'checkpoint.bin'}: block 'text_fc.w' "
+                                       f"holds a non-finite value\n")
+    assert not (tmp_path / "eval").exists()
 
 
 def test_diverged_graph_embed_exits_1_without_output(workspace, tmp_path, monkeypatch, capsys):
@@ -728,6 +779,20 @@ def _link(c, data, out):
 
 def _refuse(*args, **kwargs):
     raise AssertionError("called on a run whose embeddings eval has exported")
+
+
+@pytest.mark.parametrize("command", ["sybil", "attribute", "compare"])
+def test_out_in_a_new_directory_is_written(workspace, multitask_run, tmp_path, command):
+    root, c = workspace
+    data = _data(root, "--run", multitask_run)
+    files = _metrics_files(tmp_path)
+    argv = {"sybil": ["sybil", *c, *data, "--user", "alpha:alpha_u00", "-k", "3"],
+            "attribute": ["attribute", *c, *data, "--market", "alpha", "--author", "alpha_u00",
+                          "--steps", "4"],
+            "compare": ["compare", "--group-a", *files, "--group-b", *files]}[command]
+    out = tmp_path / "new" / "deeper" / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
 
 
 def test_sybil_and_attribute_reuse_eval_embeddings(workspace, multitask_run, tmp_path,

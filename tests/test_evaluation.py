@@ -105,6 +105,14 @@ def test_perfect_index_mrr_one():
     assert market_metrics(idx, kappa=1000, ks=(1, 5, 10))["all"]["mrr"] == 1.0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_an_index_rejects_non_finite_embeddings(value):
+    emb = np.eye(3)
+    emb[1, 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        make_index(emb, ["a", "a", "b"])
+
+
 def test_all_queries_excluded_is_error():
     idx = make_index(np.eye(3), ["a", "b", "c"])
     with pytest.raises(ValueError, match="eligible"):

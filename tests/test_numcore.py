@@ -665,6 +665,16 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
         nc.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_checkpoint_rejects_a_non_finite_block(tmp_path, value):
+    path = tmp_path / "model.bin"
+    bad = np.ones((2, 3), dtype=np.float32)
+    bad[1, 2] = value
+    nc.save_checkpoint(path, {"emb.tok": np.ones(4, dtype=np.float32), "text_fc.w": bad})
+    with pytest.raises(ValueError, match="model.bin: block 'text_fc.w' holds a non-finite value"):
+        nc.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE!" + b"\x00" * 16)

@@ -131,6 +131,6 @@ def test_late_authors_post_late():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SynthConfig(authors_per_market=3, migrant_count=4).validate()
+        SynthConfig(authors_per_market=3, migrant_count=4)
     with pytest.raises(ValueError):
-        SynthConfig(markets=("solo",), migrant_count=1).validate()
+        SynthConfig(markets=("solo",), migrant_count=1)

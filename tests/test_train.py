@@ -12,6 +12,7 @@ from epistyle.synth import SynthConfig, generate_corpus
 from epistyle.tokenization import train_char_vocab
 from epistyle.train import (
     TrainConfig,
+    _validation_loss,
     build_registry,
     sample_batch,
     sample_task,
@@ -72,6 +73,19 @@ def test_train_config_validation():
         TrainConfig(p_cross=1.5)
     TrainConfig(p_cross=0.0)
     TrainConfig(p_cross=1.0)
+    with pytest.raises(ValueError, match="batch_size must be at least 2 for the ms loss, got 1"):
+        TrainConfig(loss="ms", batch_size=1)
+    TrainConfig(loss="ms", batch_size=2)
+    TrainConfig(loss="sm", batch_size=1)
+
+
+@pytest.mark.parametrize("batch_size", [2, 16])
+def test_validation_loss_is_nan_when_no_batch_is_scored(batch_size):
+    # ms skips a one-episode batch, and here the only one holds the only episode
+    registry, _ = make_setup(loss="ms", with_cross=False, batch_size=batch_size)
+    task = registry.market_tasks[0]
+    task.val_episodes, task.val_labels = task.val_episodes[:1], task.val_labels[:1]
+    assert math.isnan(_validation_loss(registry, task, batch_size))
 
 
 # ---------------------------------------------------------------- sampling
