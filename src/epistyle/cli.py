@@ -38,10 +38,10 @@ from .corpus import (
     load_posts,
     preprocess_text,
     read_split_manifest,
+    split_posts,
     write_labels_csv,
     write_posts,
     write_split_manifest,
-    SplitSpec,
 )
 from .evaluation import (
     RetrievalIndex,
@@ -144,14 +144,6 @@ def _load_markets(directory, markets=None) -> dict[str, list[Post]]:
     return out
 
 
-def _split_posts(posts_by_market: dict[str, list[Post]], spec: SplitSpec):
-    train, test = {}, {}
-    for market, posts in posts_by_market.items():
-        train[market] = [p for p in posts if p.post_id in spec.train_ids.get(market, ())]
-        test[market] = [p for p in posts if p.post_id in spec.test_ids.get(market, ())]
-    return train, test
-
-
 def _read_json(path, keys: tuple) -> dict:
     """The JSON object in `path`, which holds every one of `keys`; anything
     else fails naming the file."""
@@ -249,16 +241,13 @@ def cmd_split(args, values) -> int:
     out_path = Path(args.out)
 
     def body():
-        merged = SplitSpec(split_timestamp=0.0, train_ids={}, test_ids={})
-        cuts = {}
+        split, cuts = {}, {}
         for market, path in files.items():
             posts, _ = load_posts(path, market)
-            spec = chronological_split(posts)
-            cuts[market] = spec.split_timestamp
-            merged.train_ids.update(spec.train_ids)
-            merged.test_ids.update(spec.test_ids)
-        write_split_manifest(out_path, merged)
-        counts = {m: (len(merged.train_ids.get(m, ())), len(merged.test_ids.get(m, ())))
+            cuts[market], sides = chronological_split(posts)
+            split.update(sides)
+        write_split_manifest(out_path, split)
+        counts = {m: tuple(list(split[m].values()).count(side) for side in ("train", "test"))
                   for m in files}
         return {"split_timestamps": cuts}, f"split: {counts} -> {out_path}"
 
@@ -288,8 +277,8 @@ def cmd_build_graph(args, values) -> int:
 
     def body():
         posts, _ = load_posts(market_path, args.market)
-        spec = read_split_manifest(split_path)
-        graph = build_graph([p for p in posts if p.post_id in spec.train_ids.get(args.market, ())])
+        train, _ = split_posts({args.market: posts}, read_split_manifest(split_path))
+        graph = build_graph(train[args.market])
         write_graph(out_path, graph)
         return ({"nodes": graph.num_nodes()},
                 f"build-graph: {graph.num_nodes()} nodes -> {out_path}")
@@ -339,8 +328,7 @@ def cmd_train_tokenizer(args, values) -> int:
     out_path = Path(args.out)
 
     def body():
-        spec = read_split_manifest(split_path)
-        train, _ = _split_posts(_load_markets(args.input), spec)
+        train, _ = split_posts(_load_markets(args.input), read_split_manifest(split_path))
         texts = [p.body for market in sorted(train) for p in train[market]]
         trainer = train_char_vocab if tvals["kind"] == "char" else train_bpe
         vocab = trainer(texts, size=tvals["size"])
@@ -404,8 +392,8 @@ def cmd_train(args, values) -> int:
     meta_path = out_dir / "model_meta.json"
 
     def body():
-        spec = read_split_manifest(split_path)
-        train_posts, _ = _split_posts(_load_markets(args.processed, markets), spec)
+        train_posts, _ = split_posts(_load_markets(args.processed, markets),
+                                     read_split_manifest(split_path))
         subforums = {m: sorted({p.subforum for p in train_posts[m]}) for m in markets}
 
         context_init = None
@@ -461,14 +449,21 @@ def _load_run(run_dir, vocab_path):
     try:
         model_cfg = ModelConfig(**{**meta["model"],
                                    "filter_sizes": tuple(meta["model"]["filter_sizes"])})
-    except (KeyError, TypeError, ValueError) as exc:
+        maps = {m: dict(rows) for m, rows in meta["subforum_maps"].items()}
+        want = {k: t.shape for k, t in EpisodeModel.build(model_cfg, maps).params.items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{meta_path}: bad model config ({exc})") from None
     vocab = load_vocab(_require(vocab_path, "vocabulary file"))
     if file_sha256(vocab_path) != meta["vocab_sha256"]:
         raise ValidationError(f"vocabulary {vocab_path} does not match the one used in training")
-    params = load_checkpoint(ckpt_path)
-    tensors = {k: Tensor(v) for k, v in params.items() if not k.startswith("head.")}
-    model = EpisodeModel(model_cfg, {m_: dict(v) for m_, v in meta["subforum_maps"].items()}, tensors)
+    tensors = {k: Tensor(v) for k, v in load_checkpoint(ckpt_path).items()
+               if not k.startswith("head.")}
+    got = {k: t.shape for k, t in tensors.items()}
+    for name in [*want, *got]:
+        if got.get(name) != want.get(name):
+            raise ValueError(f"{ckpt_path}: block {name!r} is {got.get(name, 'missing')}, "
+                             f"the model of {meta_path} has {want.get(name, 'no such block')}")
+    model = EpisodeModel(model_cfg, maps, tensors)
     encoder = PostEncoder(vocab, model_cfg.max_tokens)
     return meta, model, encoder
 
@@ -477,8 +472,7 @@ def _test_episodes(meta, args, markets=None):
     """Test-split episodes and train-split authors of the run's markets, or
     of `markets` only."""
     posts = _load_markets(args.processed, markets or meta["markets"])
-    spec = read_split_manifest(_require(args.split, "split manifest"))
-    train, test = _split_posts(posts, spec)
+    train, test = split_posts(posts, read_split_manifest(_require(args.split, "split manifest")))
     episodes = {m: assemble_episodes(test[m], meta["episode_len"]) for m in posts}
     seen = {m: {(m, p.author) for p in train[m]} for m in posts}
     return episodes, seen
@@ -652,8 +646,16 @@ def cmd_compare(args, values) -> int:
 # --------------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command line it rejects in one line and exits 2, as
+    argparse does after its usage text."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message.removeprefix('argument ')}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epistyle",
         description="Episode-level stylometric embeddings for forum authorship attribution.",
     )
@@ -815,8 +817,9 @@ def _settings(args) -> dict:
         try:
             cls(**values[section])
         except ValueError as exc:
-            flag = flags.get((section, str(exc).split()[0].rstrip(":")))
-            raise ValidationError(f"{flag}: {exc}" if flag else
+            key, _, rest = str(exc).partition(" ")
+            flag = flags.get((section, key.rstrip(":")))
+            raise ValidationError(f"{flag}: {rest}" if flag else
                                   f"{args.config}: [{section}] {exc}") from None
     if args.command == "sybil" and ":" not in args.user:
         raise ValidationError("--user expects market:username")

@@ -24,18 +24,20 @@ class ValidationError(Exception):
 
 def load_config(path, sections) -> dict[str, dict[str, str]]:
     """Raw string config: section -> key -> value, for `sections` only. A
-    missing file is an error; no file at all yields empty sections."""
+    missing or unreadable file is an error; no file at all yields empty
+    sections."""
     cfg: dict[str, dict[str, str]] = {s: {} for s in sections}
     if path is None:
         return cfg
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         sections = {s: dict(parser.items(s)) for s in parser.sections()}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read config file "
+                              f"({getattr(exc, 'strerror', None) or exc})") from None
     except configparser.MissingSectionHeaderError as exc:
         raise ValidationError(f"{path}:{exc.lineno}: no [section] header before this line") from None
     except configparser.DuplicateOptionError as exc:

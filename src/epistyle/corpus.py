@@ -97,13 +97,6 @@ class Episode:
         return len(self.posts)
 
 
-@dataclass
-class SplitSpec:
-    split_timestamp: float
-    train_ids: dict[str, set[str]]  # market -> post ids
-    test_ids: dict[str, set[str]]
-
-
 class MigrationLabel(NamedTuple):
     """Two users of different markets; `load_migration_labels` checks those it reads."""
 
@@ -192,41 +185,53 @@ def preprocess_text(raw: str) -> str:
 # -------------------------------------------------------------------- split
 
 
-def chronological_split(posts: list[Post]) -> SplitSpec:
-    """Split at the median timestamp; median ties go to train."""
+# a train/test split: market -> post id -> "train" or "test"
+Split = dict[str, dict[str, str]]
+
+
+def chronological_split(posts: list[Post]) -> tuple[float, Split]:
+    """The median timestamp and the split it makes; median ties go to train."""
     if not posts:
         raise ValueError("chronological_split: empty post list")
     cut = statistics.median(p.timestamp for p in posts)
-    train: dict[str, set[str]] = {}
-    test: dict[str, set[str]] = {}
+    split: Split = {}
     for p in posts:
-        side = train if p.timestamp <= cut else test
-        side.setdefault(p.market, set()).add(p.post_id)
-    n_train = sum(len(v) for v in train.values())
-    n_test = sum(len(v) for v in test.values())
-    if n_train == 0 or n_test == 0:
-        log.warning("degenerate split: train=%d test=%d posts", n_train, n_test)
-    return SplitSpec(split_timestamp=cut, train_ids=train, test_ids=test)
+        split.setdefault(p.market, {})[p.post_id] = "train" if p.timestamp <= cut else "test"
+    n_test = sum(p.timestamp > cut for p in posts)
+    if n_test in (0, len(posts)):
+        log.warning("degenerate split: train=%d test=%d posts", len(posts) - n_test, n_test)
+    return cut, split
+
+
+def split_posts(posts_by_market: dict[str, list[Post]], split: Split):
+    """Each market's train posts and test posts, in file order; a post the
+    split does not list is in neither."""
+    train, test = {}, {}
+    for market, posts in posts_by_market.items():
+        sides = split.get(market, {})
+        train[market] = [p for p in posts if sides.get(p.post_id) == "train"]
+        test[market] = [p for p in posts if sides.get(p.post_id) == "test"]
+    return train, test
 
 
 SPLIT_COLUMNS = ("market", "post_id", "split")
 
 
-def write_split_manifest(path, spec: SplitSpec) -> None:
+def write_split_manifest(path, split: Split) -> None:
+    """One row per post: by market, train before test, by post id."""
     with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SPLIT_COLUMNS)
-        for market in sorted(set(spec.train_ids) | set(spec.test_ids)):
-            for pid in sorted(spec.train_ids.get(market, ())):
-                writer.writerow([market, pid, "train"])
-            for pid in sorted(spec.test_ids.get(market, ())):
-                writer.writerow([market, pid, "test"])
+        for market in sorted(split):
+            rows = sorted(split[market].items(), key=lambda row: (row[1] != "train", row[0]))
+            writer.writerows([market, pid, side] for pid, side in rows)
 
 
-def read_split_manifest(path) -> SplitSpec:
+def read_split_manifest(path) -> Split:
     """Read `write_split_manifest`'s CSV. Every row but a blank one has the
-    header's field count and a split of `train` or `test`."""
-    sides: dict[str, dict[str, set[str]]] = {"train": {}, "test": {}}
+    header's field count, a split of `train` or `test`, and a (market,
+    post_id) that no other row has."""
+    split: Split = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
@@ -236,7 +241,7 @@ def read_split_manifest(path) -> SplitSpec:
         m, p, s = (header.index(name) for name in SPLIT_COLUMNS)
         width = len(header)
         for row in rows:
-            if len(row) != width or row[s] not in sides:
+            if len(row) != width or row[s] not in ("train", "test"):
                 if not row:
                     continue
                 if len(row) != width:
@@ -244,9 +249,12 @@ def read_split_manifest(path) -> SplitSpec:
                                      f"got {len(row)}")
                 raise ValueError(f"{path}:{rows.line_num}: split {row[s]!r} is not "
                                  f"'train' or 'test'")
-            sides[row[s]].setdefault(row[m], set()).add(row[p])
-    return SplitSpec(split_timestamp=float("nan"), train_ids=sides["train"],
-                     test_ids=sides["test"])
+            sides = split.setdefault(row[m], {})
+            if row[p] in sides:
+                raise ValueError(f"{path}:{rows.line_num}: post {row[p]!r} of market "
+                                 f"{row[m]!r} is listed twice")
+            sides[row[p]] = row[s]
+    return split
 
 
 # ----------------------------------------------------------------- episodes

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
 
@@ -152,45 +151,17 @@ def random_baseline_mrr(index: RetrievalIndex, queries) -> float:
     return float(np.mean([expected[m] for m in ms]))
 
 
-@dataclass
-class MetricsReport:
-    mrr: float
-    recall: dict[int, float]
-    kappa: int
-    n_queries: int
-    seed: int
-    group: str = "all"
-
-    def __post_init__(self):
-        if not 0.0 <= self.mrr <= 1.0:
-            raise ValueError(f"MRR {self.mrr} outside [0, 1]")
-        ks = sorted(self.recall)
-        for a, b in zip(ks, ks[1:]):
-            if self.recall[a] > self.recall[b] + 1e-12:
-                raise ValueError("recall must be non-decreasing in k")
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "mrr": self.mrr,
-            "recall": {str(k): v for k, v in sorted(self.recall.items())},
-            "kappa": self.kappa,
-            "n_queries": self.n_queries,
-            "seed": self.seed,
-        }
-
-
-def metrics_report(ranks, kappa: int, ks, seed: int = 0, group: str = "all") -> MetricsReport:
-    """MRR and recall@k of a group's first same-author ranks, in its query order."""
-    rec = {k: float(np.mean([1.0 if r <= k else 0.0 for r in ranks])) for k in ks}
-    return MetricsReport(
-        mrr=float(np.mean([1.0 / r for r in ranks])),
-        recall=rec, kappa=kappa, n_queries=len(ranks), seed=seed, group=group,
-    )
+def metrics_report(ranks, kappa: int, ks, seed: int = 0, group: str = "all") -> dict:
+    """A group's metrics.json entry: MRR and recall@k of its first
+    same-author ranks, in its query order."""
+    return {"group": group, "mrr": float(np.mean([1.0 / r for r in ranks])),
+            "recall": {str(k): float(np.mean([1.0 if r <= k else 0.0 for r in ranks]))
+                       for k in sorted(ks)},
+            "kappa": kappa, "n_queries": len(ranks), "seed": seed}
 
 
 def seen_novel_report(ranks: dict[int, int], groups: dict[str, np.ndarray], kappa: int, ks,
-                      seed: int = 0) -> dict[str, MetricsReport]:
+                      seed: int = 0) -> dict[str, dict]:
     """Metrics over the seen-author and novel-author groups that `groups`
     holds, from the rank table `ranks` (query -> first same-author rank)."""
     return {group: metrics_report([ranks[i] for i in groups[group].tolist()], kappa, ks, seed,
@@ -204,11 +175,9 @@ def market_metrics(index: RetrievalIndex, kappa: int, ks, seed: int = 0) -> dict
     groups = sample_queries(index, kappa, seed)
     distinct = np.unique(np.concatenate(list(groups.values()))).tolist()
     ranks = {i: index.first_same_author_rank(i) for i in distinct}
-    block = {"all": metrics_report([ranks[i] for i in groups["all"].tolist()], kappa, ks,
-                                   seed).to_dict()}
+    block = {"all": metrics_report([ranks[i] for i in groups["all"].tolist()], kappa, ks, seed)}
     block["all"]["random_baseline_mrr"] = random_baseline_mrr(index, groups["all"])
-    for group, rep in seen_novel_report(ranks, groups, kappa, ks, seed).items():
-        block[group] = rep.to_dict()
+    block.update(seen_novel_report(ranks, groups, kappa, ks, seed))
     return block
 
 

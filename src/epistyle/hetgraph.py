@@ -442,8 +442,9 @@ def write_embeddings_tsv(path, embeddings: NodeEmbeddings, key: str = "node") ->
 def read_embeddings_tsv(path) -> NodeEmbeddings:
     """Read `write_embeddings_tsv` output. A file without the `key dim0 ...`
     header or without rows raises ValueError naming the path; a row whose
-    width differs from the header's, or with a cell that is not a finite
-    float32 number, raises ValueError naming the path and line."""
+    width differs from the header's, with a cell that is not a finite
+    float32 number, or with a key an earlier row has, raises ValueError
+    naming the path and line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) < 2 or header[1:] != [f"dim{i}" for i in range(len(header) - 1)]:
@@ -460,6 +461,8 @@ def read_embeddings_tsv(path) -> NodeEmbeddings:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not _finite_float32(vec):
                 raise ValueError(f"{path}:{lineno}: a value is not a finite float32")
+            if parts[0] in vectors:
+                raise ValueError(f"{path}:{lineno}: key {parts[0]!r} is listed twice")
             vectors[parts[0]] = vec.astype(np.float32)
     if not vectors:
         raise ValueError(f"{path}: no rows under the header")

@@ -254,7 +254,9 @@ def test_truncated_checkpoint_exits_1_with_one_line(workspace, tmp_path, capsys)
     (lambda meta: json.dumps({k: v for k, v in json.loads(meta).items() if k != "episode_len"}),
      "not a JSON object with key(s) episode_len"),
     (lambda meta: meta[: len(meta) // 2], "not JSON ("),
-], ids=["missing-key", "truncated"])
+    (lambda meta: json.dumps({**json.loads(meta), "subforum_maps": ["alpha"]}),
+     "bad model config ("),
+], ids=["missing-key", "truncated", "subforum-maps-list"])
 def test_damaged_model_meta_exits_1_naming_the_file(workspace, tmp_path, capsys, damage, named):
     root, c = workspace
     run = tmp_path / "run"
@@ -409,12 +411,12 @@ def test_a_context_init_that_nothing_reads_exits_2_before_any_directory(workspac
 
 
 @pytest.mark.parametrize("old, new, flags, named", [
-    ("", "", ["--p-cross", "2"], "--p-cross: p_cross must be in [0, 1], got 2.0"),
+    ("", "", ["--p-cross", "2"], "--p-cross: must be in [0, 1], got 2.0"),
     ("episode_len = 2\n", "episode_len = 0\n", [], "[train] episode_len must be in 1..9, got 0"),
     ("batch_size = 16\n", "batch_size = 0\n", [], "[train] batch_size must be at least 1, got 0"),
     ("d_text = 16\n", "d_text = 0\n", [], "[model] d_text must be positive, got 0"),
     ("[model]\n", "[model]\ndropout = 1.5\n", [], "[model] dropout must be in [0, 1), got 1.5"),
-    ("", "", ["--epochs", "0"], "--epochs: epochs must be at least 1, got 0"),
+    ("", "", ["--epochs", "0"], "--epochs: must be at least 1, got 0"),
     ("filter_sizes = 2, 3\n", "filter_sizes = 0\n", [],
      "[model] filter_sizes must be positive, got (0,)"),
     ("communities = 2\n", "communities = 0\n", [],
@@ -428,7 +430,7 @@ def test_a_context_init_that_nothing_reads_exits_2_before_any_directory(workspac
     ("walk_length = 9\n", "walk_length = 1\n", [], "[graph] walk_length must be at least 2, got 1"),
     ("negatives = 2\n", "negatives = 0\n", [], "[graph] negatives must be at least 1, got 0"),
     ("epochs = 1\n", "epochs = 0\n", [], "[graph] epochs must be at least 1, got 0"),
-    ("", "", ["--walks-per-user", "0"], "--walks-per-user: walks_per_user must be at least 1, got 0"),
+    ("", "", ["--walks-per-user", "0"], "--walks-per-user: must be at least 1, got 0"),
     ("max_tokens = 96\n", "max_tokens = 2\n", [],
      "[model] max_tokens must be at least the widest filter, 3, got 2"),
     ("size = 120\n", "size = 7\n", [],
@@ -464,15 +466,53 @@ def test_a_bad_key_flag_value_exits_2_with_one_line_naming_the_flag(tmp_path, ca
     section, key = cli.KEY_FLAGS[command][flag]
     bad = "nonsense" if isinstance(cli.SECTION_DEFAULTS[section][key], str) else "-1"
     out = tmp_path / "out"
-    required = {"walk": ["--graph", "g", "--out", out],
-                "graph-embed": ["--walks", "w", "--graph", "g", "--out", out],
-                "train": ["--processed", "p", "--split", "s", "--vocab", "v", "--out", out],
-                "eval": ["--run", "r", "--processed", "p", "--split", "s", "--vocab", "v",
-                         "--out", out]}[command]
-    assert main([command, *map(str, required), flag, bad]) == 2
+    assert main([*_key_flag_command(command, out), flag, bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ") and len(err.splitlines()) == 1 and bad in err
     assert not out.exists()
+
+
+def _key_flag_command(command, out):
+    """`command` with made-up values for its required arguments, `out` among them."""
+    return [command, *map(str, {
+        "walk": ["--graph", "g", "--out", out],
+        "graph-embed": ["--walks", "w", "--graph", "g", "--out", out],
+        "train": ["--processed", "p", "--split", "s", "--vocab", "v", "--out", out],
+        "eval": ["--run", "r", "--processed", "p", "--split", "s", "--vocab", "v", "--out", out],
+    }[command])]
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag)
+                                           for command, flags in cli.KEY_FLAGS.items()
+                                           for flag in flags])
+def test_a_key_flag_value_that_does_not_parse_exits_2_with_one_line(tmp_path, capsys, command,
+                                                                    flag):
+    section, key = cli.KEY_FLAGS[command][flag]
+    like = cli.SECTION_DEFAULTS[section][key]
+    # argparse takes any word for a string key, but not one that looks like a flag
+    bad, named = (("-x", "expected one argument") if isinstance(like, str) else
+                  ("x", f"invalid {type(like).__name__} value: 'x'"))
+    with pytest.raises(SystemExit) as exc:
+        main([*_key_flag_command(command, tmp_path / "out"), flag, bad])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {flag}: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf-8"])
+def test_a_config_that_cannot_be_read_exits_2_with_one_line_naming_it(tmp_path, capsys, kind):
+    # a directory used to be skipped for the built-in defaults, a non-UTF-8
+    # file to exit 1 without naming it
+    config = tmp_path / "config.ini"
+    if kind == "directory":
+        config.mkdir()
+    elif kind == "non-utf-8":
+        config.write_bytes(b"\xff" + CONFIG.encode())
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "raw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: cannot read config file (")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "raw").exists()
 
 
 # a value for each entry of cli.KEY_FLAGS, unlike the one that CONFIG, with
@@ -668,6 +708,36 @@ def test_a_checkpoint_holding_nan_makes_eval_exit_1_naming_the_block(workspace, 
     assert main(["eval", *c, *_data(root, "--run", run, "--out", tmp_path / "eval")]) == 1
     assert capsys.readouterr().err == (f"error: {run / 'checkpoint.bin'}: block 'text_fc.w' "
                                        f"holds a non-finite value\n")
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.fixture(scope="module")
+def transformer_run(workspace):
+    """A one-epoch transformer-pooling run on alpha."""
+    root, c = workspace
+    run = root / "run-tf"
+    assert main(["train", *c, "--seed", "3", *_data(root), "--market", "alpha",
+                 "--pooling", "transformer", "--epochs", "1", "--out", str(run)]) == 0
+    return run
+
+
+@pytest.mark.parametrize("into, named", [
+    ("mean", "is (36, 128), the model of {meta} has no such block"),
+    ("transformer", "is missing, the model of {meta} has (36, 128)"),
+], ids=["transformer-into-mean", "mean-into-transformer"])
+def test_a_checkpoint_of_another_model_makes_eval_exit_1_naming_the_block(
+        workspace, transformer_run, tmp_path, capsys, into, named):
+    # a transformer checkpoint in a mean-pooling run used to be evaluated
+    # on borrowed weights, the reverse to fail with a bare KeyError
+    root, c = workspace
+    runs = {"mean": root / "run", "transformer": transformer_run}
+    run = tmp_path / "run"
+    shutil.copytree(runs[into], run)
+    other = runs["transformer" if into == "mean" else "mean"]
+    shutil.copy(other / "checkpoint.bin", run / "checkpoint.bin")
+    assert main(["eval", *c, *_data(root, "--run", run, "--out", tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err == (f"error: {run / 'checkpoint.bin'}: block 'pool.in.w' "
+                                       f"{named.format(meta=run / 'model_meta.json')}\n")
     assert not (tmp_path / "eval").exists()
 
 

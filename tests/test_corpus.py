@@ -254,50 +254,58 @@ def test_preprocess_idempotent(parts):
 
 def test_split_even_count():
     posts = [make_post(pid=f"p{t}", ts=t) for t in (1, 2, 3, 4)]
-    spec = chronological_split(posts)
-    assert spec.train_ids["m1"] == {"p1", "p2"}
-    assert spec.test_ids["m1"] == {"p3", "p4"}
+    cut, split = chronological_split(posts)
+    assert cut == 2.5
+    assert split == {"m1": {"p1": "train", "p2": "train", "p3": "test", "p4": "test"}}
 
 
 def test_split_singleton_degenerate():
-    spec = chronological_split([make_post(ts=5)])
-    assert spec.train_ids["m1"] == {"p1"}
-    assert spec.test_ids == {}
+    assert chronological_split([make_post(ts=5)]) == (5, {"m1": {"p1": "train"}})
 
 
 def test_split_median_ties_go_to_train():
     posts = [make_post(pid=f"p{i}", ts=ts) for i, ts in enumerate([1, 1, 1, 9])]
-    spec = chronological_split(posts)
-    assert spec.train_ids["m1"] == {"p0", "p1", "p2"}
-    assert spec.test_ids["m1"] == {"p3"}
+    _, split = chronological_split(posts)
+    assert split == {"m1": {"p0": "train", "p1": "train", "p2": "train", "p3": "test"}}
 
 
 def test_split_boundary_property():
     rng = random.Random(0)
     posts = [make_post(pid=f"p{i}", ts=rng.uniform(1, 1e6)) for i in range(101)]
-    spec = chronological_split(posts)
-    by_id = {p.post_id: p for p in posts}
-    max_train = max(by_id[i].timestamp for i in spec.train_ids["m1"])
-    min_test = min(by_id[i].timestamp for i in spec.test_ids["m1"])
+    cut, split = chronological_split(posts)
+    train, test = corpus.split_posts({"m1": posts}, split)
+    assert len(train["m1"]) + len(test["m1"]) == len(posts)
+    max_train = max(p.timestamp for p in train["m1"])
+    min_test = min(p.timestamp for p in test["m1"])
     assert max_train <= min_test
-    assert max_train <= spec.split_timestamp < min_test
+    assert max_train <= cut < min_test
+
+
+def test_split_posts_keeps_file_order_and_drops_unlisted_posts():
+    posts = [make_post(pid=pid, ts=1) for pid in ("p3", "p1", "p4", "p2", "p5")]
+    split = {"m1": {"p1": "test", "p2": "train", "p3": "train", "p4": "test"}, "m2": {"p1": "train"}}
+    train, test = corpus.split_posts({"m1": posts}, split)
+    assert [p.post_id for p in train["m1"]] == ["p3", "p2"]
+    assert [p.post_id for p in test["m1"]] == ["p1", "p4"]
 
 
 def test_split_manifest_round_trip(tmp_path):
-    posts = [make_post(pid=f"p{t}", ts=t) for t in range(1, 8)]
-    spec = chronological_split(posts)
+    split = {}
+    for market, n in (("m1", 7), ("m0", 2)):
+        posts = [make_post(market=market, pid=f"p{t}", ts=t) for t in range(n, 0, -1)]
+        split.update(chronological_split(posts)[1])
     path = tmp_path / "split.csv"
-    corpus.write_split_manifest(path, spec)
-    loaded = corpus.read_split_manifest(path)
-    assert loaded.train_ids == spec.train_ids
-    assert loaded.test_ids == spec.test_ids
+    corpus.write_split_manifest(path, split)
+    assert corpus.read_split_manifest(path) == split
+    assert path.read_bytes() == (b"market,post_id,split\r\nm0,p1,train\r\nm0,p2,test\r\n"
+                                 b"m1,p1,train\r\nm1,p2,train\r\nm1,p3,train\r\nm1,p4,train\r\n"
+                                 b"m1,p5,test\r\nm1,p6,test\r\nm1,p7,test\r\n")
 
 
 def test_split_manifest_reader_finds_columns_by_name_and_skips_blank_lines(tmp_path):
     path = tmp_path / "split.csv"
     path.write_text("split,post_id,market\r\n\r\ntrain,p1,alpha\r\n\r\ntest,p2,beta\r\n")
-    spec = corpus.read_split_manifest(path)
-    assert spec.train_ids == {"alpha": {"p1"}} and spec.test_ids == {"beta": {"p2"}}
+    assert corpus.read_split_manifest(path) == {"alpha": {"p1": "train"}, "beta": {"p2": "test"}}
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -305,9 +313,12 @@ def test_split_manifest_reader_finds_columns_by_name_and_skips_blank_lines(tmp_p
     ("alpha,p1,train,extra\n", ":2: expected 3 fields, got 4"),
     ("alpha,p1,train\nalpha,p2,Train\n", ":3: split 'Train' is not 'train' or 'test'"),
     ("alpha,p1,\n", ":2: split '' is not 'train' or 'test'"),
+    ("alpha,p1,train\nbeta,p1,test\nalpha,p1,test\n",
+     ":4: post 'p1' of market 'alpha' is listed twice"),
 ])
 def test_split_manifest_bad_row_names_its_line(tmp_path, rows, message):
-    # a short row or an unknown split used to land in the test split
+    # a short row or an unknown split used to land in the test split, and a
+    # post listed twice in both splits
     path = tmp_path / "split.csv"
     path.write_text("market,post_id,split\n" + rows)
     with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):

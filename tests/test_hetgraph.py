@@ -524,10 +524,13 @@ def test_embeddings_tsv_round_trip(tmp_path):
     ("", "expected a `key dim0 dim1 ...` header"),
     ("s0\t0.5\t0.25\n", "expected a `key dim0 dim1 ...` header"),
     ("subforum\tdim0\tdim1\n", "no rows under the header"),
+    ("subforum\tdim0\ns0\t0.5\ns1\t0.5\ns0\t0.25\n", ":4: key 's0' is listed twice"),
 ])
 def test_embeddings_tsv_without_header_or_rows_names_the_file(tmp_path, text, message):
+    # a repeated key used to keep its last row
     path = tmp_path / "context.tsv"
     path.write_text(text)
     with pytest.raises(ValueError) as exc:
         read_embeddings_tsv(path)
-    assert str(exc.value) == f"{path}: {message}"
+    assert str(exc.value) == (f"{path}{message}" if message.startswith(":") else
+                              f"{path}: {message}")
