@@ -30,6 +30,7 @@ from .config import (
     write_manifest,
 )
 from .corpus import (
+    COLUMNS_SUFFIX,
     Post,
     assemble_episodes,
     chronological_split,
@@ -118,13 +119,14 @@ def _require(path, what: str) -> Path:
     return path
 
 
-def _market_files(directory, markets=None) -> dict[str, Path]:
-    """Every {market}.jsonl file in `directory`, or those of `markets` only,
-    each of which must exist."""
+def _market_files(directory, markets=None, suffix=COLUMNS_SUFFIX) -> dict[str, Path]:
+    """Every `{market}{suffix}` file in `directory`, or those of `markets`
+    only, each of which must exist. Processed files are column documents;
+    `preprocess` and `pgp-pairs` pass ".jsonl" to read raw files."""
     directory = _require(directory, "input directory")
-    files = {p.stem: p for p in sorted(directory.glob("*.jsonl"))}
+    files = {p.name[:-len(suffix)]: p for p in sorted(directory.glob(f"*{suffix}"))}
     if not files:
-        raise ValidationError(f"no .jsonl files in {directory}")
+        raise ValidationError(f"no {suffix} files in {directory}")
     if markets is None:
         return files
     for market in markets:
@@ -133,10 +135,10 @@ def _market_files(directory, markets=None) -> dict[str, Path]:
     return {m: files[m] for m in markets}
 
 
-def _load_markets(directory, markets=None) -> dict[str, list[Post]]:
+def _load_markets(directory, markets=None, suffix=COLUMNS_SUFFIX) -> dict[str, list[Post]]:
     """Posts of every market file in `directory`, or of `markets` only."""
     out = {}
-    for market, path in _market_files(directory, markets).items():
+    for market, path in _market_files(directory, markets, suffix).items():
         posts, malformed = load_posts(path, market)
         if malformed:
             log.warning("%s: %d malformed lines skipped", path, malformed)
@@ -223,9 +225,9 @@ def cmd_ingest(args, values) -> int:
 
 
 def cmd_preprocess(args, values) -> int:
-    files = _market_files(args.input)
+    files = _market_files(args.input, suffix=".jsonl")
     out_dir = Path(args.out)
-    outputs = {market: out_dir / f"{market}.jsonl" for market in files}
+    outputs = {market: out_dir / f"{market}{COLUMNS_SUFFIX}" for market in files}
 
     def body():
         for market, path in files.items():
@@ -256,11 +258,11 @@ def cmd_split(args, values) -> int:
 
 
 def cmd_pgp_pairs(args, values) -> int:
-    files = _market_files(args.input)
+    files = _market_files(args.input, suffix=".jsonl")
     out_path = Path(args.out)
 
     def body():
-        posts = [p for plist in _load_markets(args.input).values() for p in plist]
+        posts = [p for plist in _load_markets(args.input, suffix=".jsonl").values() for p in plist]
         candidates = extract_pgp_candidate_pairs(posts)
         write_labels_csv(out_path, candidates)
         return ({"candidates": len(candidates)},
@@ -277,7 +279,7 @@ def cmd_build_graph(args, values) -> int:
 
     def body():
         posts, _ = load_posts(market_path, args.market)
-        train, _ = split_posts({args.market: posts}, read_split_manifest(split_path))
+        train, _ = split_posts({args.market: posts}, read_split_manifest(split_path), split_path)
         graph = build_graph(train[args.market])
         write_graph(out_path, graph)
         return ({"nodes": graph.num_nodes()},
@@ -328,7 +330,8 @@ def cmd_train_tokenizer(args, values) -> int:
     out_path = Path(args.out)
 
     def body():
-        train, _ = split_posts(_load_markets(args.input), read_split_manifest(split_path))
+        train, _ = split_posts(_load_markets(args.input), read_split_manifest(split_path),
+                               split_path)
         texts = [p.body for market in sorted(train) for p in train[market]]
         trainer = train_char_vocab if tvals["kind"] == "char" else train_bpe
         vocab = trainer(texts, size=tvals["size"])
@@ -393,7 +396,7 @@ def cmd_train(args, values) -> int:
 
     def body():
         train_posts, _ = split_posts(_load_markets(args.processed, markets),
-                                     read_split_manifest(split_path))
+                                     read_split_manifest(split_path), split_path)
         subforums = {m: sorted({p.subforum for p in train_posts[m]}) for m in markets}
 
         context_init = None
@@ -472,7 +475,8 @@ def _test_episodes(meta, args, markets=None):
     """Test-split episodes and train-split authors of the run's markets, or
     of `markets` only."""
     posts = _load_markets(args.processed, markets or meta["markets"])
-    train, test = split_posts(posts, read_split_manifest(_require(args.split, "split manifest")))
+    split_path = _require(args.split, "split manifest")
+    train, test = split_posts(posts, read_split_manifest(split_path), split_path)
     episodes = {m: assemble_episodes(test[m], meta["episode_len"]) for m in posts}
     seen = {m: {(m, p.author) for p in train[m]} for m in posts}
     return episodes, seen

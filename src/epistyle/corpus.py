@@ -11,6 +11,8 @@ import logging
 import re
 import statistics
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .atomic import atomic_write
@@ -114,17 +116,28 @@ class MigrationLabel(NamedTuple):
 _JSON_WHITESPACE = " \t\n\r"  # what `json.loads` skips; `str.strip()` drops more
 _scan_once = json.JSONDecoder().scan_once  # the C scanner behind `json.loads`
 
+# A processed market file, `{market}.columns.json`, is one JSON object of
+# columns: each field of `Post` but `market` (the file name gives it) maps to
+# a list of that field's values in file order. Any other suffix is JSONL.
+COLUMNS_SUFFIX = ".columns.json"
+POST_COLUMNS = Post._fields[1:]
+_COLUMN_TYPES = {"subforum": {str}, "thread_id": {str}, "post_id": {str}, "author": {str},
+                 "timestamp": {int, float}, "is_thread_start": {bool}, "body": {str}}
+
 
 def load_posts(path, market: str) -> tuple[list[Post], int]:
-    """Parse a file of one JSON object per line; returns (posts, malformed
-    line count).
+    """The posts of a market file and the count of malformed lines skipped.
 
+    A column document (a path ending in COLUMNS_SUFFIX) is read whole or not
+    at all, by `_load_columns`. Any other file holds one JSON object per line.
     A line is malformed where `json.loads` would reject it, where it is not
     an object with every field of `Post` but `market`, where `author` is
     empty, or where `timestamp` is not in (0, MAX_TIMESTAMP]. Malformed lines
-    are skipped with a warning; blank lines are skipped silently; an
-    unreadable file raises.
+    are skipped with a warning; blank lines are skipped silently. An
+    unreadable file, and a post_id that two posts share, raise.
     """
+    if str(path).endswith(COLUMNS_SUFFIX):
+        return _load_columns(path, market), 0
     posts: list[Post] = []
     malformed = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -154,19 +167,66 @@ def load_posts(path, market: str) -> tuple[list[Post], int]:
                 error = exc
             malformed += 1
             log.warning("%s:%d: skipping malformed post line (%s)", path, lineno, error)
-    seen: set[str] = set()
-    for p in posts:
-        if p.post_id in seen:
-            raise ValueError(f"{path}: duplicate post_id {p.post_id!r} in market {market!r}")
-        seen.add(p.post_id)
+    _check_unique_ids(path, market, [p.post_id for p in posts])
     return posts, malformed
 
 
+def _check_unique_ids(path, market: str, post_ids: list[str]) -> None:
+    """Raise naming the first post_id that repeats an earlier one."""
+    if len(set(post_ids)) == len(post_ids):
+        return
+    seen: set[str] = set()
+    for pid in post_ids:
+        if pid in seen:
+            raise ValueError(f"{path}: duplicate post_id {pid!r} in market {market!r}")
+        seen.add(pid)
+
+
+def _load_columns(path, market: str) -> list[Post]:
+    """The posts of a column document. The program wrote it, so any fault
+    fails the whole file, naming it: a document that is not JSON or not an
+    object of exactly the POST_COLUMNS lists of one length, a cell of the
+    wrong type, an empty author, a timestamp not in (0, MAX_TIMESTAMP], or a
+    post_id that two posts share."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # a UnicodeDecodeError too
+            raise ValueError(f"{path}: not a JSON column document ({exc})") from None
+    if not isinstance(doc, dict) or doc.keys() != _COLUMN_TYPES.keys():
+        raise ValueError(f"{path}: not a JSON object of exactly the columns "
+                         f"{', '.join(POST_COLUMNS)}")
+    if not all(type(doc[name]) is list for name in POST_COLUMNS):
+        raise ValueError(f"{path}: every column must be a list")
+    if len({len(doc[name]) for name in POST_COLUMNS}) != 1:
+        raise ValueError(f"{path}: columns differ in length")
+    for name, types in _COLUMN_TYPES.items():
+        wrong = set(map(type, doc[name])) - types
+        if wrong:
+            raise ValueError(f"{path}: column {name!r} holds a value of type "
+                             f"{wrong.pop().__name__}")
+    timestamps = doc["timestamp"]
+    bad = next((t for t in timestamps if not 0 < t <= MAX_TIMESTAMP), None)  # NaN is bad too
+    if bad is not None:
+        raise ValueError(f"{path}: timestamp {bad!r} not in (0, {MAX_TIMESTAMP}]")
+    if not all(doc["author"]):
+        raise ValueError(f"{path}: author must be nonempty")
+    _check_unique_ids(path, market, doc["post_id"])
+    return list(map(Post, repeat(market), doc["subforum"], doc["thread_id"], doc["post_id"],
+                    doc["author"], map(float, timestamps), doc["is_thread_start"], doc["body"]))
+
+
 def write_posts(path, posts: list[Post]) -> None:
-    """One JSON object per line with sorted keys: the format `load_posts` reads."""
+    """The format `load_posts` reads at `path`: a column document under
+    COLUMNS_SUFFIX, else one JSON object per line with sorted keys. Both
+    escape every non-ASCII character, so lone surrogates round-trip."""
     with atomic_write(path, encoding="utf-8") as fh:
-        for p in posts:
-            fh.write(json.dumps(p._asdict(), sort_keys=True) + "\n")
+        if str(path).endswith(COLUMNS_SUFFIX):
+            fh.write(json.dumps({name: list(map(attrgetter(name), posts))
+                                 for name in POST_COLUMNS}) + "\n")
+        else:
+            for p in posts:
+                fh.write(json.dumps(p._asdict(), sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------- preprocess
@@ -203,14 +263,18 @@ def chronological_split(posts: list[Post]) -> tuple[float, Split]:
     return cut, split
 
 
-def split_posts(posts_by_market: dict[str, list[Post]], split: Split):
+def split_posts(posts_by_market: dict[str, list[Post]], split: Split, source):
     """Each market's train posts and test posts, in file order; a post the
-    split does not list is in neither."""
+    split does not list is in neither. A split that lists none of a market's
+    posts is from another corpus: that fails, naming `source` and the market."""
     train, test = {}, {}
     for market, posts in posts_by_market.items():
         sides = split.get(market, {})
         train[market] = [p for p in posts if sides.get(p.post_id) == "train"]
         test[market] = [p for p in posts if sides.get(p.post_id) == "test"]
+        if posts and not (train[market] or test[market]):
+            raise ValueError(f"{source}: lists none of the {len(posts)} posts of market "
+                             f"{market!r}")
     return train, test
 
 

@@ -337,6 +337,9 @@ SKIPGRAM_SHARE = 64
 SKIPGRAM_LR = 0.025  # initial SGD step, decayed linearly to 1e-4 of it
 
 
+# A diverged run overflows before the end of its epoch; the check after the
+# epoch reports it in one line, and NumPy's warnings would only print ahead.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_skipgram(walks: list[list[str]], dim: int, window: int, negatives: int, epochs: int,
                    rng_seed: int = 0) -> NodeEmbeddings:
     """Skip-gram with negative sampling over walk windows.

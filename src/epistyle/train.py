@@ -244,6 +244,10 @@ def _validation_loss(registry: TaskRegistry, task: Task, batch_size: int) -> flo
     return total / count if count else float("nan")
 
 
+# A diverged run overflows in the forward pass before its loss is read; the
+# finiteness checks of the step and of `_validation_loss` report it in one
+# line, and NumPy's warnings would only print ahead of that line.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_multitask(registry: TaskRegistry, cfg: TrainConfig) -> TrainResult:
     """Train, then load a copy of the selected epoch's parameters into the
     live model and heads."""

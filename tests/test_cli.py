@@ -109,7 +109,7 @@ def test_pipeline_artifacts(workspace):
     root, c = workspace
     assert (root / "raw" / "alpha.jsonl").exists()
     assert (root / "raw" / "labels.csv").exists()
-    assert (root / "processed" / "beta.jsonl").exists()
+    assert (root / "processed" / "beta.columns.json").exists()
     assert (root / "split" / "split.csv").exists()
     assert (root / "vocab" / "vocab.txt").exists()
     assert (root / "run" / "checkpoint.bin").exists()
@@ -946,8 +946,8 @@ def test_train_tokenizer_enters_the_corpus_spans_the_benchmark_reads(workspace, 
     finally:
         traced.uninstall()
     assert {"corpus.load_posts", "corpus.read_split_manifest"} <= set(traced.summary())
-    corpus_size = sum(1 for path in (root / "processed").glob("*.jsonl")
-                      for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+    corpus_size = sum(len(json.loads(path.read_text(encoding="utf-8"))["post_id"])
+                      for path in (root / "processed").glob("*.columns.json"))
     assert corpus_size > 0
     assert traced.counts["corpus.load_posts.posts"] == corpus_size
 
@@ -996,7 +996,7 @@ def test_author_names_with_tabs_and_line_breaks_reuse_eval_embeddings(
     root, c = workspace
     processed = tmp_path / "processed"
     shutil.copytree(root / "processed", processed)
-    alpha = processed / "alpha.jsonl"
+    alpha = processed / "alpha.columns.json"
     alpha.write_text(alpha.read_text().replace('"alpha_u01"', '"alpha\\tu01"')
                      .replace('"alpha_u02"', '"alpha\\nu02"'))
     reference, run = tmp_path / "reference", tmp_path / "run"
@@ -1119,7 +1119,7 @@ def test_a_writer_failing_partway_leaves_the_old_file_or_none(workspace, tmp_pat
     out = tmp_path / "processed"
     argv = ["preprocess", *c, "--input", str(root / "raw"), "--out", str(out), "--skip-if-fresh"]
     with monkeypatch.context() as m:
-        m.setattr(json, "dumps", _fail_after(20, json.dumps))
+        m.setattr(json, "dumps", _fail_after(1, json.dumps))  # alpha's column document
         with pytest.raises(RuntimeError):
             main(argv)
     assert list(out.iterdir()) == []
@@ -1127,7 +1127,7 @@ def test_a_writer_failing_partway_leaves_the_old_file_or_none(workspace, tmp_pat
     assert main(argv) == 0
     assert "skipping" not in capsys.readouterr().out
     written = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert set(written) == {"alpha.jsonl", "beta.jsonl", "manifest.json"}
+    assert set(written) == {"alpha.columns.json", "beta.columns.json", "manifest.json"}
 
     # the second market fails after the first was replaced: every file keeps
     # whole old or new bytes, and the stale manifest makes the stage run again
@@ -1137,25 +1137,144 @@ def test_a_writer_failing_partway_leaves_the_old_file_or_none(workspace, tmp_pat
         path = raw / f"{market}.jsonl"
         path.write_text(path.read_text().replace('"body": "', '"body": "edited '))
     argv[argv.index("--input") + 1] = str(raw)
-    n_alpha = len((raw / "alpha.jsonl").read_text().splitlines())
     with monkeypatch.context() as m:
-        m.setattr(json, "dumps", _fail_after(n_alpha + 20, json.dumps))
+        # the freshness check's config hash, alpha's document, then beta's fails
+        m.setattr(json, "dumps", _fail_after(3, json.dumps))
         with pytest.raises(RuntimeError):
             main(argv)
     assert sorted(p.name for p in out.iterdir()) == sorted(written)
-    assert (out / "alpha.jsonl").read_bytes() != written["alpha.jsonl"]
-    assert (out / "beta.jsonl").read_bytes() == written["beta.jsonl"]
+    assert (out / "alpha.columns.json").read_bytes() != written["alpha.columns.json"]
+    assert (out / "beta.columns.json").read_bytes() == written["beta.columns.json"]
     assert (out / "manifest.json").read_bytes() == written["manifest.json"]
     capsys.readouterr()
     assert main(argv) == 0
     assert "skipping" not in capsys.readouterr().out
 
 
+def _with_cell(doc, name, value) -> str:
+    """The column document as JSON text, with row 3 of column `name` set to
+    `value`."""
+    return json.dumps({**doc, name: doc[name][:3] + [value] + doc[name][4:]})
+
+
+# each gives a faulty processed file's text from the market's column document
+# and its raw JSONL text
+PROCESSED_FAULTS = {
+    "cut-in-half": lambda doc, raw: json.dumps(doc)[: len(json.dumps(doc)) // 2],
+    "jsonl-content": lambda doc, raw: raw,
+    "json-list": lambda doc, raw: json.dumps(list(doc.values())),
+    "unequal-lengths": lambda doc, raw: json.dumps({**doc, "body": doc["body"][1:]}),
+    "non-string-id": lambda doc, raw: _with_cell(doc, "post_id", 17),
+    "empty-author": lambda doc, raw: _with_cell(doc, "author", ""),
+    "timestamp-out-of-range": lambda doc, raw: _with_cell(doc, "timestamp", 253402300800.0),
+    "duplicate-post-id": lambda doc, raw: _with_cell(doc, "post_id", doc["post_id"][0]),
+}
+
+
+@pytest.mark.parametrize("stage", ["split", "train"])
+@pytest.mark.parametrize("fault", sorted(PROCESSED_FAULTS))
+def test_a_faulty_processed_file_exits_1_naming_it_without_output(workspace, tmp_path, capsys,
+                                                                   stage, fault):
+    root, c = workspace
+    processed = tmp_path / "processed"
+    shutil.copytree(root / "processed", processed)
+    alpha = processed / "alpha.columns.json"
+    alpha.write_text(PROCESSED_FAULTS[fault](json.loads(alpha.read_text()),
+                                             (root / "raw" / "alpha.jsonl").read_text()))
+    out = tmp_path / "out"
+    argv = (["split", *c, "--input", str(processed), "--out", str(out / "split.csv")]
+            if stage == "split" else
+            ["train", *c, *_data(root, processed=processed), "--market", "alpha",
+             "--out", str(out)])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {alpha}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_processed_stages_read_only_column_files(workspace, tmp_path, capsys):
+    root, c = workspace
+    processed = tmp_path / "processed"
+    shutil.copytree(root / "processed", processed)
+    shutil.copy(root / "raw" / "alpha.jsonl", processed)
+    split = tmp_path / "split.csv"
+    assert main(["split", *c, "--input", str(processed), "--out", str(split)]) == 0
+    assert split.read_bytes() == (root / "split" / "split.csv").read_bytes()
+    for path in processed.glob("*.columns.json"):
+        path.unlink()
+    capsys.readouterr()
+    assert main(["split", *c, "--input", str(processed), "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == f"error: no .columns.json files in {processed}\n"
+
+
+@pytest.mark.parametrize("stage", ["train-tokenizer", "build-graph", "train"])
+def test_a_split_that_lists_none_of_a_markets_posts_exits_1(workspace, tmp_path, capsys, stage):
+    root, c = workspace
+    split = tmp_path / "split.csv"
+    split.write_text("market,post_id,split\nalpha,zzz,train\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "train-tokenizer": ["--input", root / "processed", "--out", out / "vocab.txt"],
+        "build-graph": ["--input", root / "processed", "--market", "alpha",
+                        "--out", out / "graph.json"],
+        "train": ["--processed", root / "processed", "--vocab", root / "vocab" / "vocab.txt",
+                  "--market", "alpha", "--out", out],
+    }[stage]
+    capsys.readouterr()
+    assert main([stage, *c, "--split", str(split), *map(str, argv)]) == 1
+    assert capsys.readouterr().err == (f"error: {split}: lists none of the 180 posts of "
+                                       f"market 'alpha'\n")
+    assert not out.exists()
+
+
+def _run_patched(patch: str, *argv) -> subprocess.CompletedProcess:
+    """`epistyle *argv` in a fresh interpreter after running `patch`, so that
+    stderr shows what pytest's warning capture would hide."""
+    src = str(Path(epistyle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    script = f"import sys; {patch}; from epistyle.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("batch_size, error", [
+    (16, "error: non-finite loss nan (task=alpha, epoch=0, step=1)\n"),
+    (512, "error: non-finite validation loss nan (task=alpha)\n"),
+])
+def test_a_diverged_train_prints_only_its_error_line(workspace, tmp_path, batch_size, error):
+    root, c = workspace
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(CONFIG.replace("batch_size = 16", f"batch_size = {batch_size}"))
+    # --p-cross 0: no warning that a single-market run has no cross task
+    done = _run_patched("import epistyle.train; epistyle.train.LR = 1e30",
+                        "train", "--config", cfg, "--seed", "3", *_data(root),
+                        "--market", "alpha", "--epochs", "1", "--p-cross", "0",
+                        "--out", tmp_path / "run")
+    assert (done.returncode, done.stderr) == (1, error)
+
+
+def test_a_diverged_graph_embed_prints_only_its_error_line(workspace, tmp_path):
+    root, c = workspace
+    graph, walks = tmp_path / "graph.json", tmp_path / "walks.txt"
+    assert main(["build-graph", *c, "--input", str(root / "processed"),
+                 "--split", str(root / "split" / "split.csv"), "--market", "alpha",
+                 "--out", str(graph)]) == 0
+    assert main(["walk", *c, "--seed", "3", "--graph", str(graph), "--out", str(walks)]) == 0
+    done = _run_patched("import epistyle.hetgraph; epistyle.hetgraph.SKIPGRAM_LR = 1e30",
+                        "graph-embed", *c, "--seed", "3", "--walks", walks, "--graph", graph,
+                        "--out", tmp_path / "emb")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: train_skipgram: diverged in epoch 0")
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
 def test_missing_market_file_exits_2_in_every_stage(workspace, multitask_run, tmp_path, capsys):
     root, c = workspace
     processed = tmp_path / "processed"
     processed.mkdir()
-    shutil.copy(root / "processed" / "alpha.jsonl", processed)
+    shutil.copy(root / "processed" / "alpha.columns.json", processed)
     data = _data(root, "--run", multitask_run, processed=processed)
     for stage, *extra in (["eval", "--out", tmp_path / "eval"],
                           ["sybil", "--user", "alpha:alpha_u00", "--out", tmp_path / "s.json"],

@@ -2,6 +2,8 @@ import json
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,37 @@ def test_load_posts_matches_the_per_line_json_loads_parser(tmp_path, caplog):
         assert _warned_lines(caplog) == ref_warned, trial
 
 
+# Post fields the JSON writers must escape and the readers give back: tabs,
+# line breaks, NUL, non-ASCII and lone surrogates
+_AWKWARD_TEXT = st.text(st.one_of(st.characters(),
+                                  st.sampled_from("\t\n\r\x00\x0c\x85\u2028\xe9\ud800\udfff")),
+                        max_size=6)
+
+
+@st.composite
+def _awkward_posts(draw) -> list[Post]:
+    ids = draw(st.lists(_AWKWARD_TEXT, max_size=5, unique=True))
+    return [Post("m1", draw(_AWKWARD_TEXT), draw(_AWKWARD_TEXT), pid,
+                 draw(_AWKWARD_TEXT.filter(bool)),
+                 draw(st.floats(0, corpus.MAX_TIMESTAMP, exclude_min=True)),
+                 draw(st.booleans()), draw(_AWKWARD_TEXT))
+            for pid in ids]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_awkward_posts())
+def test_column_round_trip_equals_the_jsonl_round_trip(posts):
+    with tempfile.TemporaryDirectory() as tmp:
+        columns = Path(tmp) / f"m1{corpus.COLUMNS_SUFFIX}"
+        write_posts(columns, posts)
+        write_posts(Path(tmp) / "m1.jsonl", posts)
+        assert columns.read_bytes().isascii()
+        # both read an escaped high-low surrogate pair back as one character
+        back, malformed = load_posts(Path(tmp) / "m1.jsonl", "m1")
+        assert load_posts(columns, "m1") == (back, malformed)
+        assert malformed == 0 and len(back) == len(posts)
+
+
 # -------------------------------------------------------------- preprocess
 
 
@@ -273,7 +306,7 @@ def test_split_boundary_property():
     rng = random.Random(0)
     posts = [make_post(pid=f"p{i}", ts=rng.uniform(1, 1e6)) for i in range(101)]
     cut, split = chronological_split(posts)
-    train, test = corpus.split_posts({"m1": posts}, split)
+    train, test = corpus.split_posts({"m1": posts}, split, "split.csv")
     assert len(train["m1"]) + len(test["m1"]) == len(posts)
     max_train = max(p.timestamp for p in train["m1"])
     min_test = min(p.timestamp for p in test["m1"])
@@ -284,7 +317,7 @@ def test_split_boundary_property():
 def test_split_posts_keeps_file_order_and_drops_unlisted_posts():
     posts = [make_post(pid=pid, ts=1) for pid in ("p3", "p1", "p4", "p2", "p5")]
     split = {"m1": {"p1": "test", "p2": "train", "p3": "train", "p4": "test"}, "m2": {"p1": "train"}}
-    train, test = corpus.split_posts({"m1": posts}, split)
+    train, test = corpus.split_posts({"m1": posts}, split, "split.csv")
     assert [p.post_id for p in train["m1"]] == ["p3", "p2"]
     assert [p.post_id for p in test["m1"]] == ["p1", "p4"]
 

@@ -1,7 +1,7 @@
 """Digest every file the benchmark's workload plans write, for a byte-identity
 check between two checkouts.
 
-    python3 tools/plan_digests.py CHECKOUT SEED [SEED ...] > digests.txt
+    python3 tools/plan_digests.py CHECKOUT SEED [SEED ...] [--exclude GLOB ...] > digests.txt
 
 For each seed and each workload of CHECKOUT/perfbench/workloads.py, runs
 `synth` and the workload's stages in a temporary directory through
@@ -9,6 +9,9 @@ For each seed and each workload of CHECKOUT/perfbench/workloads.py, runs
 `path sha256` line per output file (the synthetic corpus and manifests
 included), path relative to the temporary directory, in sorted order. A
 `diff` of the lists of two checkouts at the same seeds is the whole check.
+`--exclude GLOB` (repeatable) leaves out each path that the `fnmatch` pattern
+matches, for a change that deliberately rewrites some files, such as a new
+file format and the manifests that hash those files.
 
 workloads.py is compiled from its source, so nothing (not even a bytecode
 cache) is written under perfbench/; no bytecode is written under src/ either.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import hashlib
 import sys
 import tempfile
@@ -68,13 +72,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path, help="root of the checkout to run")
     parser.add_argument("seeds", type=int, nargs="+", metavar="seed")
+    parser.add_argument("--exclude", action="append", default=[], metavar="GLOB",
+                        help="leave out the paths this fnmatch pattern matches (repeatable)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="plan-digests-") as tmp:
         root = Path(tmp)
         failed = run_plans(args.checkout.resolve(), args.seeds, root)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{path.relative_to(root).as_posix()} {digest}")
+            name = path.relative_to(root).as_posix()
+            if not any(fnmatch.fnmatchcase(name, glob) for glob in args.exclude):
+                print(f"{name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
     for stage in failed:
         print(f"error: stage failed: {stage}", file=sys.stderr)
     return 1 if failed else 0
