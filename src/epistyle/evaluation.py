@@ -367,11 +367,10 @@ def integrated_gradients(model: EpisodeModel, encoder: PostEncoder, episode: Epi
     real token. The path integral runs on gradient-free views of the
     parameters, so it leaves no gradient on `model`.
     """
-    model = EpisodeModel(model.cfg, model.subforum_maps,
-                         {name: Tensor(p.data) for name, p in model.params.items()})
+    model = model.frozen()
     batch = make_episode_batch([episode], encoder, model)
     table = model.params["token_emb"].data
-    x = table[batch.token_ids]  # (L, n_max, d_token)
+    x = table[batch.token_ids]  # (N, d_token): the posts' token rows back to back
     baseline = np.broadcast_to(table[encoder.vocab.pad_id], x.shape).copy()
 
     def fn(emb: Tensor) -> Tensor:
@@ -379,17 +378,16 @@ def integrated_gradients(model: EpisodeModel, encoder: PostEncoder, episode: Epi
         return target_fn(out)
 
     attr, completeness = integrated_gradients_fn(fn, x, baseline, steps=steps)
-    scores = attr.sum(axis=-1)  # (L, n_max)
+    scores = attr.sum(axis=-1)  # (N,)
     records = []
-    for li, post in enumerate(episode.posts):
-        n_tokens = len(encoder.ids(post))
-        for ti in range(n_tokens):
-            token_id = int(batch.token_ids[li, ti])
+    for post, start, (ids, _) in zip(episode.posts, batch.starts, encoder.ids(episode.posts)):
+        # token ti of the post is row start + ti
+        for row in range(start, start + len(ids)):
             records.append(
                 {
                     "post_id": post.post_id,
-                    "token": token_display(encoder.vocab, token_id),
-                    "score": float(scores[li, ti]),
+                    "token": token_display(encoder.vocab, int(batch.token_ids[row])),
+                    "score": float(scores[row]),
                 }
             )
     return records, completeness

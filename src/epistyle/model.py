@@ -4,7 +4,7 @@ mean or transformer pooling) and the per-task metric learning heads."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -80,26 +80,32 @@ def day_of_week(timestamp: float) -> int:
 
 
 class PostEncoder:
-    """Caches token-id sequences per post; truncates to the model's cap."""
+    """Caches each post's token ids, cut to the model's cap, and its UTC day
+    of week. `ids` encodes the posts it has not seen in one `encode` call."""
 
     def __init__(self, vocab: Vocab, max_tokens: int):
         self.vocab = vocab
         self.max_tokens = max_tokens
-        self._cache: dict[tuple[str, str], np.ndarray] = {}
+        self._cache: dict[tuple[str, str], tuple[np.ndarray, int]] = {}
 
-    def ids(self, post: Post) -> np.ndarray:
-        key = (post.market, post.post_id)
-        out = self._cache.get(key)
-        if out is None:
-            out = np.asarray(encode(self.vocab, post.body)[: self.max_tokens], dtype=np.int64)
-            self._cache[key] = out
-        return out
+    def ids(self, posts: list[Post]) -> list[tuple[np.ndarray, int]]:
+        """(token ids, day of week) of each post."""
+        cache = self._cache
+        keys = [(p.market, p.post_id) for p in posts]
+        new = {key: p for key, p in zip(keys, posts) if key not in cache}
+        if new:
+            seqs = encode(self.vocab, [p.body for p in new.values()], self.max_tokens)
+            cache.update(zip(new, zip(seqs, [day_of_week(p.timestamp) for p in new.values()])))
+        return [cache[key] for key in keys]
 
 
 @dataclass
 class EpisodeBatch:
-    token_ids: np.ndarray  # (B*L, n_max), padded with the pad id
-    pad_lengths: np.ndarray  # (B*L,), after padding to the max filter width
+    # (N,): the posts' ids back to back, each post padded with the pad id up
+    # to the widest filter; post i holds rows starts[i] .. starts[i] + pad_lengths[i] - 1
+    token_ids: np.ndarray
+    starts: np.ndarray  # (B*L,)
+    pad_lengths: np.ndarray  # (B*L,), at least the widest filter
     dow: np.ndarray  # (B*L,)
     ctx_rows: np.ndarray  # (B*L,), rows of the ctx_markets' context tables stacked
     ctx_markets: list[str]  # the batch's markets, sorted
@@ -113,15 +119,12 @@ def make_episode_batch(episodes: list[Episode], encoder: PostEncoder, model: "Ep
     length = len(episodes[0])
     if any(len(e) != length for e in episodes):
         raise ValueError("all episodes in a batch must have the same length")
-    cfg = model.cfg
+    width = model.cfg.max_filter
     flat_posts = [p for e in episodes for p in e.posts]
-    seqs = [encoder.ids(p) for p in flat_posts]
-    pad_lengths = np.array([max(len(s), cfg.max_filter) for s in seqs], dtype=np.int64)
-    n_max = int(pad_lengths.max())
-    ids = np.full((len(flat_posts), n_max), encoder.vocab.pad_id, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s
-    dow = np.array([day_of_week(p.timestamp) for p in flat_posts], dtype=np.int64)
+    seqs, days = zip(*encoder.ids(flat_posts))
+    pad = np.full(width, encoder.vocab.pad_id, dtype=np.int64)
+    ids = np.concatenate([part for s in seqs for part in (s, pad[len(s) :])])
+    pad_lengths = np.maximum(np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs)), width)
     ctx_markets = sorted({p.market for p in flat_posts})
     # a market's rows follow the context tables of the markets sorted before it
     sizes = [len(model.subforum_maps[m]) + 1 for m in ctx_markets]
@@ -129,8 +132,9 @@ def make_episode_batch(episodes: list[Episode], encoder: PostEncoder, model: "Ep
     ctx = np.array([offsets[p.market] + model.subforum_maps[p.market].get(p.subforum, UNK_SUBFORUM_ROW)
                     for p in flat_posts], dtype=np.int64)
     return EpisodeBatch(
-        token_ids=ids, pad_lengths=pad_lengths, dow=dow, ctx_rows=ctx,
-        ctx_markets=ctx_markets, size=len(episodes), episode_len=length,
+        token_ids=ids, starts=np.cumsum(pad_lengths) - pad_lengths, pad_lengths=pad_lengths,
+        dow=np.array(days, dtype=np.int64), ctx_rows=ctx, ctx_markets=ctx_markets,
+        size=len(episodes), episode_len=length,
     )
 
 
@@ -217,17 +221,24 @@ class EpisodeModel:
             param("pool.out.b", np.zeros(cfg.tf_out_dim))
         return cls(cfg, subforum_maps, p)
 
+    def frozen(self) -> "EpisodeModel":
+        """The model on gradient-free views of its parameters: its forward
+        builds no autodiff graph and leaves no gradient."""
+        return EpisodeModel(self.cfg, self.subforum_maps,
+                            {name: Tensor(p.data) for name, p in self.params.items()})
+
     # ------------------------------------------------------------- forward
 
-    def _text_from_token_embeddings(self, emb: Tensor, pad_lengths: np.ndarray,
+    def _text_from_token_embeddings(self, emb: Tensor, batch: EpisodeBatch,
                                     train: bool, rng) -> Tensor:
         cfg = self.cfg
         feats = []
         for w in cfg.filter_sizes:
             conv = nc.sliding_window_conv(emb, self.params[f"conv{w}.w"], self.params[f"conv{w}.b"])
-            # ReLU after the max is exact: max(relu(x)) = relu(max(x)), and the
-            # gradient reaches the same first argmax over the real windows
-            feats.append(nc.relu(nc.max_over_time(conv, axis=1, lengths=pad_lengths - w + 1)))
+            # a post's windows start at its own rows, so none reaches the next
+            # post; ReLU after the max is exact: max(relu(x)) = relu(max(x)),
+            # and the gradient reaches the same first argmax
+            feats.append(nc.relu(nc.max_over_time(conv, batch.starts, batch.pad_lengths - w + 1)))
         x = nc.concat(feats, axis=-1)
         x = nc.dropout(x, cfg.dropout, train, rng)
         return nc.linear(x, self.params["text_fc.w"], self.params["text_fc.b"])
@@ -258,11 +269,12 @@ class EpisodeModel:
     def embed_episodes(self, batch: EpisodeBatch, train: bool = False,
                        rng: np.random.Generator | None = None,
                        token_embeddings: Tensor | None = None) -> Tensor:
-        """Embed a batch of episodes; (B, E). Pass `token_embeddings` to
-        bypass the token lookup (attribution path integrals need this)."""
+        """Embed a batch of episodes; (B, E). Pass `token_embeddings`, one row
+        per entry of `batch.token_ids`, to bypass the token lookup
+        (attribution path integrals need this)."""
         if token_embeddings is None:
             token_embeddings = nc.embedding_lookup(self.params["token_emb"], batch.token_ids)
-        text = self._text_from_token_embeddings(token_embeddings, batch.pad_lengths, train, rng)
+        text = self._text_from_token_embeddings(token_embeddings, batch, train, rng)
         time = nc.embedding_lookup(self.params["time_emb"], batch.dow)
         # only the batch's markets are stacked, so no other table gets a gradient
         tables = [self.params[f"context.{m}"] for m in batch.ctx_markets]
@@ -327,6 +339,10 @@ class MetricHead:
             head.weight = Tensor(rng.normal(0.0, std, size=(n_labels, dim)).astype(np.float32),
                                  requires_grad=True)
         return head
+
+    def frozen(self) -> "MetricHead":
+        """The head on a gradient-free view of its weight."""
+        return replace(self, weight=None if self.weight is None else Tensor(self.weight.data))
 
     def named_params(self) -> dict[str, Tensor]:
         return {} if self.weight is None else {f"head.{self.name}": self.weight}

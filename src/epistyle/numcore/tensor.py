@@ -20,26 +20,30 @@ pass holds the gradients still in flight, not one per op. Read gradients
 from leaves; a caller that wants an intermediate's gradient makes that
 intermediate a leaf.
 
-Masked max: `max_over_time(a, axis, lengths)` takes row i's max over its
-first lengths[i] steps only (1 <= lengths[i] <= t, else `ShapeError`). The
-gradient goes to the first argmax among those steps, padded steps get
-exactly zero, and `a.data` is never written. ReLU applied after it equals
-ReLU before it, bit for bit, values and gradients.
+Packed rows. The text CNN's input is one 2-D array of token rows, the posts
+back to back, each padded only up to the widest filter. `sliding_window_conv`
+runs down all the rows at once, and `max_over_time(a, starts, lengths)` pools
+segment i, rows starts[i] .. starts[i] + lengths[i] - 1: exactly post i's
+windows, none of which reaches the next post. The gradient goes to each
+segment's first argmax, rows outside every segment get exactly zero, and
+`a.data` is never written. ReLU applied after it equals ReLU before it, bit
+for bit, values and gradients.
 
 Sparse backward. Max pooling leaves most rows of the conv's upstream
-gradient zero, so the conv and embedding backwards work only on the rows
-holding a nonzero (NaN counts):
+gradient zero, all but each post's argmax windows, so the conv and embedding
+backwards work only on the packed rows holding a nonzero (NaN counts):
 
 - Embedding scatter, bit for bit. A .grad never holds -0.0: a first
   gradient is stored as g + 0, and x + y is -0.0 only when both are. So
   adding a row of +-0.0 changes nothing, and the scatter, which adds into
   each element in the dense order, gives the dense bits. The max backward,
   one put into a zero buffer, gives them too.
-- Conv, over the gathered rows. Per tap, the filter gradient is one GEMM
-  over the gathered input rows and the input gradient one GEMM added at
-  those rows; the bias gradient sums them in float64. BLAS rounds a GEMM
-  over fewer rows differently, so these are bounded against a float64
-  reference in the tests, not pinned to a dense route's bits.
+- Conv, over the gathered rows. Gradient row r meets input row r + j in
+  tap j. Per tap, the filter gradient is one GEMM over the gathered input
+  rows and the input gradient one GEMM added at those rows; the bias
+  gradient sums them in float64. BLAS rounds a GEMM over fewer rows
+  differently, so these are bounded against a float64 reference in the
+  tests, not pinned to a dense route's bits.
 - Hand-over. A backward that fills a fresh buffer with no -0.0 in it hands
   the buffer to an input that has no gradient yet, instead of copying it
   (`Tensor._accumulate_owned`): the conv's input gradient and the max's.
@@ -428,50 +432,67 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def max_over_time(a, axis: int = 0, lengths=None) -> Tensor:
-    """Max along one axis; the gradient routes to the first argmax.
-
-    With `lengths` (one integer per index of axis 0, each in 1..t for
-    t = a.shape[axis]), row i takes the max over its first lengths[i] steps
-    only, so padded steps never win and get exactly zero gradient. The input
-    is never written: the masking works on a copy.
-    """
+def max_over_time(a, starts, lengths) -> Tensor:
+    """Output row i is the column-wise max of a's rows starts[i] ..
+    starts[i] + lengths[i] - 1 (module docstring, "Packed rows"). The
+    segments must be in order, disjoint and nonempty, else `ShapeError`.
+    With a gradient to route, each segment's rows are gathered, steps past
+    its end from a -inf row, for the first argmax; without, they are folded
+    in step by step."""
     a = _as_tensor(a)
     x = a.data
-    if lengths is not None:
-        x = _mask_time_suffix(x, axis, lengths)
+    starts, lengths = _check_segments(x, starts, lengths)
     if not a.requires_grad:
-        return Tensor(x.max(axis=axis))  # no gradient to route, so no argmax
-    idx = np.expand_dims(np.argmax(x, axis=axis), axis)
-    data = np.take_along_axis(x, idx, axis=axis).squeeze(axis)
+        return Tensor(_running_max(x, starts, lengths))  # no gradient to route, so no argmax
+    # (segment, step) -> row; a step past the segment's end reads a -inf
+    # row put after the last, so it never wins
+    steps = np.arange(lengths.max())
+    rows = np.where(steps < lengths[:, None], starts[:, None] + steps, len(x))
+    padded = np.concatenate([x, np.full((1, x.shape[1]), -np.inf, dtype=x.dtype)])
+    windows = np.take(padded, rows, axis=0)
+    best = np.take_along_axis(rows, np.argmax(windows, axis=1), axis=1)  # (segments, columns)
+    cols = np.arange(x.shape[1])
+    data = x[best, cols]
 
     def backward(out):
-        g = np.zeros_like(a.data)
+        g = np.zeros_like(x)
         # + 0 turns -0.0 into +0.0, as a first _accumulate would
-        np.put_along_axis(g, idx, np.expand_dims(out.grad, axis) + 0, axis=axis)
+        g[best, cols] = out.grad + 0
         a._accumulate_owned(g)
 
     out = _result(data, (a,), backward)
     return out
 
 
-def _mask_time_suffix(x: np.ndarray, axis: int, lengths) -> np.ndarray:
-    """A copy of x with steps at or past lengths[i] along `axis` set to -inf
-    in row i of axis 0."""
-    axis = axis % x.ndim
-    n = np.asarray(lengths)
-    if axis == 0 or n.shape != (x.shape[0],) or n.dtype.kind not in "iu":
-        raise ShapeError(
-            f"max_over_time: lengths must be {x.shape[0]} integers for a time axis "
-            f"other than 0, got {n.dtype} {n.shape} for axis {axis} of {x.shape}"
-        )
-    t = x.shape[axis]
-    if n.size and (n.min() < 1 or n.max() > t):
-        raise ShapeError(f"max_over_time: lengths must be in 1..{t}, got [{n.min()}, {n.max()}]")
-    masked = x.copy()
-    # moveaxis gives a view, so filling it fills the copy
-    np.moveaxis(masked, axis, 1)[np.arange(t) >= n[:, None]] = -np.inf
-    return masked
+def _check_segments(x: np.ndarray, starts, lengths) -> tuple[np.ndarray, np.ndarray]:
+    s, n = np.asarray(starts), np.asarray(lengths)
+    ok = (x.ndim == 2 and s.ndim == 1 and n.shape == s.shape and s.size > 0
+          and s.dtype.kind in "iu" and n.dtype.kind in "iu")
+    if ok:
+        s, n = s.astype(np.int64, copy=False), n.astype(np.int64, copy=False)
+        ends = s + n
+        ok = n.min() >= 1 and s[0] >= 0 and ends[-1] <= len(x) and bool((ends[:-1] <= s[1:]).all())
+    if not ok:
+        raise ShapeError(f"max_over_time: starts ({s.dtype} {s.shape}) and lengths ({n.dtype} "
+                         f"{n.shape}) must be 1-d integers giving in-order, disjoint segments of "
+                         f"one or more of the rows {x.shape}")
+    return s, n
+
+
+def _running_max(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each segment's max, time-major: step s takes every segment still that
+    long in one np.take and folds it in with np.maximum, which propagates NaN
+    as np.max does."""
+    order = np.argsort(-lengths, kind="stable")  # longest first: step s's segments are a prefix
+    first, longest = starts[order], lengths[order]
+    acc = x[first]
+    buf = np.empty_like(acc)
+    for step, count in enumerate(np.searchsorted(-longest, -np.arange(1, longest[0])), 1):
+        np.take(x, first[:count] + step, axis=0, out=buf[:count])
+        np.maximum(acc[:count], buf[:count], out=acc[:count])
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -592,54 +613,65 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return out
 
 
-def sliding_window_conv(x, filt, bias=None) -> Tensor:
-    """Width-w convolution over the time axis, as w shifted GEMMs.
+# Multiply-adds per tap in a block of the conv forward's rows. Measured on
+# a 2-core Xeon with OpenBLAS for d_in and f from 8 to 64: smaller blocks
+# pay more GEMM calls, larger ones fall out of cache.
+_CONV_BLOCK_MACS = 1 << 19
 
-    x: (B, n, d_in) or (n, d_in); filt: (w, d_in, f); output (B, n-w+1, f).
-    No padding; the caller guarantees n >= w. Tap j contributes
-    x[:, j:j+t] @ filt[j], so no im2col copy is built; every GEMM runs in
-    the operands' dtype. The backward works only on the nonzero rows of the
+
+def sliding_window_conv(x, filt, bias=None) -> Tensor:
+    """Width-w convolution down the rows, as w shifted GEMMs.
+
+    x: (n, d_in); filt: (w, d_in, f); output (n-w+1, f), row r from x rows
+    r .. r+w-1. No padding; the caller guarantees n >= w. Tap j contributes
+    x[r+j] @ filt[j], added in tap order, then the bias; no im2col copy is
+    built, every GEMM runs in the operands' dtype, and the rows run in
+    cache-sized blocks. The backward works only on the nonzero rows of the
     output gradient (module docstring).
     """
     x, filt = _as_tensor(x), _as_tensor(filt)
-    squeeze = x.data.ndim == 2
-    b_, n, d_in = (1, *x.shape) if squeeze else x.shape
     w, d_f, f = filt.shape
-    if d_f != d_in:
-        raise ShapeError(f"conv: input dim {d_in} != filter dim {d_f}")
+    if x.data.ndim != 2 or x.shape[1] != d_f:
+        raise ShapeError(f"conv: input {x.shape} is not (rows, {d_f}) for filter {filt.shape}")
+    n, d_in = x.shape
     if n < w:
         raise ShapeError(f"conv: sequence length {n} < filter width {w}")
     t = n - w + 1
     dt = np.result_type(x.dtype, filt.dtype)
-    xd = x.data.reshape(b_, n, d_in).astype(dt, copy=False)
+    xd = x.data.astype(dt, copy=False)
     fd = filt.data.astype(dt, copy=False)
-    data = xd[:, :t] @ fd[0]
-    tap = np.empty_like(data)
-    for j in range(1, w):
-        data += np.matmul(xd[:, j : j + t], fd[j], out=tap)
-    del tap  # freed before the bias add allocates its result
     if bias is not None:
         bias = _as_tensor(bias)
-        data = data + bias.data
-    if squeeze:
-        data = data[0]
+    step = max(2, _CONV_BLOCK_MACS // (d_in * f))
+    data = np.empty((t, f), dtype=dt)
+    tap = np.empty((min(t, step + 1), f), dtype=dt)
+    lo = 0
+    while lo < t:
+        # a one-row product takes a matrix-vector route, which rounds
+        # otherwise, so the last block takes in a row that would be left alone
+        hi = t if t - lo <= step + 1 else lo + step
+        block = np.matmul(xd[lo:hi], fd[0], out=data[lo:hi])
+        for j in range(1, w):
+            block += np.matmul(xd[lo + j : hi + j], fd[j], out=tap[: hi - lo])
+        if bias is not None:
+            block += bias.data
+        lo = hi
 
     def backward(out):
-        g2 = out.grad.reshape(-1, f)
-        # max pooling leaves most rows (b, s) of g zero; the backward skips them
+        g2 = out.grad
+        # max pooling leaves most rows of g zero; the backward skips them.
+        # Row r of g meets x row r + j in tap j
         rows = _nonzero_rows(g2)
         gz = g2[rows]
-        src = rows // t * n + rows % t  # row (b, s) of g meets x row b*n + s + j in tap j
         if filt.requires_grad:
-            x2 = xd.reshape(-1, d_in)
-            filt._accumulate(np.stack([x2[src + j].T @ gz for j in range(w)]))
+            filt._accumulate(np.stack([xd[rows + j].T @ gz for j in range(w)]))
         if bias is not None and bias.requires_grad:
             bias._accumulate(gz.sum(axis=0, dtype=np.float64))
         if x.requires_grad:
-            gx = np.zeros((b_ * n, d_in), dtype=dt)
+            gx = np.zeros((n, d_in), dtype=dt)
             for j in range(w):
-                gx[src + j] += gz @ fd[j].T
-            x._accumulate_owned(gx.reshape(x.shape))
+                gx[rows + j] += gz @ fd[j].T
+            x._accumulate_owned(gx)
 
     parents = (x, filt) if bias is None else (x, filt, bias)
     out = _result(data, parents, backward)

@@ -14,6 +14,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .atomic import atomic_write
 from .corpus import SPECIAL_TOKENS
 
@@ -66,6 +68,12 @@ class Vocab:
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
         self._bpe_cache: dict[bytes, list[int]] = {}
+        if self.kind == "char":
+            # id of each code point up to the largest one-character token's;
+            # the last entry is [UNK], for every code point past the table
+            chars = {ord(t): i for i, t in enumerate(self.tokens) if len(t) == 1}
+            self._char_table = np.full(max(chars, default=-1) + 2, self.unk_id, dtype=np.int64)
+            self._char_table[list(chars)] = list(chars.values())
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -190,24 +198,48 @@ def _bpe_symbols(chunk: bytes, ranks) -> list[bytes]:
     return syms
 
 
-def encode(vocab: Vocab, text: str) -> list[int]:
-    """Token ids for `text`; corpus special tokens match atomically first."""
+def encode(vocab: Vocab, texts: list[str], max_tokens: int | None = None) -> list[np.ndarray]:
+    """Each text's token ids (int64), cut to the first `max_tokens`; corpus
+    special tokens match atomically first."""
+    if vocab.kind == "char":
+        out = _encode_chars(vocab, texts)
+    else:
+        out = [np.array(_encode_bpe(vocab, text), dtype=np.int64) for text in texts]
+    return out if max_tokens is None else [ids[:max_tokens] for ids in out]
+
+
+def _encode_chars(vocab: Vocab, texts: list[str]) -> list[np.ndarray]:
+    """One table lookup over the texts' joined code points; a special token's
+    first code point then takes its id, and the rest of it is dropped."""
+    if not texts:
+        return []
+    # no special token holds a NUL, so no match spans two texts
+    joined = "\0".join(texts)
+    # surrogatepass: a lone surrogate is one code point, as in the str
+    points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    ids = vocab._char_table.take(points, mode="clip")
+    keep = np.ones(len(ids), dtype=bool)
+    joins = np.cumsum([len(t) + 1 for t in texts[:-1]], dtype=np.int64) - 1
+    keep[joins] = False
+    for m in _ATOMIC_RE.finditer(joined):
+        ids[m.start()] = vocab.special_ids[m.group()]
+        keep[m.start() + 1 : m.end()] = False
+    return np.split(ids[keep], np.cumsum(keep)[joins])
+
+
+def _encode_bpe(vocab: Vocab, text: str) -> list[int]:
     ids: list[int] = []
     for is_special, piece in _iter_segments(text):
         if is_special:
             ids.append(vocab.special_ids[piece])
-        elif vocab.kind == "char":
-            get = vocab.token_to_id.get
-            unk = vocab.unk_id
-            ids.extend(get(ch, unk) for ch in piece)
-        else:
-            for chunk in _CHUNK_RE.findall(piece):
-                raw = chunk.encode("utf-8")
-                cached = vocab._bpe_cache.get(raw)
-                if cached is None:
-                    cached = [vocab.token_to_id[s] for s in _bpe_symbols(raw, vocab._ranks)]
-                    vocab._bpe_cache[raw] = cached
-                ids.extend(cached)
+            continue
+        for chunk in _CHUNK_RE.findall(piece):
+            raw = chunk.encode("utf-8")
+            cached = vocab._bpe_cache.get(raw)
+            if cached is None:
+                cached = [vocab.token_to_id[s] for s in _bpe_symbols(raw, vocab._ranks)]
+                vocab._bpe_cache[raw] = cached
+            ids.extend(cached)
     return ids
 
 

@@ -225,22 +225,22 @@ class TrainResult:
 
 
 def _validation_loss(registry: TaskRegistry, task: Task, batch_size: int) -> float:
-    """The mean loss over the scored episodes; NaN when no batch is scored."""
+    """The mean loss over the scored episodes; NaN when no batch is scored.
+    The forward runs on gradient-free views of the parameters, so it builds
+    no autodiff graph."""
+    model, head = registry.model.frozen(), task.head.frozen()
     total, count = 0.0, 0
     for i in range(0, len(task.val_episodes), batch_size):
         eps = task.val_episodes[i : i + batch_size]
         labels = task.val_labels[i : i + batch_size]
         if task.head.kind == "ms" and len(eps) < 2:
             continue
-        batch = make_episode_batch(eps, registry.encoder, registry.model)
-        emb = registry.model.embed_episodes(batch, train=False)
-        loss = task.head.loss(emb, labels)
-        value = loss.item()
+        batch = make_episode_batch(eps, registry.encoder, model)
+        value = head.loss(model.embed_episodes(batch, train=False), labels).item()
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite validation loss {value} (task={task.name})")
         total += value * len(eps)
         count += len(eps)
-        del emb, loss  # the graph is spent; free it before the next forward
     return total / count if count else float("nan")
 
 

@@ -1,7 +1,7 @@
 """Reference code that only the tests use: a central-difference gradient
-checker, the per-pair skip-gram loss the batched one is tested against, and
-the total-variation distance between two synthetic authors' word
-distributions."""
+checker, the per-pair skip-gram loss the batched one is tested against, the
+total-variation distance between two synthetic authors' word distributions,
+and the per-character encoder the batch `encode` is tested against."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from epistyle.numcore import Tensor
+from epistyle.tokenization import _iter_segments
 
 
 def grad_check(fn, inputs, eps: float = 1e-5) -> float:
@@ -86,3 +87,15 @@ def sgns_pair_loss_and_grads(v_center: np.ndarray, u_context: np.ndarray, u_negs
 def total_variation(p, q) -> float:
     """Total-variation distance between two `AuthorProfile`s' word weights."""
     return 0.5 * sum(abs(a - b) for a, b in zip(p.word_weights, q.word_weights))
+
+
+def encode_chars(vocab, text: str) -> list[int]:
+    """A char vocabulary's token ids for one text, one character at a time:
+    the oracle for the table lookup of `tokenization.encode`."""
+    ids: list[int] = []
+    for is_special, piece in _iter_segments(text):
+        if is_special:
+            ids.append(vocab.special_ids[piece])
+        else:
+            ids.extend(vocab.token_to_id.get(ch, vocab.unk_id) for ch in piece)
+    return ids

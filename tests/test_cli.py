@@ -912,8 +912,8 @@ def test_train_enters_the_text_cnn_and_backward_spans_the_benchmark_predicts(wor
                      "--epochs", "1", "--out", str(tmp_path / "run")]) == 0
     finally:
         traced.uninstall()
-    assert {"numcore.max_over_time", "numcore.sliding_window_conv",
-            "numcore.Tensor.backward"} <= set(traced.summary())
+    assert {"numcore.max_over_time", "numcore.sliding_window_conv", "numcore.Tensor.backward",
+            "tokenization.encode"} <= set(traced.summary())
 
 
 def test_eval_enters_the_text_cnn_spans_the_benchmark_predicts(workspace, multitask_run, tmp_path):
@@ -929,7 +929,8 @@ def test_eval_enters_the_text_cnn_spans_the_benchmark_predicts(workspace, multit
     finally:
         traced.uninstall()
     summary = set(traced.summary())
-    assert {"numcore.max_over_time", "numcore.sliding_window_conv"} <= summary
+    assert {"numcore.max_over_time", "numcore.sliding_window_conv",
+            "tokenization.encode"} <= summary
     assert "numcore.Tensor.backward" not in summary
 
 

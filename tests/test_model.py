@@ -104,24 +104,26 @@ def test_embed_text_order_sensitivity(setup):
 def test_embed_text_out_of_range_id(setup):
     vocab, cfg, model, encoder = setup
     batch = make_episode_batch([episode(make_post("hello"))], encoder, model)
-    batch.token_ids[0, 1] = len(vocab) + 5
+    batch.token_ids[1] = len(vocab) + 5
     with pytest.raises(nc.ShapeError):
         model.embed_episodes(batch)
 
 
-def test_batch_padding_matches_single_post(setup):
-    # per-post masking makes results independent of batch composition
+def test_batch_text_features_equal_each_post_alone_bit_for_bit(setup):
+    # a post's windows never reach the next post's rows, so its text
+    # features do not depend on the batch around it. "Alone" is a batch of
+    # the post and a copy: a GEMM of one row may take BLAS's matrix-vector
+    # route, which rounds differently
     vocab, cfg, model, encoder = setup
-    short = make_post("ab", pid="a")
-    long = make_post("a much longer body of text here", pid="b")
-    eps = [
-        Episode(market="m1", author="alice", posts=(short,)),
-        Episode(market="m1", author="alice", posts=(long,)),
-    ]
+    bodies = ["ab", "a much longer body of text here", "hello [LINK] world", "abc",
+              "this is text this is text this is text", "", "[QUOTE][QUOTE]"]
+    eps = [episode(make_post(body, pid=f"p{i}")) for i, body in enumerate(bodies)]
     batch = make_episode_batch(eps, encoder, model)
-    both = model.embed_episodes(batch)
-    alone = model.embed_episodes(make_episode_batch(eps[:1], encoder, model))
-    assert np.allclose(both.data[0], alone.data[0], atol=1e-6)
+    assert batch.pad_lengths.min() == cfg.max_filter
+    both = model.embed_episodes(batch).data[:, : cfg.d_text]
+    for i, ep in enumerate(eps):
+        alone = model.embed_episodes(make_episode_batch([ep, ep], encoder, model)).data
+        assert alone[0, : cfg.d_text].tobytes() == both[i].tobytes(), bodies[i]
 
 
 # ------------------------------------------------------------------- time
@@ -137,6 +139,17 @@ def test_embed_time_calendar_oracle(setup):
     assert day_of_week(jan1_2013) == 1
     out = embed(model, encoder, episode(make_post("hello", ts=jan1_2013)))
     assert np.array_equal(time_slice(cfg, out)[0], model.params["time_emb"].data[1])
+
+
+def test_batch_day_of_week_is_day_of_week_at_midnight_and_just_before(setup):
+    # day_of_week rounds to the microsecond first, so 0.4 us before a
+    # midnight is already the next day there
+    vocab, cfg, model, encoder = setup
+    stamps = [t for day in (1, 10, 15706, 15707, 20000) for t in (day * 86400.0, day * 86400.0 - 4e-7)]
+    posts = [make_post("hello", ts=t, pid=f"p{i}") for i, t in enumerate(stamps)]
+    batch = make_episode_batch([episode(p) for p in posts], encoder, model)
+    assert batch.dow.tolist() == [day_of_week(t) for t in stamps]
+    assert day_of_week(863999.9999996) == 6  # Sunday 11 January 1970, not Saturday
 
 
 def test_embed_time_weekly_periodicity(setup):
@@ -555,8 +568,7 @@ def test_text_cnn_graph_holds_one_activation_per_filter_width():
             held = held.data if isinstance(held, Tensor) else held
             if isinstance(held, np.ndarray):
                 arrays[id(held)] = held
-    rows, n_max = batch.token_ids.shape
     f = model.cfg.filters_per_size
     for w in model.cfg.filter_sizes:
-        shape = (rows, n_max - w + 1, f)
+        shape = (len(batch.token_ids) - w + 1, f)
         assert sum(a.shape == shape for a in arrays.values()) == 1, shape

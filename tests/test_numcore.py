@@ -13,8 +13,8 @@ from reference import grad_check
 
 def test_max_over_time_forward_and_grad_routing():
     x = Tensor(np.array([[1.0, 3.0], [2.0, 0.0]]), requires_grad=True)
-    y = nc.max_over_time(x, axis=0)
-    assert np.allclose(y.data, [2.0, 3.0])
+    y = nc.max_over_time(x, np.array([0]), np.array([2]))
+    assert np.allclose(y.data, [[2.0, 3.0]])
     loss = nc.sum_(y)
     loss.backward()
     # gradient goes to the argmax positions only
@@ -55,11 +55,13 @@ def test_masked_max_then_relu_equals_relu_mask_max_bit_for_bit(dtype):
     x = x.astype(dtype)
     g = rng.normal(size=(b, f)).astype(dtype)
     want_y, want_gx = _relu_mask_max_reference(x, lengths, g)
-    xt = Tensor(x.copy(), requires_grad=True)
-    y = nc.relu(nc.max_over_time(xt, axis=1, lengths=lengths))
+    # packed: row i's steps are rows i*t .. i*t + t - 1, its padding the rows
+    # past its segment
+    xt = Tensor(x.reshape(b * t, f).copy(), requires_grad=True)
+    y = nc.relu(nc.max_over_time(xt, np.arange(b) * t, lengths))
     nc.sum_(nc.mul(y, Tensor(g))).backward()
-    got_y, got_gx = y.data, xt.grad
-    assert np.array_equal(xt.data, x)  # the input is never written
+    got_y, got_gx = y.data, xt.grad.reshape(b, t, f)
+    assert np.array_equal(xt.data, x.reshape(b * t, f))  # the input is never written
     for got, want in ((got_y, want_y), (got_gx, want_gx)):
         assert got.dtype == dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -72,18 +74,29 @@ def test_masked_max_then_relu_equals_relu_mask_max_bit_for_bit(dtype):
     np.array([[2, 3, 3]]),  # not 1-d
     np.array([2, 0, 3]),  # zero steps
     np.array([2, -1, 3]),
-    np.array([2, 5, 3]),  # past the time axis
+    np.array([2, 5, 3]),  # past its post, into the next one's rows
     np.array([2.0, 3.0, 3.0]),  # not integers
 ], ids=["short", "2d", "zero", "negative", "too-long", "float"])
 def test_max_over_time_rejects_bad_lengths(lengths):
-    x = Tensor(np.ones((3, 4, 2)), requires_grad=True)
+    x = Tensor(np.ones((12, 2)), requires_grad=True)
     with pytest.raises(nc.ShapeError, match="lengths"):
-        nc.max_over_time(x, axis=1, lengths=lengths)
+        nc.max_over_time(x, np.array([0, 4, 8]), lengths)
 
 
-def test_max_over_time_rejects_lengths_along_the_row_axis():
+@pytest.mark.parametrize("rows, starts", [
+    ((12, 2), np.array([0, 8, 4])),  # out of order
+    ((12, 2), np.array([0, 3, 8])),  # overlapping
+    ((12, 2), np.array([-1, 4, 8])),
+    ((12, 2), np.array([0, 4, 10])),  # past the last row
+    ((12, 2), np.array([0.0, 4.0, 8.0])),  # not integers
+    ((12, 2), np.array([], dtype=np.int64)),  # no segment
+    ((12,), np.array([0, 4, 8])),  # rows without columns
+    ((3, 4, 2), np.array([0, 4, 8])),  # not packed rows
+], ids=["unordered", "overlap", "negative", "past-end", "float", "empty", "1d", "3d"])
+def test_max_over_time_rejects_bad_starts(rows, starts):
+    lengths = np.full(starts.shape, 4, dtype=np.int64)
     with pytest.raises(nc.ShapeError, match="lengths"):
-        nc.max_over_time(Tensor(np.ones((3, 3))), axis=0, lengths=np.array([1, 2, 3]))
+        nc.max_over_time(Tensor(np.ones(rows)), starts, lengths)
 
 
 def _bits(a):
@@ -116,19 +129,20 @@ def test_max_over_time_backward_equals_the_dense_route_bit_for_bit(dtype, preset
     rng = np.random.default_rng(22)
     x = rng.normal(size=(6, 9, 4)).astype(dtype)
     lengths = np.array([9, 1, 4, 9, 2, 7])
-    a = Tensor(x, requires_grad=True)
-    out = nc.max_over_time(a, axis=1, lengths=lengths)
+    a = Tensor(x.reshape(54, 4), requires_grad=True)  # packed, segment i at row 9i
+    out = nc.max_over_time(a, np.arange(6) * 9, lengths)
     g = _upstream_with_zero_signs(rng, out.shape, dtype)
     idx = np.expand_dims(np.argmax(np.where((np.arange(9) < lengths[:, None])[..., None], x, -np.inf),
                                    axis=1), 1)
     dense = np.zeros_like(x)
     np.put_along_axis(dense, idx, np.expand_dims(g, 1), axis=1)
-    pre = rng.normal(size=x.shape).astype(dtype)
+    dense = dense.reshape(54, 4)
+    pre = rng.normal(size=dense.shape).astype(dtype)
     if preset:
         a.grad = pre.copy()
         want = pre + dense
     else:
-        want = _first_gradient(dense, x)
+        want = _first_gradient(dense, dense)
     out.grad = g
     out._backward(out)
     assert a.grad.dtype == dtype and np.array_equal(_bits(a.grad), _bits(want))
@@ -144,10 +158,10 @@ def test_untracked_max_over_time_equals_tracked_values(dtype):
     x[2] = -0.0  # every step -0.0
     x[3, 2, :] = np.nan  # a NaN window
     x[4, :, 2] = np.nan
-    lengths = np.array([6, 6, 3, 6, 5, 1, 2])
-    for kw in ({"lengths": lengths}, {}):
-        untracked = nc.max_over_time(Tensor(x), axis=1, **kw)
-        tracked = nc.max_over_time(Tensor(x, requires_grad=True), axis=1, **kw)
+    packed, starts = x.reshape(42, 3), np.arange(7) * 6
+    for lengths in (np.array([6, 6, 3, 6, 5, 1, 2]), np.full(7, 6)):
+        untracked = nc.max_over_time(Tensor(packed), starts, lengths)
+        tracked = nc.max_over_time(Tensor(packed, requires_grad=True), starts, lengths)
         assert untracked._backward is None and untracked.dtype == dtype
         assert np.array_equal(untracked.data, tracked.data, equal_nan=True)
 
@@ -302,14 +316,14 @@ def gc_conv(rng):
 
 @gradcase
 def gc_conv_batched(rng):
-    x, f = _rand(rng, 2, 6, 3), _rand(rng, 3, 3, 5)
+    x, f = _rand(rng, 12, 3), _rand(rng, 3, 3, 5)  # two posts' rows packed
     return lambda a, w: nc.sum_(nc.mul(nc.sliding_window_conv(a, w), 0.7)), [x, f]
 
 
 @gradcase
 def gc_max_over_time(rng):
     x = _rand(rng, 5, 4)
-    return lambda a: nc.sum_(nc.mul(nc.max_over_time(a, axis=0), 2.0)), [x]
+    return lambda a: nc.sum_(nc.mul(nc.max_over_time(a, np.array([0]), np.array([5])), 2.0)), [x]
 
 
 @gradcase
@@ -317,18 +331,20 @@ def gc_max_over_time_lengths(rng):
     x = _rand(rng, 3, 5, 2)
     lengths = np.array([2, 5, 1])
     x[np.arange(5)[None, :] >= lengths[:, None]] += 50.0  # padding that must not win
-    return lambda a: nc.sum_(nc.mul(nc.max_over_time(a, axis=1, lengths=lengths), 2.0)), [x]
+    x = x.reshape(15, 2)
+    return lambda a: nc.sum_(nc.mul(nc.max_over_time(a, np.array([0, 5, 10]), lengths), 2.0)), [x]
 
 
 @gradcase
 def gc_conv_max_over_time(rng):
     # max pooling after the conv leaves most rows of the conv's upstream
-    # gradient zero, the case its backward skips
-    x, f, b = _rand(rng, 3, 9, 4), _rand(rng, 3, 4, 5), _rand(rng, 5)
-    lengths = np.array([7, 2, 5])
+    # gradient zero, the case its backward skips; three posts of 9 rows
+    # packed, each with 7 windows, of which the first 7, 2 and 5 are pooled
+    x, f, b = _rand(rng, 27, 4), _rand(rng, 3, 4, 5), _rand(rng, 5)
+    starts, lengths = np.array([0, 9, 18]), np.array([7, 2, 5])
 
     def fn(a, w, c):
-        pooled = nc.max_over_time(nc.sliding_window_conv(a, w, c), axis=1, lengths=lengths)
+        pooled = nc.max_over_time(nc.sliding_window_conv(a, w, c), starts, lengths)
         return nc.sum_(nc.mul(pooled, np.linspace(0.5, 2.0, 5)))
 
     return fn, [x, f, b]
@@ -432,7 +448,7 @@ def test_backward_frees_graph_without_cyclic_gc():
     # backward closures receive their output as an argument instead of
     # capturing it, so a forward graph is freed by reference counting alone
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(12, 4)), requires_grad=True)
     filt = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
     was_enabled = gc.isenabled()
     gc.disable()
@@ -451,30 +467,28 @@ def test_backward_frees_graph_without_cyclic_gc():
 
 
 def _im2col_conv_reference(x, filt, bias, g):
-    """The float64 im2col/einsum conv kernel: output and input, filter and
-    bias gradients for output gradient g."""
-    squeeze = x.ndim == 2
-    xd = (x[None] if squeeze else x).astype(np.float64)
-    b_, n, d_in = xd.shape
+    """The float64 im2col/einsum conv kernel over 2-d rows: output and input,
+    filter and bias gradients for output gradient g."""
+    xd = x.astype(np.float64)
+    n, d_in = xd.shape
     w, _, f = filt.shape
     t = n - w + 1
-    win = np.lib.stride_tricks.sliding_window_view(xd, w, axis=1)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(b_, t, w * d_in)
+    win = np.lib.stride_tricks.sliding_window_view(xd, w, axis=0)
+    cols = np.ascontiguousarray(win.transpose(0, 2, 1)).reshape(t, w * d_in)
     flat = filt.reshape(w * d_in, f).astype(np.float64)
     out = cols @ flat + bias
-    g64 = (g[None] if squeeze else g).astype(np.float64)
-    gf = np.einsum("btc,btf->cf", cols, g64).reshape(w, d_in, f)
-    gcols = (g64 @ flat.T).reshape(b_, t, w, d_in)
+    g64 = g.astype(np.float64)
+    gf = (cols.T @ g64).reshape(w, d_in, f)
+    gcols = (g64 @ flat.T).reshape(t, w, d_in)
     gx = np.zeros_like(xd)
     for j in range(w):
-        gx[:, j : j + t] += gcols[:, :, j]
-    gb = g64.sum(axis=(0, 1))
-    if squeeze:
-        out, gx = out[0], gx[0]
-    return out, gx, gf, gb
+        gx[j : j + t] += gcols[:, j]
+    return out, gx, gf, g64.sum(axis=0)
 
 
-@pytest.mark.parametrize("shape", [(4, 30, 16), (30, 16)], ids=["batched", "2d"])
+# "batched" packs four posts' rows; "blocks" runs past one block of rows
+@pytest.mark.parametrize("shape", [(4 * 30, 16), (30, 16), (9000, 16)],
+                         ids=["batched", "2d", "blocks"])
 @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)],
                          ids=["float32", "float64"])
 def test_conv_matches_im2col_reference(shape, dtype, tol):
@@ -492,22 +506,35 @@ def test_conv_matches_im2col_reference(shape, dtype, tol):
         np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
 
 
+@pytest.mark.parametrize("d_in, f", [(32, 32), (16, 16), (4, 4)])
+def test_packed_conv_rows_equal_each_post_alone_bit_for_bit(d_in, f):
+    # every output row is the same GEMM row per tap whatever block it runs
+    # in; the posts span several blocks, and the last block would be one row
+    rng = np.random.default_rng(26)
+    w = 3
+    lengths = rng.integers(w + 1, 200, size=40)  # each post alone has 2 or more windows
+    step = max(2, nc.tensor._CONV_BLOCK_MACS // (d_in * f))
+    lengths[-1] += (1 - (lengths.sum() - w + 1)) % step
+    x = rng.normal(size=(lengths.sum(), d_in)).astype(np.float32)
+    filt, bias = rng.normal(size=(w, d_in, f)).astype(np.float32), rng.normal(size=f).astype(np.float32)
+    packed = nc.sliding_window_conv(Tensor(x), Tensor(filt), Tensor(bias)).data
+    assert len(packed) % step == 1 or len(packed) < step
+    for start, n in zip(np.cumsum(lengths) - lengths, lengths):
+        alone = nc.sliding_window_conv(Tensor(x[start : start + n]), Tensor(filt), Tensor(bias)).data
+        assert alone.tobytes() == packed[start : start + n - w + 1].tobytes()
+
+
 def _dense_conv_backward(x, filt, g):
     """The conv backward over every row of g, as plain numpy in float64:
     (dL/dx, dL/dfilt, dL/dbias) before their first accumulation."""
     x, filt, g = (a.astype(np.float64) for a in (x, filt, g))
-    xd = x.reshape(-1, *x.shape[-2:])
-    b_, n, d_in = xd.shape
-    w, _, f = filt.shape
-    t = n - w + 1
-    g = g.reshape(b_, t, f)
-    gb = g.sum(axis=(0, 1))
-    g2 = g.reshape(-1, f)
-    gf = np.stack([xd[:, j : j + t].reshape(-1, d_in).T @ g2 for j in range(w)])
-    gx = np.zeros((b_, n, d_in))
+    w = filt.shape[0]
+    t = len(x) - w + 1
+    gf = np.stack([x[j : j + t].T @ g for j in range(w)])
+    gx = np.zeros_like(x)
     for j in range(w):
-        gx[:, j : j + t] += g @ filt[j].T
-    return gx.reshape(x.shape), gf, gb
+        gx[j : j + t] += g @ filt[j].T
+    return gx, gf, g.sum(axis=0)
 
 
 # The gathered-row backward sums in another order than the dense route, so
@@ -522,43 +549,44 @@ def _assert_conv_gradient(got, ref, dtype):
     np.testing.assert_allclose(got, ref, rtol=0, atol=bound, equal_nan=True)
 
 
-def _pooled_gradient(rng, b_, t, f, dtype):
-    """A max-pool gradient: one nonzero step per (row, filter), so most
-    (row, step) rows of g are zero."""
-    g = np.zeros((b_, t, f), dtype=dtype)
-    steps = rng.integers(0, t, size=(b_, 1, f)) % rng.integers(1, t + 1, size=(b_, 1, 1))
-    np.put_along_axis(g, steps, rng.normal(size=(b_, 1, f)).astype(dtype), axis=1)
+def _pooled_gradient(rng, posts, n, w, f, dtype):
+    """A max-pool gradient for `posts` posts of n rows packed: one nonzero
+    window per (post, filter), early windows more often, so most rows of g
+    are zero."""
+    g = np.zeros((posts * n - w + 1, f), dtype=dtype)
+    t = n - w + 1
+    steps = rng.integers(0, t, size=(posts, f)) % rng.integers(1, t + 1, size=(posts, 1))
+    g[np.arange(posts)[:, None] * n + steps, np.arange(f)] = rng.normal(size=(posts, f))
     return g
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("shape, w, f", [
-    ((40, 8), 3, 6),  # 2-d input
-    ((5, 70, 16), 4, 12),
-    ((3, 40, 32), 5, 32),  # the model's widths, few rows
-    ((3, 20, 6), 2, 32),  # an input width that is not a multiple of 4
-    ((20, 30, 4), 2, 1),  # one filter
+@pytest.mark.parametrize("posts, n, d_in, w, f", [
+    (1, 40, 8, 3, 6),  # one post
+    (5, 70, 16, 4, 12),
+    (3, 40, 32, 5, 32),  # the model's widths, few rows
+    (3, 20, 6, 2, 32),  # an input width that is not a multiple of 4
+    (20, 30, 4, 2, 1),  # one filter
 ], ids=["2d", "batched", "model-widths", "width-6", "one-filter"])
 @pytest.mark.parametrize("pattern", ["pooled", "signed-zeros", "nan-row", "dense", "zero"])
-def test_conv_backward_matches_the_float64_dense_route(dtype, shape, w, f, pattern):
+def test_conv_backward_matches_the_float64_dense_route(dtype, posts, n, d_in, w, f, pattern):
     rng = np.random.default_rng(24)
-    x = rng.normal(size=shape).astype(dtype)
-    filt = (rng.normal(size=(w, shape[-1], f)) * 0.3).astype(dtype)
+    x = rng.normal(size=(posts * n, d_in)).astype(dtype)
+    filt = (rng.normal(size=(w, d_in, f)) * 0.3).astype(dtype)
     bias = rng.normal(size=f).astype(dtype)
     xt, ft, bt = (Tensor(a, requires_grad=True) for a in (x, filt, bias))
     out = nc.sliding_window_conv(xt, ft, bt)
-    b_, t = (1 if len(shape) == 2 else shape[0]), shape[-2] - w + 1
-    g = _pooled_gradient(rng, b_, t, f, dtype)
+    g = _pooled_gradient(rng, posts, n, w, f, dtype)
     if pattern == "signed-zeros":
         g[g == 0] = -0.0
-        g[0, 1::2] = 0.0
+        g[1 : n - w + 1 : 2] = 0.0
     elif pattern == "nan-row":
-        g[-1, t // 2, 0] = np.nan
+        g[-(n - w + 1) // 2, 0] = np.nan
     elif pattern == "dense":
         g = rng.normal(size=g.shape).astype(dtype)
     elif pattern == "zero":
         g[:] = 0.0
-    out.grad = g.reshape(out.shape)
+    out.grad = g
     out._backward(out)
     for got, ref in zip((xt.grad, ft.grad, bt.grad), _dense_conv_backward(x, filt, g)):
         _assert_conv_gradient(got, ref, dtype)
@@ -566,11 +594,11 @@ def test_conv_backward_matches_the_float64_dense_route(dtype, shape, w, f, patte
 
 def test_conv_input_gradient_adds_to_an_existing_gradient():
     rng = np.random.default_rng(25)
-    x = rng.normal(size=(6, 30, 8)).astype(np.float32)
+    x = rng.normal(size=(6 * 30, 8)).astype(np.float32)
     filt = rng.normal(size=(3, 8, 4)).astype(np.float32)
     xt = Tensor(x, requires_grad=True)
     out = nc.sliding_window_conv(xt, Tensor(filt))
-    g = _pooled_gradient(rng, 6, 28, 4, np.float32)
+    g = _pooled_gradient(rng, 6, 30, 3, 4, np.float32)
     pre = rng.normal(size=x.shape).astype(np.float32)
     xt.grad = pre.copy()
     out.grad = g

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epistyle.corpus import SPECIAL_TOKENS
 from epistyle.tokenization import (
     RESERVED,
     Vocab,
@@ -13,7 +15,14 @@ from epistyle.tokenization import (
     train_char_vocab,
 )
 
+from reference import encode_chars
+
 N_RESERVED = len(RESERVED)
+
+
+def encode_one(vocab, text):
+    """One text's token ids as a list."""
+    return encode(vocab, [text])[0].tolist()
 
 
 # -------------------------------------------------------------------- char
@@ -51,9 +60,38 @@ def test_char_vocab_size_too_small():
 
 def test_char_unknown_maps_to_unk():
     vocab = train_char_vocab(["aaa"], size=N_RESERVED + 1)
-    ids = encode(vocab, "az")
+    ids = encode_one(vocab, "az")
     assert ids[0] == vocab.token_to_id["a"]
     assert ids[1] == vocab.unk_id
+
+
+# A NUL in the vocabulary shows that a text's own NULs survive the NUL that
+# joins the texts. The vocabulary holds printable ASCII but "q", a code point
+# inside the lookup table; every code point past "~" is past the table, and
+# would mostly land on a vocabulary character if it wrapped around.
+ASCII = "".join(chr(c) for c in range(32, 127) if chr(c) != "q")
+CHAR_VOCAB = train_char_vocab([ASCII + "\x00"], size=N_RESERVED + len(ASCII) + 1)
+PIECES = [*SPECIAL_TOKENS, "[QUOT", "E]", "[", "]", "a", "b", " ", "\x00", "z", "q", "\u00e9",
+          "\u4e2d", "\U0001f600", "\ud800", "\udfff", "\ud83d"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.lists(st.sampled_from(PIECES), max_size=8).map("".join), max_size=6),
+       max_tokens=st.none() | st.integers(0, 6))
+def test_char_encode_equals_the_per_character_reference(texts, max_tokens):
+    got = encode(CHAR_VOCAB, texts, max_tokens)
+    assert [ids.tolist() for ids in got] == [encode_chars(CHAR_VOCAB, t)[:max_tokens] for t in texts]
+    assert all(ids.dtype == np.int64 for ids in got)
+
+
+def test_char_encode_cuts_at_max_tokens_counting_a_special_token_as_one():
+    v = CHAR_VOCAB
+    a, b = v.token_to_id["a"], v.token_to_id["b"]
+    quote, link = v.special_ids["[QUOTE]"], v.special_ids["[LINK]"]
+    texts = ["[QUOTE][LINK]", "a[LINK]", "[LINK]b", "", "ab[QUOTE]ab", "[QUOTE"]
+    got = [ids.tolist() for ids in encode(v, texts, max_tokens=3)]
+    assert got == [[quote, link], [a, link], [link, b], [], [a, b, quote],
+                   [v.token_to_id[c] for c in "[QU"]]
 
 
 # --------------------------------------------------------------------- bpe
@@ -78,30 +116,30 @@ def test_bpe_size_too_small():
 def test_bpe_apply_merge_by_hand():
     vocab = train_bpe(["abab abab"], size=256 + N_RESERVED + 1)
     assert vocab.merges == [(b"a", b"b")]
-    assert len(encode(vocab, "abab")) == 2
+    assert len(encode_one(vocab, "abab")) == 2
 
 
 def test_bpe_any_bytes_encode_without_unk():
     vocab = train_bpe(["hello world"], size=256 + N_RESERVED + 4)
-    ids = encode(vocab, "é中\x00 xyz")
+    ids = encode_one(vocab, "é中\x00 xyz")
     assert vocab.unk_id not in ids
     assert vocab.pad_id not in ids
 
 
 def test_encode_empty():
     vocab = train_char_vocab(["abc"], size=20)
-    assert encode(vocab, "") == []
+    assert encode_one(vocab, "") == []
 
 
 def test_encode_special_atomic():
     for vocab in (train_char_vocab(["abc"], 30), train_bpe(["abc"], 256 + N_RESERVED)):
-        ids = encode(vocab, "[LINK]")
+        ids = encode_one(vocab, "[LINK]")
         assert ids == [vocab.special_ids["[LINK]"]]
 
 
 def test_literal_pad_text_does_not_hit_pad_id():
     vocab = train_bpe(["some text"], size=256 + N_RESERVED)
-    ids = encode(vocab, "[PAD]")
+    ids = encode_one(vocab, "[PAD]")
     assert vocab.pad_id not in ids
     assert decode(vocab, ids) == "[PAD]"
 
@@ -109,20 +147,20 @@ def test_literal_pad_text_does_not_hit_pad_id():
 def test_encode_deterministic():
     vocab = train_bpe(["the quick brown fox " * 3], size=256 + N_RESERVED + 20)
     text = "the quick [QUOTE] fox"
-    assert encode(vocab, text) == encode(vocab, text)
+    assert encode_one(vocab, text) == encode_one(vocab, text)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=120))
 def test_bpe_round_trip_property(text):
     vocab = train_bpe(["shared training text 123 !?"], size=256 + N_RESERVED + 10)
-    assert decode(vocab, encode(vocab, text)) == text
+    assert decode(vocab, encode_one(vocab, text)) == text
 
 
 def test_bpe_round_trip_with_specials_and_whitespace():
     vocab = train_bpe(["aa bb  cc\n\ndd\tee"], size=256 + N_RESERVED + 6)
     text = "x [LINK] y\n\n  [QUOTE]\tz  "
-    assert decode(vocab, encode(vocab, text)) == text
+    assert decode(vocab, encode_one(vocab, text)) == text
 
 
 def test_merges_do_not_cross_word_boundaries():
@@ -145,7 +183,7 @@ def test_vocab_file_round_trip_char(tmp_path):
     loaded = load_vocab(path)
     assert loaded.kind == "char"
     assert loaded.tokens == vocab.tokens
-    assert encode(loaded, "hello world") == encode(vocab, "hello world")
+    assert encode_one(loaded, "hello world") == encode_one(vocab, "hello world")
 
 
 def test_vocab_file_round_trip_bpe(tmp_path):
@@ -157,7 +195,7 @@ def test_vocab_file_round_trip_bpe(tmp_path):
     assert loaded.tokens == vocab.tokens
     assert loaded.merges == vocab.merges
     text = "hello there world"
-    assert encode(loaded, text) == encode(vocab, text)
+    assert encode_one(loaded, text) == encode_one(vocab, text)
 
 
 # Text that an escape codec or a line-based file can get wrong: a backslash,
@@ -180,7 +218,7 @@ def test_vocab_file_round_trips_awkward_tokens(tmp_path, kind):
     assert path.read_bytes().isascii()
     loaded = load_vocab(path)
     assert (loaded.kind, loaded.tokens, loaded.merges) == (vocab.kind, vocab.tokens, vocab.merges)
-    assert encode(loaded, text) == encode(vocab, text)
+    assert encode_one(loaded, text) == encode_one(vocab, text)
 
 
 def test_pad_has_id_zero():

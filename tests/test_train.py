@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import epistyle.numcore as nc
 from epistyle.corpus import MigrationLabel, Post
 from epistyle.model import EpisodeModel, ModelConfig, PostEncoder, make_episode_batch
 from epistyle.synth import SynthConfig, generate_corpus
@@ -86,6 +87,36 @@ def test_validation_loss_is_nan_when_no_batch_is_scored(batch_size):
     task = registry.market_tasks[0]
     task.val_episodes, task.val_labels = task.val_episodes[:1], task.val_labels[:1]
     assert math.isnan(_validation_loss(registry, task, batch_size))
+
+
+@pytest.mark.parametrize("loss", ["sm", "ms"])
+@pytest.mark.parametrize("pooling", ["mean", "transformer"])
+def test_validation_loss_builds_no_graph_and_equals_the_tracked_loss_bit_for_bit(
+        monkeypatch, loss, pooling):
+    registry, _ = make_setup(loss=loss, pooling=pooling, with_cross=False, batch_size=8)
+    task = registry.market_tasks[0]
+    tracked = []
+    real_max = nc.max_over_time
+    monkeypatch.setattr(nc, "max_over_time",
+                        lambda a, *args: tracked.append(a.requires_grad) or real_max(a, *args))
+    got = _validation_loss(registry, task, 8)
+    assert tracked and not any(tracked)  # the forward-only max, so no graph
+    assert all(t.grad is None for t in registry.all_params().values())
+
+    # the same batches through the parameters that track gradients
+    frozen_calls = len(tracked)
+    total, count = 0.0, 0
+    for i in range(0, len(task.val_episodes), 8):
+        eps = task.val_episodes[i : i + 8]
+        if loss == "ms" and len(eps) < 2:
+            continue
+        emb = registry.model.embed_episodes(make_episode_batch(eps, registry.encoder,
+                                                               registry.model))
+        assert emb.requires_grad
+        total += task.head.loss(emb, task.val_labels[i : i + 8]).item() * len(eps)
+        count += len(eps)
+    assert all(tracked[frozen_calls:])
+    assert got.hex() == (total / count).hex()
 
 
 # ---------------------------------------------------------------- sampling
@@ -324,22 +355,22 @@ def test_training_improves_toy_separable_corpus():
 
 
 @pytest.mark.parametrize("pooling", ["mean", "transformer"])
-def test_each_forward_starts_after_the_previous_graph_is_freed(pooling):
-    # with the cyclic collector off, only reference counting frees a graph
+def test_each_forward_starts_after_the_previous_graph_is_freed(monkeypatch, pooling):
+    # with the cyclic collector off, only reference counting frees a graph;
+    # the class is patched because validation runs on a gradient-free copy
     registry, tcfg = make_setup(markets=("alpha",), with_cross=False, epochs=1, pooling=pooling,
                                 batch_size=4)
-    model = registry.model
-    embed = model.embed_episodes
+    embed = EpisodeModel.embed_episodes
     calls = []  # (train mode, previous output still alive)
     last = [lambda: None]
 
-    def recording(batch, train=False, **kw):
+    def recording(model, batch, train=False, **kw):
         calls.append((train, last[0]() is not None))
-        out = embed(batch, train=train, **kw)
+        out = embed(model, batch, train=train, **kw)
         last[0] = weakref.ref(out.data)
         return out
 
-    model.embed_episodes = recording
+    monkeypatch.setattr(EpisodeModel, "embed_episodes", recording)
     was_enabled = gc.isenabled()
     gc.disable()
     try:

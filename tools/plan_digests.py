@@ -13,6 +13,10 @@ included), path relative to the temporary directory, in sorted order. A
 matches, for a change that deliberately rewrites some files, such as a new
 file format and the manifests that hash those files.
 
+BLAS runs on one thread, as in the benchmark: training outputs depend on the
+thread count, so the script sets `OPENBLAS_NUM_THREADS=1` before it imports
+`epistyle` (and with it numpy), whatever the environment says.
+
 workloads.py is compiled from its source, so nothing (not even a bytecode
 cache) is written under perfbench/; no bytecode is written under src/ either.
 Stage output goes to stderr; the exit code is 1 if a stage fails.
@@ -24,6 +28,7 @@ import argparse
 import contextlib
 import fnmatch
 import hashlib
+import os
 import sys
 import tempfile
 import types
@@ -51,6 +56,7 @@ def run_plans(checkout: Path, seeds: list[int], root: Path) -> list[str]:
     """Run every workload's plan at each seed under `root`; returns the
     failed stages."""
     sys.dont_write_bytecode = True
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
     sys.path.insert(0, str(checkout / "src"))
     from epistyle.cli import main as cli_main
 
