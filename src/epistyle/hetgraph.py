@@ -73,12 +73,12 @@ def build_graph(posts: list[Post]) -> HetGraph:
 
     Every post contributes U-P and T-P edges; thread starters add U-T;
     each thread hangs off its subforum via S-T. Linear in the post count:
-    per-type counters number new nodes, and neighbour sets answer edge
-    membership while the lists keep insertion order for output.
+    per-type counters number new nodes, each (node, type) gathers its
+    neighbours in a set, and each set becomes a list sorted by label index
+    once at the end.
     """
     graph = HetGraph()
     type_counts = dict.fromkeys(NODE_TYPES, 0)
-    adjacent: dict[str, set[str]] = {}
 
     def add_node(node_type: str, key: str) -> str:
         label = graph.key_labels.get((node_type, key))
@@ -88,16 +88,11 @@ def build_graph(posts: list[Post]) -> HetGraph:
             graph.key_labels[(node_type, key)] = label
             graph.node_keys[label] = key
             graph.neighbors[label] = {}
-            adjacent[label] = set()
         return label
 
     def add_edge(a: str, b: str) -> None:
-        if b in adjacent[a]:
-            return
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-        graph.neighbors[a].setdefault(b[0], []).append(b)
-        graph.neighbors[b].setdefault(a[0], []).append(a)
+        graph.neighbors[a].setdefault(b[0], set()).add(b)
+        graph.neighbors[b].setdefault(a[0], set()).add(a)
 
     for p in sorted(posts, key=lambda p: (p.author, p.subforum, p.thread_id, p.post_id)):
         u = add_node("U", p.author)
@@ -110,8 +105,8 @@ def build_graph(posts: list[Post]) -> HetGraph:
         if p.is_thread_start:
             add_edge(u, t)
     for nbrs in graph.neighbors.values():
-        for lst in nbrs.values():
-            lst.sort(key=lambda lab: (lab[0], int(lab[1:])))
+        for kind, labels in nbrs.items():
+            nbrs[kind] = sorted(labels, key=lambda lab: int(lab[1:]))
     return graph
 
 

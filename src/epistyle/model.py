@@ -80,23 +80,18 @@ def day_of_week(timestamp: float) -> int:
 
 
 class PostEncoder:
-    """Caches each post's token ids, cut to the model's cap, and its UTC day
-    of week. `ids` encodes the posts it has not seen in one `encode` call."""
+    """A post's token ids, cut to the model's cap, and its UTC day of week.
+    `ids` encodes the posts it is given in one `encode` call; it keeps
+    nothing between calls."""
 
     def __init__(self, vocab: Vocab, max_tokens: int):
         self.vocab = vocab
         self.max_tokens = max_tokens
-        self._cache: dict[tuple[str, str], tuple[np.ndarray, int]] = {}
 
     def ids(self, posts: list[Post]) -> list[tuple[np.ndarray, int]]:
         """(token ids, day of week) of each post."""
-        cache = self._cache
-        keys = [(p.market, p.post_id) for p in posts]
-        new = {key: p for key, p in zip(keys, posts) if key not in cache}
-        if new:
-            seqs = encode(self.vocab, [p.body for p in new.values()], self.max_tokens)
-            cache.update(zip(new, zip(seqs, [day_of_week(p.timestamp) for p in new.values()])))
-        return [cache[key] for key in keys]
+        seqs = encode(self.vocab, [p.body for p in posts], self.max_tokens)
+        return list(zip(seqs, [day_of_week(p.timestamp) for p in posts]))
 
 
 @dataclass

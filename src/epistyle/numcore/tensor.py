@@ -180,16 +180,14 @@ _SCATTER_CHUNK = 1 << 18
 
 
 def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """table[rows] += values in place for a 2-D table, summing repeated rows.
+    """table[rows] += values in place for a 2-D C-contiguous table (else
+    ValueError), summing repeated rows.
 
     np.add.at on flat element indices takes numpy's one-dimensional fast
     path, about 4x faster than on row blocks or a sorted np.add.reduceat. The
     chunks run in row order, so every element receives its adds in the order
     a row-by-row np.add.at gives them, bit for bit.
     """
-    if not table.flags.c_contiguous:
-        np.add.at(table, rows, values)  # the same adds, row by row
-        return
     flat = table.reshape(-1, copy=False)
     dim = table.shape[1]
     values = values.reshape(len(rows), dim)
@@ -436,20 +434,19 @@ def max_over_time(a, starts, lengths) -> Tensor:
     """Output row i is the column-wise max of a's rows starts[i] ..
     starts[i] + lengths[i] - 1 (module docstring, "Packed rows"). The
     segments must be in order, disjoint and nonempty, else `ShapeError`.
-    With a gradient to route, each segment's rows are gathered, steps past
-    its end from a -inf row, for the first argmax; without, they are folded
-    in step by step."""
+    With a gradient to route, each segment's rows are gathered out to the
+    longest segment, a step past its end reading its last row again, for the
+    first argmax; without, they are folded in step by step."""
     a = _as_tensor(a)
     x = a.data
     starts, lengths = _check_segments(x, starts, lengths)
     if not a.requires_grad:
         return Tensor(_running_max(x, starts, lengths))  # no gradient to route, so no argmax
-    # (segment, step) -> row; a step past the segment's end reads a -inf
-    # row put after the last, so it never wins
+    # (segment, step) -> row; a step past the segment's end repeats its last
+    # row, which can only tie with that row's first copy, so never wins
     steps = np.arange(lengths.max())
-    rows = np.where(steps < lengths[:, None], starts[:, None] + steps, len(x))
-    padded = np.concatenate([x, np.full((1, x.shape[1]), -np.inf, dtype=x.dtype)])
-    windows = np.take(padded, rows, axis=0)
+    rows = starts[:, None] + np.minimum(steps, lengths[:, None] - 1)
+    windows = np.take(x, rows, axis=0)
     best = np.take_along_axis(rows, np.argmax(windows, axis=1), axis=1)  # (segments, columns)
     cols = np.arange(x.shape[1])
     data = x[best, cols]
@@ -636,19 +633,22 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
     n, d_in = x.shape
     if n < w:
         raise ShapeError(f"conv: sequence length {n} < filter width {w}")
-    t = n - w + 1
     dt = np.result_type(x.dtype, filt.dtype)
     xd = x.data.astype(dt, copy=False)
     fd = filt.data.astype(dt, copy=False)
     if bias is not None:
         bias = _as_tensor(bias)
+    # a one-row product takes a matrix-vector route, which rounds otherwise:
+    # a lone window is computed as the first row of two, and the last block
+    # takes in a row that would be left alone
+    if n == w:
+        xd = np.concatenate([xd, xd[-1:]])
+    t = len(xd) - w + 1
     step = max(2, _CONV_BLOCK_MACS // (d_in * f))
     data = np.empty((t, f), dtype=dt)
     tap = np.empty((min(t, step + 1), f), dtype=dt)
     lo = 0
     while lo < t:
-        # a one-row product takes a matrix-vector route, which rounds
-        # otherwise, so the last block takes in a row that would be left alone
         hi = t if t - lo <= step + 1 else lo + step
         block = np.matmul(xd[lo:hi], fd[0], out=data[lo:hi])
         for j in range(1, w):
@@ -674,7 +674,7 @@ def sliding_window_conv(x, filt, bias=None) -> Tensor:
             x._accumulate_owned(gx)
 
     parents = (x, filt) if bias is None else (x, filt, bias)
-    out = _result(data, parents, backward)
+    out = _result(data[: n - w + 1], parents, backward)
     return out
 
 

@@ -1,7 +1,8 @@
 """Reference code that only the tests use: a central-difference gradient
 checker, the per-pair skip-gram loss the batched one is tested against, the
 total-variation distance between two synthetic authors' word distributions,
-and the per-character encoder the batch `encode` is tested against."""
+the per-character encoder the batch `encode` is tested against, and the
+`-inf`-padded max over time the tracked `max_over_time` is tested against."""
 
 from __future__ import annotations
 
@@ -99,3 +100,20 @@ def encode_chars(vocab, text: str) -> list[int]:
         else:
             ids.extend(vocab.token_to_id.get(ch, vocab.unk_id) for ch in piece)
     return ids
+
+
+def max_over_time_sentinel(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray, g: np.ndarray):
+    """The tracked max over packed row segments with a -inf row: each
+    segment's rows are gathered out to the longest segment, a step past its
+    end reading a -inf row appended after the last, and the first argmax
+    wins; g, the upstream gradient, is put at the winners into zeros, +0.0
+    for -0.0 as a first gradient is stored. Returns (output, dL/dx)."""
+    steps = np.arange(lengths.max())
+    rows = np.where(steps < lengths[:, None], starts[:, None] + steps, len(x))
+    padded = np.concatenate([x, np.full((1, x.shape[1]), -np.inf, dtype=x.dtype)])
+    windows = np.take(padded, rows, axis=0)
+    best = np.take_along_axis(rows, np.argmax(windows, axis=1), axis=1)
+    cols = np.arange(x.shape[1])
+    gx = np.zeros_like(x)
+    gx[best, cols] = g + 0
+    return x[best, cols], gx

@@ -109,21 +109,36 @@ def test_embed_text_out_of_range_id(setup):
         model.embed_episodes(batch)
 
 
-def test_batch_text_features_equal_each_post_alone_bit_for_bit(setup):
+def test_batch_text_features_equal_each_post_alone_bit_for_bit():
     # a post's windows never reach the next post's rows, so its text
-    # features do not depend on the batch around it. "Alone" is a batch of
-    # the post and a copy: a GEMM of one row may take BLAS's matrix-vector
-    # route, which rounds differently
-    vocab, cfg, model, encoder = setup
+    # features do not depend on the batch around it, even for a post whose
+    # whole packed input is one window ("abc", "" and "[QUOTE][QUOTE]")
+    vocab = train_char_vocab(["hello world this is text abcdef"], size=40)
     bodies = ["ab", "a much longer body of text here", "hello [LINK] world", "abc",
               "this is text this is text this is text", "", "[QUOTE][QUOTE]"]
     eps = [episode(make_post(body, pid=f"p{i}")) for i, body in enumerate(bodies)]
-    batch = make_episode_batch(eps, encoder, model)
-    assert batch.pad_lengths.min() == cfg.max_filter
-    both = model.embed_episodes(batch).data[:, : cfg.d_text]
-    for i, ep in enumerate(eps):
-        alone = model.embed_episodes(make_episode_batch([ep, ep], encoder, model)).data
-        assert alone[0, : cfg.d_text].tobytes() == both[i].tobytes(), bodies[i]
+    for d_token in (4, 32):
+        cfg = tiny_config(vocab_size=len(vocab), d_token=d_token)
+        model = EpisodeModel.build(cfg, markets={"m1": ["s1", "s2"]}, seed=0)
+        encoder = PostEncoder(vocab, cfg.max_tokens)
+        batch = make_episode_batch(eps, encoder, model)
+        assert batch.pad_lengths.min() == cfg.max_filter
+        both = model.embed_episodes(batch).data[:, : cfg.d_text]
+        for i, ep in enumerate(eps):
+            alone = model.embed_episodes(make_episode_batch([ep], encoder, model)).data
+            assert alone[0, : cfg.d_text].tobytes() == both[i].tobytes(), (d_token, bodies[i])
+
+
+def test_post_encoder_ids_equal_for_a_post_twice_in_one_call_and_across_calls(setup):
+    vocab, cfg, model, encoder = setup
+    posts = [make_post("hello [LINK] world", pid="p1"),
+             make_post("abc", ts=1356998400.0 + 86400 * 3 - 4e-7, pid="p2")]
+    first = encoder.ids(posts + posts[:1])
+    second = encoder.ids(posts)
+    for got, want in ((first[2], first[0]), (second[0], first[0]), (second[1], first[1])):
+        assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+    assert [day for _, day in first] == [day_of_week(p.timestamp) for p in posts + posts[:1]]
 
 
 # ------------------------------------------------------------------- time

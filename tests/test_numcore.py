@@ -3,12 +3,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epistyle.numcore as nc
 from epistyle.numcore import (
     AdamState, PlateauScheduler, Tensor, adam_step, clip_global_norm,
 )
-from reference import grad_check
+from reference import grad_check, max_over_time_sentinel
 
 
 def test_max_over_time_forward_and_grad_routing():
@@ -146,6 +148,41 @@ def test_max_over_time_backward_equals_the_dense_route_bit_for_bit(dtype, preset
     out.grad = g
     out._backward(out)
     assert a.grad.dtype == dtype and np.array_equal(_bits(a.grad), _bits(want))
+
+
+_AWKWARD_CELLS = st.one_of(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan]),
+                           st.floats(-2.0, 2.0, width=32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+       layout=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)), min_size=1, max_size=6),
+       cols=st.integers(1, 4), tail=st.integers(0, 2))
+def test_tracked_max_over_time_equals_the_sentinel_route_bit_for_bit(data, dtype, layout, cols, tail):
+    # (gap before, length) per segment and a gap after the last; cells drawn
+    # with ties, +-0.0, NaN and infinities, and maybe a column all -inf
+    gaps, lengths = (np.array(v) for v in zip(*layout))
+    starts = np.cumsum(gaps) + np.cumsum(lengths) - lengths
+    n = int(starts[-1] + lengths[-1]) + tail
+    x = np.array(data.draw(st.lists(_AWKWARD_CELLS, min_size=n * cols, max_size=n * cols)),
+                 dtype=dtype).reshape(n, cols)
+    if data.draw(st.booleans()):
+        x[:, data.draw(st.integers(0, cols - 1))] = -np.inf
+    shape = (len(starts), cols)
+    signed = np.array(data.draw(st.lists(st.sampled_from([-0.0, 0.0, np.nan, 1.5, -2.0]),
+                                         min_size=shape[0] * cols, max_size=shape[0] * cols)),
+                      dtype=dtype).reshape(shape)
+    # distinct nonzero upstream values make the input gradient name the winners
+    distinct = np.arange(1, signed.size + 1, dtype=dtype).reshape(shape)
+    for g in (distinct, signed):
+        a = Tensor(x.copy(), requires_grad=True)
+        out = nc.max_over_time(a, starts, lengths)
+        want_y, want_gx = max_over_time_sentinel(x, starts, lengths, g)
+        out.grad = g
+        out._backward(out)
+        assert out.dtype == dtype and np.array_equal(_bits(out.data), _bits(want_y))
+        assert a.grad.dtype == dtype and np.array_equal(_bits(a.grad), _bits(want_gx))
+        assert np.array_equal(_bits(a.data), _bits(x))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
