@@ -775,13 +775,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _keep_freed_memory_mapped() -> None:
     """Ask glibc to keep freed memory mapped for reuse.
 
-    A forward pass allocates and frees arrays of up to a few hundred MB. By
-    default glibc returns freed blocks above its mmap threshold to the kernel
-    and trims the heap top, so the next batch maps fresh pages. It stays for
-    the peak resident set: in alternating A/B runs of the desk-train benchmark
-    (seed 5, 15 s runs, 2 cores, 1 BLAS thread), leaving it out raised
-    peak_rss_mb from 168 to 181 MB in every pair. Its wall-time effect is
-    within the noise of those runs.
+    A training step allocates and frees many arrays above glibc's mmap
+    threshold. By default glibc returns such freed blocks to the kernel and
+    trims the heap top, so the next batch maps fresh pages. In alternating
+    runs of the benchmark (seed 5, 8 s runs, 2 cores, 1 BLAS thread, 3 pairs
+    each), leaving it out moved peak_rss_mb from 84.3 to 84.5 MB on
+    desk-graph, from 108.6 to 106.9 MB on desk-train and from 63.2 to 64.6 MB
+    on scale-eval, in every pair. Its wall-time effect is within the noise
+    of those runs.
     """
     if not sys.platform.startswith("linux"):
         return

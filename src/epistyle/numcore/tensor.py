@@ -11,14 +11,18 @@ Values are float32 by default. Precision contract:
   there because attention's `attn @ v` sums over keys in the order of an
   episode's posts: in float64 that order does not reach the float32 result,
   so transformer pooling is exactly invariant to permuting posts. It is a
-  small share of training time.
+  small share of training time. Rows times a weight (a 2-D b) is one
+  float64 GEMM over a's leading axes folded into rows, forward and both
+  gradients, with a lone row computed as the first of two; only a batched b
+  multiplies batch by batch.
 
-Gradient lifetime: after `backward()` only leaves (tensors without a
-backward closure, such as parameters and inputs) keep `.grad`. Each op
-output's gradient is dropped as soon as its closure has passed it on, so a
-pass holds the gradients still in flight, not one per op. Read gradients
-from leaves; a caller that wants an intermediate's gradient makes that
-intermediate a leaf.
+Gradient lifetime: a graph is backpropagated once, and `backward()` frees
+it as it runs. Once an op's closure has passed its gradient on, the op drops
+the gradient, the closure and its parents, so each activation goes as soon
+as the last closure that reads it has run; a second `backward()` changes no
+gradient. Only leaves (tensors without a backward closure, such as
+parameters and inputs) keep `.grad`; a caller that wants an intermediate's
+gradient makes that intermediate a leaf.
 
 Packed rows. The text CNN's input is one 2-D array of token rows, the posts
 back to back, each padded only up to the widest filter. `sliding_window_conv`
@@ -124,14 +128,14 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         # A closure gets its output as the argument rather than capturing it,
-        # so no op output references itself and a finished graph is freed by
-        # reference counting, without waiting for the cyclic collector. An op
-        # output's gradient is spent once its closure has run, so it is freed
-        # there; only leaves keep theirs.
-        for node in reversed(order):
+        # so no op output references itself and the graph is freed by
+        # reference counting, without waiting for the cyclic collector: an
+        # op leaves `order` and drops what its closure has spent.
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node)
-                node.grad = None
+                node.grad, node._backward, node._parents = None, None, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
@@ -315,23 +319,52 @@ def relu(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b in float64, cast back to the operands' dtype; b is 2-D or more.
+
+    A 2-D b is a weight: a's leading axes fold into the rows of one GEMM
+    (`_rows_gemm`), forward and for a's gradient, and b's gradient is one
+    GEMM over those rows, from a.data in the backward, so no float64 copy
+    of a is kept. A batched b (attention's q @ kᵀ and attn @ v) must have
+    a's batch axes, else `ShapeError`.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
+    batched = b.data.ndim > 2
+    if (b.data.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or batched and a.shape[:-2] != b.shape[:-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     dt = np.result_type(a.dtype, b.dtype)
-    data = np.matmul(a.data.astype(np.float64), b.data.astype(np.float64)).astype(dt)
+    if batched:
+        data = np.matmul(a.data.astype(np.float64), b.data.astype(np.float64)).astype(dt)
+    else:
+        k, n = b.shape
+        data = _rows_gemm(a.data.reshape(-1, k), b.data).astype(dt).reshape(a.shape[:-1] + (n,))
 
     def backward(out):
         g = out.grad.astype(np.float64)
+        if batched:
+            if a.requires_grad:
+                a._accumulate(np.matmul(g, np.swapaxes(b.data.astype(np.float64), -1, -2)))
+            if b.requires_grad:
+                b._accumulate(np.matmul(np.swapaxes(a.data.astype(np.float64), -1, -2), g))
+            return
+        g = g.reshape(-1, n)
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data.astype(np.float64), -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
+            a._accumulate(_rows_gemm(g, b.data.T).reshape(a.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data.astype(np.float64), -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            b._accumulate(a.data.reshape(-1, k).astype(np.float64).T @ g)
 
     out = _result(data, (a, b), backward)
     return out
+
+
+def _rows_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w in float64 for 2-D x and w. A one-row product takes numpy's
+    matrix-vector route, which rounds otherwise, so one row is computed as
+    the first row of two, like a row of any larger product."""
+    x, w = x.astype(np.float64, copy=False), w.astype(np.float64, copy=False)
+    if len(x) == 1:
+        return (np.concatenate([x, x]) @ w)[:1]
+    return x @ w
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -565,7 +598,9 @@ def linear(x, w, b=None) -> Tensor:
 
 
 def dropout(x, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: kept units scaled by 1/(1-p) in training."""
+    """Inverted dropout: kept units scaled by 1/(1-p) in training. The
+    backward keeps only the bool mask of kept units and rebuilds the scale
+    from it."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
     x = _as_tensor(x)
@@ -573,26 +608,31 @@ def dropout(x, p: float, train: bool, rng: np.random.Generator | None = None) ->
         return x
     if rng is None:
         raise ValueError("dropout: training mode requires an rng")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    keep = rng.random(x.shape) >= p
+
+    def scaled():
+        return keep.astype(x.dtype) / (1.0 - p)
 
     def backward(out):
-        x._accumulate(out.grad * keep)
+        x._accumulate(out.grad * scaled())
 
-    out = _result(x.data * keep, (x,), backward)
+    out = _result(x.data * scaled(), (x,), backward)
     return out
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+    The backward keeps each row's mean and inverse deviation, and recomputes
+    the normalized input from x with the forward's ops (the same bits)."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
     xc = x.data.astype(np.float64) - mu
     var = (xc**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = (xhat * gain.data + bias.data).astype(x.dtype)
+    data = (xc * inv * gain.data + bias.data).astype(x.dtype)
 
     def backward(out):
+        xhat = (x.data.astype(np.float64) - mu) * inv
         g = out.grad.astype(np.float64)
         if gain.requires_grad:
             axes = tuple(range(g.ndim - 1))

@@ -1,8 +1,11 @@
 """Reference code that only the tests use: a central-difference gradient
-checker, the per-pair skip-gram loss the batched one is tested against, the
-total-variation distance between two synthetic authors' word distributions,
-the per-character encoder the batch `encode` is tested against, and the
-`-inf`-padded max over time the tracked `max_over_time` is tested against."""
+checker, a walk over an autodiff graph, the per-pair skip-gram loss the
+batched one is tested against, the total-variation distance between two
+synthetic authors' word distributions, the per-character encoder the batch
+`encode` is tested against, the `-inf`-padded max over time the tracked
+`max_over_time` is tested against, and the batched matmul, layer norm and
+dropout routes that `matmul`'s weight route and the slimmer `layer_norm` and
+`dropout` closures are tested against."""
 
 from __future__ import annotations
 
@@ -66,6 +69,18 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def graph_nodes(root: Tensor) -> list[Tensor]:
+    """Every tensor of root's autodiff graph, root and leaves included."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
 def sgns_pair_loss_and_grads(v_center: np.ndarray, u_context: np.ndarray, u_negs: np.ndarray):
     """Loss and gradients for one positive pair plus its negative samples.
 
@@ -117,3 +132,57 @@ def max_over_time_sentinel(x: np.ndarray, starts: np.ndarray, lengths: np.ndarra
     gx = np.zeros_like(x)
     gx[best, cols] = g + 0
     return x[best, cols], gx
+
+
+def _first(g: np.ndarray, dtype) -> np.ndarray:
+    """g as a first gradient is stored: cast to dtype, +0.0 for -0.0."""
+    return g.astype(dtype) + 0
+
+
+def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and grad.shape[ax] != 1:
+            grad = grad.sum(axis=ax, keepdims=True)
+    return grad.reshape(shape)
+
+
+def matmul_batched(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """a @ b by numpy's batched matmul in float64, cast back, with upstream
+    gradient g: one product per batch of a, and b's gradient summed from a
+    per-batch stack. Returns (output, dL/da, dL/db) as `matmul` stores them."""
+    dt = np.result_type(a.dtype, b.dtype)
+    a64, b64, g64 = a.astype(np.float64), b.astype(np.float64), g.astype(np.float64)
+    out = np.matmul(a64, b64).astype(dt)
+    ga = _unbroadcast(np.matmul(g64, np.swapaxes(b64, -1, -2)), a.shape)
+    gb = _unbroadcast(np.matmul(np.swapaxes(a64, -1, -2), g64), b.shape)
+    return out, _first(ga, a.dtype), _first(gb, b.dtype)
+
+
+def layer_norm_xhat(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, g: np.ndarray,
+                    eps: float = 1e-5):
+    """Layer norm whose backward reads the forward's float64 normalized
+    input. Returns (output, dL/dx, dL/dgain, dL/dbias) as `layer_norm`
+    stores them."""
+    mu = x.mean(axis=-1, keepdims=True, dtype=np.float64)
+    xc = x.astype(np.float64) - mu
+    var = (xc**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = (xhat * gain + bias).astype(x.dtype)
+    g64 = g.astype(np.float64)
+    axes = tuple(range(g.ndim - 1))
+    gh = g64 * gain.astype(np.float64)
+    m1 = gh.mean(axis=-1, keepdims=True)
+    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+    gx = (inv * (gh - m1 - xhat * m2)).astype(x.dtype)
+    return (out, _first(gx, x.dtype), _first((g64 * xhat).sum(axis=axes), gain.dtype),
+            _first(g64.sum(axis=axes), bias.dtype))
+
+
+def dropout_scaled(x: np.ndarray, p: float, rng: np.random.Generator, g: np.ndarray):
+    """Inverted dropout that keeps its scaled mask for the backward. Returns
+    (output, dL/dx) as `dropout` stores them."""
+    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    return x * keep, _first(g * keep, x.dtype)

@@ -15,7 +15,7 @@ from epistyle.model import (
 )
 from epistyle.numcore import Tensor
 from epistyle.tokenization import train_char_vocab
-from reference import grad_check
+from reference import grad_check, graph_nodes
 
 
 def tiny_config(pooling="mean", **kw):
@@ -546,22 +546,11 @@ def test_full_model_loss_gradients(pooling, head_kind):
 # ------------------------------------------------------ graph memory
 
 
-def _graph_nodes(root):
-    nodes, seen, stack = [], set(), [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    return nodes
-
-
 def test_backward_frees_op_gradients_and_leaves_keep_theirs():
     model, head, batch, labels = _toy_training_setup("transformer", "cf", seed=3)
     tokens = Tensor(model.params["token_emb"].data[batch.token_ids], requires_grad=True)
     loss = head.loss(model.embed_episodes(batch, token_embeddings=tokens), labels)
-    nodes = _graph_nodes(loss)
+    nodes = graph_nodes(loss)
     ops = [n for n in nodes if n._backward is not None]
     leaves = [n for n in nodes if n._backward is None]
     assert any(n is tokens for n in leaves) and any(n is head.weight for n in leaves)
@@ -576,7 +565,7 @@ def test_text_cnn_graph_holds_one_activation_per_filter_width():
     model, head, batch, labels = _toy_training_setup("mean", "sm", seed=3)
     loss = head.loss(model.embed_episodes(batch, train=False), labels)
     arrays = {}
-    for node in _graph_nodes(loss):
+    for node in graph_nodes(loss):
         arrays[id(node.data)] = node.data
         for cell in (node._backward.__closure__ or ()) if node._backward else ():
             held = cell.cell_contents

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +11,10 @@ import epistyle.numcore as nc
 from epistyle.numcore import (
     AdamState, PlateauScheduler, Tensor, adam_step, clip_global_norm,
 )
-from reference import grad_check, max_over_time_sentinel
+from reference import (
+    dropout_scaled, grad_check, graph_nodes, layer_norm_xhat, matmul_batched,
+    max_over_time_sentinel,
+)
 
 
 def test_max_over_time_forward_and_grad_routing():
@@ -501,6 +505,157 @@ def test_backward_frees_graph_without_cyclic_gc():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _run_closure(out, g):
+    """Run out's backward closure alone, with upstream gradient g."""
+    out.grad = g
+    out._backward(out)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((128, 5, 320), (320, 128)),  # the transformer's pool.in
+    ((128, 5, 128), (128, 128)),  # its attention projections and feed-forward
+    ((640, 128), (128, 128)),  # text_fc over packed posts
+    ((128, 128), (128, 32)),  # pool.out
+    ((3, 7, 16), (16, 9)),
+], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_weight_route_equals_the_batched_route_bit_for_bit(a_shape, b_shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=a_shape).astype(np.float32)
+    b = (rng.normal(size=b_shape) / np.sqrt(b_shape[0])).astype(np.float32)
+    g = rng.normal(size=a_shape[:-1] + b_shape[-1:]).astype(np.float32)
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    out = nc.matmul(ta, tb)
+    _run_closure(out, g)
+    for got, want in zip((out.data, ta.grad, tb.grad), matmul_batched(a, b, g)):
+        assert got.dtype == np.float32 and np.array_equal(_bits(got), _bits(want))
+
+
+def test_one_row_matmul_rounds_like_a_row_of_a_larger_product():
+    # numpy computes a one-row product by its matrix-vector route, which
+    # rounds otherwise; float64 operands leave no cast to hide that
+    rng = np.random.default_rng(31)
+    w = Tensor(rng.normal(size=(64, 16)))
+    for _ in range(50):
+        rows, g = rng.normal(size=(2, 64)), rng.normal(size=(2, 16))
+        one, two = Tensor(rows[:1], requires_grad=True), Tensor(rows, requires_grad=True)
+        alone, inside = nc.matmul(one, w), nc.matmul(two, w)
+        _run_closure(alone, g[:1])
+        _run_closure(inside, g)
+        assert np.array_equal(_bits(alone.data[0]), _bits(inside.data[0]))
+        assert np.array_equal(_bits(one.grad[0]), _bits(two.grad[0]))
+
+
+def test_weight_gradient_builds_no_per_batch_stack():
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=(64, 5, 128)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(128, 128)).astype(np.float32), requires_grad=True)
+    loss = nc.sum_(nc.matmul(a, w))
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == (128, 128)
+    assert peak < 64 * 128 * 128 * 8  # one (64, 128, 128) float64 stack
+
+
+def test_backward_frees_each_activation_once_its_last_reader_has_run():
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    first = nc.scale(x, 2.0)
+    mid = nc.exp(first)  # its closure holds its own output
+    late = nc.scale(mid, 3.0)
+    loss = nc.sum_(late)
+    refs = [weakref.ref(mid.data), weakref.ref(late.data)]
+    freed = []
+    run_first = first._backward
+
+    def spy(out):
+        freed.append([ref() is None for ref in refs])
+        run_first(out)
+
+    first._backward = spy
+    del mid, late
+    loss.backward()
+    assert freed == [[True, True]]
+    assert x.grad is not None
+
+
+def test_backward_cuts_every_op_off_and_runs_once():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(3, 4, 8)).astype(np.float32), requires_grad=True)
+    ws = {k: Tensor(_rand(rng, 8, 8).astype(np.float32), requires_grad=True) for k in "qkvo"}
+    bs = {k: Tensor(np.zeros(8, np.float32), requires_grad=True) for k in "qvo"}
+    ln = (Tensor(np.ones(8, np.float32), requires_grad=True),
+          Tensor(np.zeros(8, np.float32), requires_grad=True))
+    h = nc.layer_norm(x, *ln)
+    h = nc.multihead_attention(h, ws["q"], ws["k"], ws["v"], ws["o"], bs["q"], bs["v"], bs["o"],
+                               heads=2)
+    h = nc.dropout(h, 0.25, train=True, rng=np.random.default_rng(1))
+    loss = nc.mean(nc.mul(h, h))
+    nodes = graph_nodes(loss)
+    ops = [n for n in nodes if n._backward is not None]
+    leaves = [n for n in nodes if n._backward is None]
+    assert len(ops) > 15 and len(leaves) == 10
+    loss.backward()
+    assert all(n._backward is None and n._parents == () and n.grad is None for n in ops)
+    grads = [leaf.grad.copy() for leaf in leaves]
+    loss.backward()
+    assert all(np.array_equal(leaf.grad, g) for leaf, g in zip(leaves, grads))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_layer_norm_equals_the_saved_xhat_route_bit_for_bit(dtype):
+    rng = np.random.default_rng(12)
+    x = (rng.normal(2.0, 3.0, size=(8, 5, 32))).astype(dtype)
+    gain, bias = rng.normal(size=32).astype(dtype), rng.normal(size=32).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    tx, tg, tb = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
+    out = nc.layer_norm(tx, tg, tb)
+    _run_closure(out, g)
+    for got, want in zip((out.data, tx.grad, tg.grad, tb.grad), layer_norm_xhat(x, gain, bias, g)):
+        assert got.dtype == dtype and np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_dropout_equals_the_scaled_mask_route_bit_for_bit(dtype):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(64, 5, 128)).astype(dtype)
+    g = _upstream_with_zero_signs(rng, x.shape, dtype)
+    tx = Tensor(x, requires_grad=True)
+    out = nc.dropout(tx, 0.1, train=True, rng=np.random.default_rng(9))
+    _run_closure(out, g)
+    want = dropout_scaled(x, 0.1, np.random.default_rng(9), g)
+    for got, ref in zip((out.data, tx.grad), want):
+        assert got.dtype == dtype and np.array_equal(_bits(got), _bits(ref))
+
+
+def _closure_arrays(fn):
+    """The arrays a function's closure reaches, through nested functions and
+    a Tensor's data."""
+    arrays = []
+    for cell in fn.__closure__ or ():
+        held = cell.cell_contents
+        if callable(held) and getattr(held, "__closure__", None):
+            arrays += _closure_arrays(held)
+        held = held.data if isinstance(held, Tensor) else held
+        if isinstance(held, np.ndarray):
+            arrays.append(held)
+    return arrays
+
+
+def test_layer_norm_and_dropout_closures_hold_no_copy_of_their_input():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(16, 32)).astype(np.float32), requires_grad=True)
+    gain, bias = Tensor(np.ones(32, np.float32)), Tensor(np.zeros(32, np.float32))
+    for out in (nc.layer_norm(x, gain, bias), nc.dropout(x, 0.5, True, rng)):
+        copies = [a for a in _closure_arrays(out._backward)
+                  if a is not x.data and a.size >= x.data.size]
+        assert all(a.dtype == np.bool_ for a in copies), [(a.dtype, a.shape) for a in copies]
 
 
 def _im2col_conv_reference(x, filt, bias, g):
