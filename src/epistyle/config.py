@@ -131,13 +131,14 @@ def write_manifest(out_dir, stage: str, inputs: list, effective_config: dict,
 
 
 def read_manifest(path) -> dict | None:
-    """The manifest at `path`, or None when it is missing or not a JSON object."""
+    """The manifest at `path`, or None when it is missing, not UTF-8 or not a
+    JSON object."""
     path = Path(path)
     if not path.exists():
         return None
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
         return None
     return manifest if isinstance(manifest, dict) else None
 

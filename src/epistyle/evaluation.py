@@ -19,6 +19,8 @@ from .numcore import Tensor
 
 log = logging.getLogger(__name__)
 
+EMBED_BATCH = 256  # episodes embedded per forward pass when building an index
+
 
 # ------------------------------------------------------------------- index
 
@@ -57,12 +59,12 @@ class RetrievalIndex:
 
     @classmethod
     def from_episodes(cls, model: EpisodeModel, encoder: PostEncoder, episodes: list[Episode],
-                      seen_authors: set | None = None, batch_size: int = 256) -> "RetrievalIndex":
+                      seen_authors: set | None = None) -> "RetrievalIndex":
         if len(episodes) < 2:
             raise ValueError("an index needs at least 2 episodes")
         chunks = []
-        for i in range(0, len(episodes), batch_size):
-            batch = make_episode_batch(episodes[i : i + batch_size], encoder, model)
+        for i in range(0, len(episodes), EMBED_BATCH):
+            batch = make_episode_batch(episodes[i : i + EMBED_BATCH], encoder, model)
             chunks.append(model.embed_episodes(batch, train=False).data)
         emb = np.vstack(chunks)
         seen = None

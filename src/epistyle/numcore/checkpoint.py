@@ -29,8 +29,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; a truncated file, trailing bytes or a non-finite
-    value raise ValueError."""
+    """Read a checkpoint; a truncated file, trailing bytes, a block name that
+    is not UTF-8 or appears twice, or a non-finite value raise ValueError."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:5] != MAGIC:
@@ -51,7 +51,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", raw, take(2))
         start = take(name_len)
-        name = raw[start:pos].decode("utf-8")
+        try:
+            name = raw[start:pos].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: block name {raw[start:pos]!r} is not UTF-8") from None
+        if name in params:
+            raise ValueError(f"{path}: block {name!r} appears twice")
         (ndim,) = struct.unpack_from("<B", raw, take(1))
         shape = struct.unpack_from(f"<{ndim}I", raw, take(4 * ndim))
         n = math.prod(shape)

@@ -10,9 +10,9 @@ bitwise reproducible.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
+from itertools import accumulate, count
 from pathlib import Path
 
 from .corpus import MAX_TIMESTAMP, MigrationLabel, Post, write_labels_csv, write_posts
@@ -99,6 +99,11 @@ class SynthConfig:
                              f"got {self.subforums_per_market}")
         if self.communities < 1:
             raise ValueError(f"communities must be at least 1, got {self.communities}")
+        if self.communities > self.subforums_per_market:  # a community needs a subforum
+            raise ValueError(f"communities must be at most subforums_per_market "
+                             f"({self.subforums_per_market}), got {self.communities}")
+        if self.posts_per_author < 1:
+            raise ValueError(f"posts_per_author must be at least 1, got {self.posts_per_author}")
         if not 1 <= self.weeks <= MAX_WEEKS:
             raise ValueError(f"weeks must be in 1..{MAX_WEEKS}, got {self.weeks}")
         if self.migrant_count > self.authors_per_market:
@@ -124,6 +129,10 @@ class SynthCorpus:
 
 def _subforums(cfg: SynthConfig, market: str) -> list[str]:
     return [f"{market}_s{j}" for j in range(cfg.subforums_per_market)]
+
+
+def _username(market: str, index: int) -> str:
+    return f"{market}_u{index:02d}"
 
 
 def _make_profile(cfg: SynthConfig, rng: random.Random, market: str, username: str,
@@ -177,13 +186,8 @@ def _remap_profile(cfg: SynthConfig, profile: AuthorProfile, market: str, userna
     over to the structurally matching subforums of the new market."""
     old = _subforums(cfg, profile.market)
     new = _subforums(cfg, market)
-    sub_w = {new[old.index(sf)]: w for sf, w in profile.subforum_weights.items()}
-    return AuthorProfile(
-        username=username, market=market, word_weights=list(profile.word_weights),
-        dow_weights=list(profile.dow_weights), subforum_weights=sub_w,
-        thread_start_rate=profile.thread_start_rate, quirks=profile.quirks,
-        archetype=profile.archetype,
-    )
+    return replace(profile, username=username, market=market, subforum_weights={
+        new[old.index(sf)]: w for sf, w in profile.subforum_weights.items()})
 
 
 def _fake_armor(rng: random.Random, kind: str, payload: str | None = None) -> str:
@@ -242,7 +246,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     labels: list[MigrationLabel] = []
     for mi, market in enumerate(cfg.markets):
         for ai in range(cfg.authors_per_market):
-            username = f"{market}_u{ai:02d}"
+            username = _username(market, ai)
             if (market, username) in profiles:
                 continue
             archetype = "normal"
@@ -256,8 +260,8 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
         if mi + 1 < len(cfg.markets):
             nxt = cfg.markets[mi + 1]
             for k in range(cfg.migrant_count):
-                src = f"{market}_u{k:02d}"
-                dst = f"{nxt}_u{cfg.authors_per_market - 1 - k:02d}"
+                src = _username(market, k)
+                dst = _username(nxt, cfg.authors_per_market - 1 - k)
                 profiles[(nxt, dst)] = _remap_profile(cfg, profiles[(market, src)], nxt, dst)
                 labels.append(MigrationLabel((market, src), (nxt, dst), True))
 
@@ -265,79 +269,56 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     # from the index band that holds neither outgoing migrants nor incoming
     # aliases on either side
     span = cfg.authors_per_market - 2 * cfg.migrant_count
-    for mi in range(len(cfg.markets) - 1):
-        a_mkt, b_mkt = cfg.markets[mi], cfg.markets[mi + 1]
+    for a_mkt, b_mkt in zip(cfg.markets, cfg.markets[1:]):
         for k in range(cfg.distinct_pair_count):
-            ia = cfg.migrant_count + (k % span)
-            ib = cfg.migrant_count + ((k + 3) % span)
-            a = f"{a_mkt}_u{ia:02d}"
-            b = f"{b_mkt}_u{ib:02d}"
+            a = _username(a_mkt, cfg.migrant_count + k % span)
+            b = _username(b_mkt, cfg.migrant_count + (k + 3) % span)
             labels.append(MigrationLabel((a_mkt, a), (b_mkt, b), False))
 
     # posts
     posts: dict[str, list[Post]] = {m: [] for m in cfg.markets}
-    shared_keys: dict[tuple, str] = {}
-    for lab in labels:
-        payload = shared_key_payload(rng)
-        shared_keys[lab.key()] = payload
-
+    shared_keys = {lab.key(): shared_key_payload(rng) for lab in labels}
     for market in cfg.markets:
         market_profiles = [p for (m, _), p in sorted(profiles.items()) if m == market]
         usernames = [p.username for p in market_profiles]
         threads: dict[str, list[str]] = {sf: [] for sf in _subforums(cfg, market)}
-        thread_counter = 0
-        post_counter = 0
+        thread_numbers = count()
         n_late = int(round(cfg.late_author_fraction * len(market_profiles)))
         late_set = set(usernames[-n_late:]) if n_late else set()
         for profile in market_profiles:
             peers = [u for u in usernames if u != profile.username]
+            own = [lab.key() for lab in labels
+                   if (market, profile.username) in (lab.user_a, lab.user_b)]
             word_cum = list(accumulate(profile.word_weights))
-            key_posts: set[int] = set()
-            for lab in labels:
-                for side in (lab.user_a, lab.user_b):
-                    if side == (market, profile.username):
-                        key_posts.add(rng.randrange(cfg.posts_per_author))
+            dow_cum = list(accumulate(profile.dow_weights))
+            subforums = list(profile.subforum_weights)
+            sub_cum = list(accumulate(profile.subforum_weights.values()))
+            wk_lo = int(cfg.weeks * 0.55) if profile.username in late_set else 0
+            key_posts = {rng.randrange(cfg.posts_per_author) for _ in own}
             for pi in range(cfg.posts_per_author):
-                wk_lo = int(cfg.weeks * 0.55) if profile.username in late_set else 0
                 week = rng.randrange(wk_lo, cfg.weeks)
-                r = rng.random()
-                acc, dow = 0.0, 6
-                for d, w in enumerate(profile.dow_weights):
-                    acc += w
-                    if r < acc:
-                        dow = d
-                        break
+                # a draw at or past the last running sum (float rounding)
+                # takes day 6 but the first subforum
+                dow = min(bisect_right(dow_cum, rng.random()), 6)
                 ts = DEFAULT_START + (week * 7 + dow) * 86400 + rng.randrange(86400)
-                r = rng.random()
-                acc = 0.0
-                subforum = next(iter(profile.subforum_weights))
-                for sf, w in profile.subforum_weights.items():
-                    acc += w
-                    if r < acc:
-                        subforum = sf
-                        break
+                subforum = subforums[bisect_right(sub_cum, rng.random()) % len(subforums)]
                 start = not threads[subforum] or rng.random() < profile.thread_start_rate
                 if start:
-                    thread_id = f"{market}_t{thread_counter}"
-                    thread_counter += 1
+                    thread_id = f"{market}_t{next(thread_numbers)}"
                     threads[subforum].append(thread_id)
                 else:
                     thread_id = rng.choice(threads[subforum])
                 body = _body(rng, profile, word_cum, pool, peers)
                 if pi in key_posts:
-                    for lab in labels:
-                        if (market, profile.username) in (lab.user_a, lab.user_b):
-                            body += "\n" + _fake_armor(
-                                rng, "PGP PUBLIC KEY BLOCK", shared_keys[lab.key()]
-                            )
+                    for key in own:
+                        body += "\n" + _fake_armor(rng, "PGP PUBLIC KEY BLOCK", shared_keys[key])
                 posts[market].append(
                     Post(
                         market=market, subforum=subforum, thread_id=thread_id,
-                        post_id=f"{market}_p{post_counter}", author=profile.username,
+                        post_id=f"{market}_p{len(posts[market])}", author=profile.username,
                         timestamp=float(ts), is_thread_start=start, body=body,
                     )
                 )
-                post_counter += 1
         posts[market].sort(key=lambda p: (p.timestamp, p.post_id))
     return SynthCorpus(posts=posts, labels=labels, profiles=profiles)
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +157,21 @@ def test_skip_if_fresh_reruns_when_an_output_changed(workspace, tmp_path, capsys
     assert split.read_bytes() == written
 
 
+def test_skip_if_fresh_reruns_over_a_manifest_that_is_not_utf8(tmp_path, capsys):
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG)
+    out = tmp_path / "raw"
+    argv = ["synth", "--config", str(config), "--out", str(out), "--skip-if-fresh"]
+    assert main(argv) == 0
+    written = (out / "alpha.jsonl").read_bytes()
+    (out / "manifest.json").write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "skipping" not in capsys.readouterr().out
+    assert (out / "alpha.jsonl").read_bytes() == written
+    assert json.loads((out / "manifest.json").read_text())["stage"] == "synth"
+
+
 @pytest.mark.parametrize("argv", [
     ["sybil", "--run", "r", "--processed", "p", "--split", "s", "--vocab", "v", "--user", "m:u"],
     ["attribute", "--run", "r", "--processed", "p", "--split", "s", "--vocab", "v",
@@ -248,6 +264,24 @@ def test_truncated_checkpoint_exits_1_with_one_line(workspace, tmp_path, capsys)
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and "checkpoint.bin" in err
+
+
+@pytest.mark.parametrize("damage, named", [
+    (lambda raw: raw[:5] + struct.pack("<I", 2) + raw[9:] + raw[9:], "block 'w' appears twice"),
+    (lambda raw: raw[:9] + struct.pack("<H", 2) + b"\xff\xfe" + raw[12:],
+     "block name b'\\xff\\xfe' is not UTF-8"),
+], ids=["repeated-name", "undecodable-name"])
+def test_a_checkpoint_with_a_bad_block_name_makes_eval_exit_1_with_one_line(
+        workspace, tmp_path, capsys, damage, named):
+    root, c = workspace
+    run = tmp_path / "run"
+    shutil.copytree(root / "run", run)
+    ckpt = run / "checkpoint.bin"
+    save_checkpoint(ckpt, {"w": np.ones(3, dtype=np.float32)})
+    ckpt.write_bytes(damage(ckpt.read_bytes()))
+    assert main(["eval", *c, *_data(root, "--run", run, "--out", tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: {named}\n"
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("damage, named", [
@@ -437,10 +471,14 @@ def test_a_context_init_that_nothing_reads_exits_2_before_any_directory(workspac
      "[tokenizer] size must be at least 8 for a char vocabulary, got 7"),
     ("kind = char\n", "kind = bpe\n", [],
      "[tokenizer] size must be at least 264 for a bpe vocabulary, got 120"),
+    ("posts_per_author = 30\n", "posts_per_author = 0\n", [],
+     "[corpus] posts_per_author must be at least 1, got 0"),
+    ("communities = 2\n", "communities = 5\n", [],
+     "[corpus] communities must be at most subforums_per_market (4), got 5"),
 ], ids=["p-cross-flag", "episode-len", "batch-size", "d-text", "dropout", "epochs-flag",
         "filter-sizes", "communities", "subforums", "weeks", "graph-dim", "walks-per-user",
         "walk-length", "negatives", "graph-epochs", "walks-per-user-flag", "max-tokens",
-        "char-size", "bpe-size"])
+        "char-size", "bpe-size", "posts-per-author", "communities-above-subforums"])
 def test_a_bad_config_class_value_exits_2_before_any_directory(workspace, tmp_path, capsys,
                                                                old, new, flags, named):
     root, _ = workspace

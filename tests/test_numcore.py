@@ -1,4 +1,5 @@
 import gc
+import struct
 import tracemalloc
 import weakref
 
@@ -882,6 +883,19 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
             nc.load_checkpoint(path)
     path.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
+        nc.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_repeated_or_undecodable_block_name(tmp_path):
+    path = tmp_path / "model.bin"
+    nc.save_checkpoint(path, {"w": np.ones(3, dtype=np.float32)})
+    raw = path.read_bytes()
+    # magic 0-4, count 5-8, name length 9-10, name 11, then the block
+    path.write_bytes(raw[:5] + struct.pack("<I", 2) + raw[9:] + raw[9:])
+    with pytest.raises(ValueError, match="model.bin: block 'w' appears twice"):
+        nc.load_checkpoint(path)
+    path.write_bytes(raw[:9] + struct.pack("<H", 2) + b"\xff\xfe" + raw[12:])
+    with pytest.raises(ValueError, match=r"model.bin: block name b'\\xff\\xfe' is not UTF-8"):
         nc.load_checkpoint(path)
 
 

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from epistyle import cli
 from epistyle import corpus as corpus_mod
+from epistyle.config import load_config, section_values
 from epistyle.corpus import (
     SPECIAL_TOKENS,
     extract_pgp_candidate_pairs,
@@ -53,6 +55,23 @@ def test_corpus_bytes_pinned(tmp_path):
         digest.update(Path(written[key]).read_bytes())
     assert sorted(written) == ["alpha", "beta", "gamma", "labels"]
     assert digest.hexdigest() == "8a9d25205d23670372a0fe565b2916fe3e4a35bc055bc285424457881fabfdcf"
+
+
+@pytest.mark.parametrize("config, expected", [
+    ("configs/desk.ini", "18d1e66a980d5bcdecee0d633cff7d0bb187632ece366cae015c35035e5e13e0"),
+    ("perfbench/configs/scale.ini",
+     "afa467eaf176be1b89bebdf68a9b84049e05ed2c970cb57a413aab2e1febd2ae"),
+], ids=["desk", "scale"])
+def test_benchmark_corpus_bytes_pinned(tmp_path, config, expected):
+    # the corpora the benchmark workloads start from, at seed 5: a change that
+    # moves one fails here, not only in tools/plan_digests.py
+    cfg = load_config(Path(__file__).resolve().parents[1] / config, cli.SECTION_DEFAULTS)
+    values = section_values(cfg, "corpus", cli.SECTION_DEFAULTS["corpus"])
+    written = write_corpus(generate_corpus(SynthConfig(**values, seed=5)), tmp_path)
+    digest = hashlib.sha256()
+    for key in sorted(written):
+        digest.update(Path(written[key]).read_bytes())
+    assert digest.hexdigest() == expected
 
 
 def test_migrant_word_distributions_close_others_far(small_corpus):
